@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,8 +28,6 @@ import numpy as np
 
 from . import __version__
 from .discretization import (
-    Candidate,
-    CandidateRecord,
     CandidateSet,
     EmptyGridError,
     TargetGrid,
@@ -59,8 +58,7 @@ from .solver import (
     InstanceTooLargeError,
     Solution,
     coverage_fraction,
-    solve_exact,
-    solve_greedy,
+    solve,
     verify_solution,
 )
 
@@ -275,16 +273,30 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **updates)
     if cfg.budget is not None and cfg.count is not None:
         raise CliError(EXIT_INPUT, "--budget and --count are mutually exclusive")
+
+    def check(ok: bool, message: str) -> None:
+        if not ok:
+            raise CliError(EXIT_INPUT, message)
+
     for name, value in [
         ("spacing", cfg.spacing), ("candidate-spacing", cfg.candidate_spacing),
         ("delta", cfg.resolved_delta),
     ]:
-        if value <= 0:
-            raise CliError(EXIT_INPUT, f"--{name} must be > 0")
-    if cfg.trials < 1:
-        raise CliError(EXIT_INPUT, "--trials must be >= 1")
-    if cfg.vehicles < 0:
-        raise CliError(EXIT_INPUT, "--vehicles must be >= 0")
+        check(math.isfinite(value) and value > 0,
+              f"--{name} must be finite and > 0, got {value}")
+    non_negative = [("budget", cfg.budget), ("count", cfg.count), ("seed", cfg.seed),
+                    ("vehicles", cfg.vehicles)]
+    non_negative += [(f"weights {seg}", w) for seg, w in cfg.weights.items()]
+    non_negative += [("gain-budgets", b) for b in cfg.gain_budgets]
+    for name, value in non_negative:
+        check(value is None or (math.isfinite(value) and value >= 0),
+              f"--{name} must be finite and >= 0, got {value}")
+    check(cfg.intensity_min is None or math.isfinite(cfg.intensity_min),
+          f"--intensity-min must be finite, got {cfg.intensity_min}")
+    check(cfg.trials >= 1, f"--trials must be >= 1, got {cfg.trials}")
+    check(cfg.jobs is None or cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}")
+    check(all(a < b for a, b in zip(cfg.gain_budgets, cfg.gain_budgets[1:])),
+          "--gain-budgets must be strictly increasing")
     return cfg
 
 
@@ -345,7 +357,10 @@ def _select_types(scene: Scene, cfg: RunConfig):
     return [by_id[t] for t in cfg.types]
 
 
-def _read_artifacts(out_dir: Path) -> tuple[TargetGrid, list[CandidateRecord], VisibilityGrid]:
+def _read_artifacts(
+    cfg: RunConfig, out_dir: Path
+) -> tuple[Scene, TargetGrid, CandidateSet, VisibilityGrid]:
+    scene = _load_scene_checked(cfg)
     for name in ("targets.csv", "candidates.csv", "grid.vgrd"):
         if not (out_dir / name).exists():
             raise CliError(
@@ -353,38 +368,21 @@ def _read_artifacts(out_dir: Path) -> tuple[TargetGrid, list[CandidateRecord], V
             )
     try:
         targets = read_targets_csv(out_dir / "targets.csv")
-        records = read_candidates_csv(out_dir / "candidates.csv")
+        candidates = read_candidates_csv(out_dir / "candidates.csv", scene.catalog)
         grid = VisibilityGrid.load(out_dir / "grid.vgrd")
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    if grid.rows != len(records) or grid.cols != len(targets):
+    if grid.rows != len(candidates) or grid.cols != len(targets):
         raise CliError(
             EXIT_INPUT,
             f"artifact shape mismatch: grid is {grid.rows}x{grid.cols} but there are "
-            f"{len(records)} candidates and {len(targets)} targets",
+            f"{len(candidates)} candidates and {len(targets)} targets",
         )
-    return targets, records, grid
-
-
-def _candidates_with_specs(records: list[CandidateRecord], scene: Scene) -> CandidateSet:
-    by_id = {s.type_id: s for s in scene.catalog}
-    out = []
-    for rec in records:
-        if rec.type_id not in by_id:
-            raise CliError(
-                EXIT_INPUT, f"candidate type {rec.type_id!r} not in the scene catalog"
-            )
-        out.append(
-            Candidate(
-                x=rec.x, y=rec.y, height=rec.height,
-                sensor=by_id[rec.type_id], cost=rec.cost, zone_id="",
-            )
-        )
-    return CandidateSet(spacing=0.0, candidates=tuple(out))
+    return scene, targets, candidates, grid
 
 
 def _solution_payload(
-    cfg: RunConfig, solution: Solution, records: list[CandidateRecord],
+    cfg: RunConfig, solution: Solution, candidates: CandidateSet,
     weights: np.ndarray, weighted: bool,
 ) -> dict:
     constraint = cfg.constraint()
@@ -405,11 +403,11 @@ def _solution_payload(
         "selected": [
             {
                 "idx": i,
-                "x": records[i].x,
-                "y": records[i].y,
-                "height": records[i].height,
-                "type": records[i].type_id,
-                "cost": records[i].cost,
+                "x": candidates[i].x,
+                "y": candidates[i].y,
+                "height": candidates[i].height,
+                "type": candidates[i].sensor.type_id,
+                "cost": candidates[i].cost,
             }
             for i in solution.selected
         ],
@@ -480,27 +478,23 @@ def stage_grid(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return outputs.commit()
 
 
-def _solve_one(problem: DeploymentProblem, method: str, exact_limit: int) -> Solution:
-    if method == "exact":
-        return solve_exact(problem, exact_limit)
-    if method == "greedy":
-        return solve_greedy(problem)
-    if problem.grid.rows <= exact_limit:
-        return solve_exact(problem, exact_limit)
-    return solve_greedy(problem)
-
-
 def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    targets, records, grid = _read_artifacts(out_dir)
-    costs = np.array([r.cost for r in records])
-    weights = targets.weights
-    outputs = StageOutputs(out_dir)
+    _, targets, candidates, grid = _read_artifacts(cfg, out_dir)
+    costs = candidates.costs
     weighted = bool(cfg.weights)
-    for method in cfg.methods:
+    runs = [  # (method, artifact, target weights, weighted flag in the artifact)
+        (method, "solution.json" if method == "auto" else f"solution_{method}.json",
+         targets.weights, weighted)
+        for method in cfg.methods
+    ]
+    if weighted:  # uniform-weight baseline for comparison
+        runs.append(("auto", "solution_uniform.json", np.ones_like(targets.weights), False))
+    outputs = StageOutputs(out_dir)
+    for method, name, weights, is_weighted in runs:
         problem = DeploymentProblem(grid, weights, costs, cfg.constraint())
         t0 = time.perf_counter()
         try:
-            solution = _solve_one(problem, method, cfg.exact_limit)
+            solution = solve(problem, method, cfg.exact_limit)
         except InstanceTooLargeError as exc:
             raise CliError(EXIT_STAGE, str(exc)) from exc
         elapsed = time.perf_counter() - t0
@@ -511,44 +505,22 @@ def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
                 "solver output failed verification: " + "; ".join(report.violations),
             )
         print(
-            f"[solve] {method} -> {solution.method}: objective {solution.objective:g}, "
+            f"[solve] {name}: {method} -> {solution.method}: objective {solution.objective:g}, "
             f"coverage {coverage_fraction(solution, weights):.4f}, "
             f"cost {solution.total_cost:g}, {len(solution.selected)} sensors "
             f"({elapsed:.2f}s)"
         )
-        name = "solution.json" if method == "auto" else f"solution_{method}.json"
         _write_json(
             outputs.path_for(name),
-            _solution_payload(cfg, solution, records, weights, weighted),
-        )
-    if weighted:
-        unit = np.ones_like(weights)
-        problem = DeploymentProblem(grid, unit, costs, cfg.constraint())
-        solution = _solve_one(problem, "auto", cfg.exact_limit)
-        report = verify_solution(problem, solution)
-        if not report.ok:
-            raise CliError(
-                EXIT_INTERNAL,
-                "solver output failed verification: " + "; ".join(report.violations),
-            )
-        print(
-            f"[solve] uniform-weight baseline: objective {solution.objective:g}, "
-            f"{len(solution.selected)} sensors"
-        )
-        _write_json(
-            outputs.path_for("solution_uniform.json"),
-            _solution_payload(cfg, solution, records, unit, False),
+            _solution_payload(cfg, solution, candidates, weights, is_weighted),
         )
     return outputs.commit()
 
 
 def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    scene = _load_scene_checked(cfg)
-    targets, records, grid = _read_artifacts(out_dir)
-    payload = _read_solution(out_dir)
-    solution = _solution_from_payload(payload)
-    candidates = _candidates_with_specs(records, scene)
-    costs = np.array([r.cost for r in records])
+    scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
+    solution = _solution_from_payload(_read_solution(out_dir))
+    costs = candidates.costs
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
     occlusion = occlusion_monte_carlo(
@@ -648,11 +620,8 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def stage_render(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    scene = _load_scene_checked(cfg)
-    targets, records, grid = _read_artifacts(out_dir)
-    payload = _read_solution(out_dir)
-    solution = _solution_from_payload(payload)
-    candidates = _candidates_with_specs(records, scene)
+    scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
+    solution = _solution_from_payload(_read_solution(out_dir))
     outputs = StageOutputs(out_dir)
     render_coverage_map(
         scene, targets, grid, solution, candidates.candidates,

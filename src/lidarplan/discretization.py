@@ -19,14 +19,13 @@ import numpy as np
 
 from .geometry import (
     EDGE_EPS,
-    BoxRTree,
     Point,
     point_in_polygon,
     point_segment_distance,
     points_in_polygon,
     polygon_bounds,
 )
-from .scene import Scene, SensorSpec, scene_bounds
+from .scene import Scene, SensorSpec, demo_scene_path, load_scene, scene_bounds
 
 TARGETS_CSV_HEADER = ["idx", "x", "y", "weight", "segment"]
 CANDIDATES_CSV_HEADER = ["idx", "x", "y", "height", "type", "cost"]
@@ -76,12 +75,10 @@ class Candidate:
     height: float
     sensor: SensorSpec
     cost: float
-    zone_id: str
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    spacing: float
     candidates: tuple[Candidate, ...]
 
     def __len__(self) -> int:
@@ -104,31 +101,6 @@ def lattice_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
         raise ValueError("spacing must be > 0")
     n = int(np.floor((hi - lo) / spacing - EDGE_EPS))
     return lo + spacing * np.arange(1, n + 1, dtype=np.float64)
-
-
-class SegmentIndex:
-    """Bounding-box tree over road segments with exact polygon membership.
-
-    Queries return the first containing segment in scene file order, which
-    makes overlapping-segment ties deterministic.
-    """
-
-    def __init__(self, scene: Scene):
-        self._segments = scene.road_segments
-        self._tree = BoxRTree([polygon_bounds(s.polygon) for s in self._segments])
-
-    def segment_id_at(self, x: float, y: float) -> str | None:
-        for i in self._tree.query_point(x, y):
-            if point_in_polygon((x, y), self._segments[i].polygon):
-                return self._segments[i].id
-        return None
-
-
-def point_in_roi(scene: Scene, point: Point, index: SegmentIndex | None = None) -> str | None:
-    """Id of the first road segment in file order containing the point, else None."""
-    if index is None:
-        index = SegmentIndex(scene)
-    return index.segment_id_at(point[0], point[1])
 
 
 def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
@@ -240,14 +212,13 @@ def enumerate_candidates(
                             height=float(h),
                             sensor=spec,
                             cost=spec.unit_cost + zone.install_surcharge,
-                            zone_id=zone.id,
                         )
                     )
     if not out:
         raise EmptyGridError(
             f"no lattice point at spacing {spacing} falls inside any mount zone"
         )
-    return CandidateSet(spacing=spacing, candidates=tuple(out))
+    return CandidateSet(candidates=tuple(out))
 
 
 def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
@@ -301,18 +272,16 @@ def write_candidates_csv(cands: CandidateSet, path: str | Path) -> None:
             writer.writerow([k, c.x, c.y, c.height, c.sensor.type_id, c.cost])
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    """Candidate row as stored on disk (sensor referenced by type id only)."""
-
-    x: float
-    y: float
-    height: float
-    type_id: str
-    cost: float
-
-
-def read_candidates_csv(path: str | Path) -> list[CandidateRecord]:
+def read_candidates_csv(
+    path: str | Path, catalog: Sequence[SensorSpec] | None = None
+) -> CandidateSet:
+    """Candidates as written by write_candidates_csv, each row's type id
+    resolved against `catalog` (default: the bundled demo scene's, like the
+    CLI's default --scene).  Costs are kept as stored, because the zone
+    surcharge they include is not in the file."""
+    if catalog is None:
+        catalog = load_scene(demo_scene_path()).catalog
+    by_id = {s.type_id: s for s in catalog}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -320,7 +289,9 @@ def read_candidates_csv(path: str | Path) -> list[CandidateRecord]:
             raise ValueError(
                 f"{path}: bad candidates header {header!r}, expected {CANDIDATES_CSV_HEADER!r}"
             )
-        return [
-            CandidateRecord(float(r[1]), float(r[2]), float(r[3]), r[4], float(r[5]))
-            for r in reader
-        ]
+        out = []
+        for r in reader:
+            if r[4] not in by_id:
+                raise ValueError(f"candidate type {r[4]!r} not in the scene catalog")
+            out.append(Candidate(float(r[1]), float(r[2]), float(r[3]), by_id[r[4]], float(r[5])))
+    return CandidateSet(candidates=tuple(out))

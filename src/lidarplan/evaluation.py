@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .discretization import CandidateSet, TargetGrid
+from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import point_in_polygon, polygon_area, polygon_bounds
 from .raycast import VisibilityGrid, eligible_samples, simulate_sensor, visibility_row
 from .scene import Obstacle, Scene, scene_bounds
@@ -27,20 +27,13 @@ from .solver import (
     DeploymentProblem,
     Solution,
     coverage_fraction,
-    solve_exact,
-    solve_greedy,
+    solve,
 )
 
 PROXY_NOTE = (
     "geometric proxy metrics (coverage, sample density, occlusion robustness); "
     "not object-detection accuracy"
 )
-
-
-def _solve_auto(problem: DeploymentProblem, exact_limit: int) -> Solution:
-    if problem.grid.rows <= exact_limit:
-        return solve_exact(problem, exact_limit)
-    return solve_greedy(problem)
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ def gain_curve(
         constraint = Cardinality(int(b)) if kind == "count" else Budget(b)
         try:
             problem = DeploymentProblem(grid, weights, costs, constraint)
-            sol = _solve_auto(problem, exact_limit)
+            sol = solve(problem, "auto", exact_limit)
         except Exception as exc:  # keep sweeping; mark this point failed
             objectives.append(None)
             coverages.append(None)
@@ -150,8 +143,8 @@ def compare_weighted(
     if not priority.any():
         raise ValueError("no high-priority targets: every weight is <= 1")
     unit = np.ones_like(weights)
-    vanilla = _solve_auto(DeploymentProblem(grid, unit, costs, constraint), exact_limit)
-    weighted = _solve_auto(DeploymentProblem(grid, weights, costs, constraint), exact_limit)
+    vanilla = solve(DeploymentProblem(grid, unit, costs, constraint), "auto", exact_limit)
+    weighted = solve(DeploymentProblem(grid, weights, costs, constraint), "auto", exact_limit)
 
     def frac(sol: Solution, mask: np.ndarray) -> float:
         hits = sum(1 for j in sol.covered if mask[j])
@@ -332,7 +325,7 @@ def render_coverage_map(
     targets: TargetGrid,
     grid: VisibilityGrid,
     solution: Solution,
-    candidates: Sequence,
+    candidates: Sequence[Candidate],
     path: str | Path,
 ) -> None:
     """Write an SVG map: roads, obstacles, target cells (covered ones as
@@ -408,7 +401,6 @@ def render_coverage_map(
     font = _fmt(targets.spacing * 0.55 * scale)
     for i in solution.selected:
         c = candidates[i]
-        type_id = c.sensor.type_id if hasattr(c, "sensor") else c.type_id
         lines.append(
             f'<circle cx="{sx(c.x)}" cy="{sy(c.y)}" r="{r_sensor}" '
             f'fill="{_SVG_COLORS["sensor"]}" stroke="#ffffff" stroke-width="1.5"/>'
@@ -416,7 +408,7 @@ def render_coverage_map(
         lines.append(
             f'<text x="{sx(c.x)}" y="{_fmt(float(sy(c.y)) - float(r_sensor) - 4.0)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="{font}" '
-            f'fill="{_SVG_COLORS["label"]}">{type_id}@{c.height:g}m</text>'
+            f'fill="{_SVG_COLORS["label"]}">{c.sensor.type_id}@{c.height:g}m</text>'
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

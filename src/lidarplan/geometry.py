@@ -168,52 +168,3 @@ def point_segment_distance(point: Point, a: Point, b: Point) -> float:
     t = min(1.0, max(0.0, t))
     return math.hypot(px - (ax + t * abx), py - (ay + t * aby))
 
-
-class BoxRTree:
-    """Static rectangle tree over item bounding boxes (STR bulk packing).
-
-    Built once, queried many times.  Queries return the matching item ids
-    in ascending order so exact containment tests downstream can keep
-    first-in-file-order semantics.
-    """
-
-    _FANOUT = 8
-
-    def __init__(self, boxes: Sequence[tuple[float, float, float, float]]):
-        entries = [(box, idx) for idx, box in enumerate(boxes)]
-        # Sort-Tile-Recursive packing: sort by x-center, slice, sort slices by y-center.
-        entries.sort(key=lambda e: ((e[0][0] + e[0][2]) / 2.0, e[1]))
-        n_slices = max(1, math.ceil(math.sqrt(max(1, len(entries)) / self._FANOUT)))
-        slice_size = max(1, math.ceil(len(entries) / n_slices))
-        leaves: list[tuple[tuple[float, float, float, float], list[int]]] = []
-        for s in range(0, len(entries), slice_size):
-            chunk = sorted(
-                entries[s : s + slice_size],
-                key=lambda e: ((e[0][1] + e[0][3]) / 2.0, e[1]),
-            )
-            for k in range(0, len(chunk), self._FANOUT):
-                group = chunk[k : k + self._FANOUT]
-                leaves.append((self._union(b for b, _ in group), [i for _, i in group]))
-        self._boxes = list(boxes)
-        self._leaves = leaves
-
-    @staticmethod
-    def _union(boxes: Iterable[tuple[float, float, float, float]]):
-        xmin = ymin = math.inf
-        xmax = ymax = -math.inf
-        for x0, y0, x1, y1 in boxes:
-            xmin, ymin = min(xmin, x0), min(ymin, y0)
-            xmax, ymax = max(xmax, x1), max(ymax, y1)
-        return xmin, ymin, xmax, ymax
-
-    def query_point(self, x: float, y: float, pad: float = EDGE_EPS) -> list[int]:
-        """Ids whose boxes contain (x, y), padded by `pad`, ascending order."""
-        hits: list[int] = []
-        for (x0, y0, x1, y1), ids in self._leaves:
-            if x0 - pad <= x <= x1 + pad and y0 - pad <= y <= y1 + pad:
-                for i in ids:
-                    bx0, by0, bx1, by1 = self._boxes[i]
-                    if bx0 - pad <= x <= bx1 + pad and by0 - pad <= y <= by1 + pad:
-                        hits.append(i)
-        hits.sort()
-        return hits

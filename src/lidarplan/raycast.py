@@ -14,7 +14,6 @@ which samples may vouch for a target.
 
 from __future__ import annotations
 
-import csv
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,13 +46,9 @@ class PointCloud:
 
     sensor_index: int
     samples: np.ndarray
-    max_range: float
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def points(self) -> list[PointSample]:
-        return [PointSample(*row) for row in self.samples]
 
 
 def generate_beams(spec: SensorSpec) -> np.ndarray:
@@ -178,10 +173,9 @@ def simulate_sensor(candidate: Candidate, scene: Scene, sensor_index: int = -1) 
         [candidate.x, candidate.y, scene.ground_elevation + candidate.height]
     )
     dirs = generate_beams(candidate.sensor)
-    max_range = candidate.sensor.range_m
-    hit, pos, intensity = _cast_all(origin, dirs, scene, max_range)
+    hit, pos, intensity = _cast_all(origin, dirs, scene, candidate.sensor.range_m)
     samples = np.column_stack([pos[hit], intensity[hit]])
-    return PointCloud(sensor_index=sensor_index, samples=samples, max_range=max_range)
+    return PointCloud(sensor_index=sensor_index, samples=samples)
 
 
 def eligible_samples(
@@ -258,13 +252,6 @@ class VisibilityGrid:
         bits = np.unpackbits(body.reshape(rows, row_bytes), axis=1)[:, :cols].astype(bool)
         return cls(bits=bits, delta=delta)
 
-    def dump_csv(self, path: str | Path) -> None:
-        """Debug dump: one 0/1 row per candidate."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in self.bits:
-                writer.writerow(row.astype(int).tolist())
-
 
 def build_visibility_grid(
     candidates: CandidateSet,
@@ -297,10 +284,3 @@ def build_visibility_grid(
             fill(i)
     return VisibilityGrid(bits=bits, delta=delta)
 
-
-def write_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "intensity"])
-        for row in cloud.samples:
-            writer.writerow(list(row))

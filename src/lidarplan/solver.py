@@ -309,6 +309,17 @@ def solve_greedy(problem: DeploymentProblem) -> Solution:
     return _make_solution(problem, selected, "greedy", optimality_bound=bound)
 
 
+def solve(problem: DeploymentProblem, method: str = "auto",
+          exact_limit: int = EXACT_LIMIT_DEFAULT) -> Solution:
+    """Solve with method "exact", "greedy" or "auto" (exact when the
+    candidate count is within exact_limit, greedy otherwise)."""
+    if method == "exact" or (method == "auto" and problem.grid.rows <= exact_limit):
+        return solve_exact(problem, exact_limit)
+    if method not in ("auto", "greedy"):
+        raise ValueError(f"unknown solver method {method!r}")
+    return solve_greedy(problem)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool

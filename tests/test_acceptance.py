@@ -108,7 +108,6 @@ def micro_scene(rng, n_obstacles):
                 height=float(rng.uniform(3, 8)),
                 sensor=spec,
                 cost=1.0,
-                zone_id="z",
             )
             for _ in range(int(rng.integers(1, 6)))
         ]
@@ -198,7 +197,7 @@ def test_criterion_4_ground_distance_formula(demo_scene):
         elev = np.degrees(np.arcsin(np.clip(dirs[:, 2], -1, 1)))
         for height in (3.5, 5.4, 8.0):
             cand = Candidate(x=0.0, y=0.0, height=height, sensor=spec,
-                             cost=1.0, zone_id="z")
+                             cost=1.0)
             cloud = simulate_sensor(cand, open_scene)
             down = elev < 0
             t_ground = np.full(len(dirs), np.inf)

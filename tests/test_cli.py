@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from lidarplan.cli import StageOutputs, main
+from lidarplan.cli import StageOutputs, _build_parser, _merge_config, main
+from lidarplan.solver import Cardinality
 
 FAST = [
     "--types", "type-3",
@@ -122,6 +123,24 @@ def test_nonpositive_spacing_exit_2(tmp_path, capsys):
     code = run(["grid", "--spacing", "0", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "--spacing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    "--count=-1", "--weights=central=-1", "--spacing=nan", "--gain-budgets=3,2",
+    "--delta=inf", "--jobs=0", "--budget=-5", "--budget=inf", "--seed=-1",
+    "--intensity-min=nan",
+])
+def test_bad_numeric_flag_exit_2(flag, tmp_path, capsys):
+    code = run(["pipeline", "--types", "type-3", flag, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_default_constraint_is_count_3():
+    cfg = _merge_config(_build_parser().parse_args(["solve"]))
+    assert cfg.constraint() == Cardinality(3)
 
 
 def test_solve_without_grid_artifacts_exit_2(tmp_path, capsys):

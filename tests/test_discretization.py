@@ -10,7 +10,6 @@ from lidarplan import (
     SensorSpec,
     discretize_roi,
     enumerate_candidates,
-    point_in_roi,
 )
 from lidarplan.discretization import (
     CANDIDATES_CSV_HEADER,
@@ -113,27 +112,16 @@ def test_segment_weights_flow_into_targets():
     assert np.all(grid.weights == 2.5)  # original untouched
 
 
-def test_point_in_roi_demo(demo_scene):
-    assert point_in_roi(demo_scene, (0.0, 0.0)) == "central"
-    assert point_in_roi(demo_scene, (30.0, 0.0)) == "ew"
-    assert point_in_roi(demo_scene, (0.0, 30.0)) == "ns_north"
-    assert point_in_roi(demo_scene, (0.0, -30.0)) == "ns_south"
-    assert point_in_roi(demo_scene, (30.0, 30.0)) is None
-
-
-def test_point_in_roi_matches_linear_oracle(demo_scene, rng):
-    from lidarplan.discretization import SegmentIndex
-
+def test_segment_of_matches_linear_oracle(demo_scene):
     def oracle(x, y):
         for seg in demo_scene.road_segments:
             if point_in_polygon_ref((x, y), seg.polygon):
                 return seg.id
         return None
 
-    index = SegmentIndex(demo_scene)
-    pts = rng.uniform(-55, 55, size=(10000, 2))
-    for x, y in pts:
-        assert point_in_roi(demo_scene, (x, y), index) == oracle(x, y)
+    for spacing in (3.0, 1.0):
+        grid = discretize_roi(demo_scene, spacing)
+        assert grid.segment_of == tuple(oracle(x, y) for x, y in grid.points)
 
 
 def test_demo_grid_shape(demo_targets):
@@ -196,7 +184,6 @@ def test_enumerate_candidates_product():
     heights = [c.height for c in cands.candidates if (c.x, c.y) == (4.0, 4.0)]
     assert heights == [2.0, 4.0]
     assert all(c.cost == 100.0 for c in cands.candidates)
-    assert all(c.zone_id == "z" for c in cands.candidates)
 
 
 def test_enumerate_candidates_demo_matches_brute_force(demo_scene):
@@ -309,15 +296,13 @@ def test_targets_csv_round_trip(tmp_path, demo_targets):
     assert header.split(",") == TARGETS_CSV_HEADER
 
 
-def test_candidates_csv_round_trip(tmp_path, demo_candidates_t3):
+def test_candidates_csv_round_trip(tmp_path, demo_scene, demo_candidates_t3):
     path = tmp_path / "candidates.csv"
     write_candidates_csv(demo_candidates_t3, path)
-    records = read_candidates_csv(path)
-    assert len(records) == len(demo_candidates_t3)
-    for rec, cand in zip(records, demo_candidates_t3.candidates):
-        assert (rec.x, rec.y, rec.height) == (cand.x, cand.y, cand.height)
-        assert rec.type_id == cand.sensor.type_id
-        assert rec.cost == cand.cost
+    assert read_candidates_csv(path, demo_scene.catalog) == demo_candidates_t3
+    assert read_candidates_csv(path) == demo_candidates_t3  # demo catalog by default
+    with pytest.raises(ValueError, match="'type-3' not in the scene catalog"):
+        read_candidates_csv(path, catalog=())
     header = path.read_text().splitlines()[0]
     assert header.split(",") == CANDIDATES_CSV_HEADER
 

@@ -207,8 +207,8 @@ def micro_setup():
         azimuth_step=6.0,
     )
     cands = ListCandidates([
-        Candidate(x=-10.0, y=-10.0, height=6.0, sensor=s, cost=10.0, zone_id="z"),
-        Candidate(x=10.0, y=10.0, height=6.0, sensor=s, cost=10.0, zone_id="z"),
+        Candidate(x=-10.0, y=-10.0, height=6.0, sensor=s, cost=10.0),
+        Candidate(x=10.0, y=10.0, height=6.0, sensor=s, cost=10.0),
     ])
     grid = build_visibility_grid(cands, targets, scene, delta=2.5)
     problem = DeploymentProblem(grid, targets.weights, np.full(2, 10.0), Cardinality(2))
@@ -268,7 +268,7 @@ def test_occlusion_single_blocking_vehicle():
     )
     targets = discretize_roi(scene, spacing=0.3)
     cands = ListCandidates(
-        [Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0, zone_id="z")]
+        [Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0)]
     )
     grid = build_visibility_grid(cands, targets, scene, delta=0.8)
     assert grid.bits.all()  # statically the lone ground return covers all

@@ -2,7 +2,6 @@ import numpy as np
 
 from helpers import convex_polygon, point_in_polygon_ref
 from lidarplan.geometry import (
-    BoxRTree,
     point_in_polygon,
     point_segment_distance,
     points_in_polygon,
@@ -94,30 +93,3 @@ def test_point_segment_distance():
     assert point_segment_distance((3, 4), (0, 0), (0, 0)) == 5.0
     assert point_segment_distance((4, 0), (0, 0), (2, 0)) == 2.0
 
-
-def _linear_query(boxes, x, y):
-    return sorted(
-        i
-        for i, (x0, y0, x1, y1) in enumerate(boxes)
-        if x0 <= x <= x1 and y0 <= y <= y1
-    )
-
-
-def test_rtree_matches_linear_scan(rng):
-    boxes = []
-    for _ in range(40):
-        x0, y0 = rng.uniform(-50, 50, 2)
-        w, h = rng.uniform(0.5, 25, 2)
-        boxes.append((x0, y0, x0 + w, y0 + h))
-    tree = BoxRTree(boxes)
-    pts = rng.uniform(-60, 60, size=(10000, 2))
-    for x, y in pts:
-        assert list(tree.query_point(x, y)) == _linear_query(boxes, x, y)
-
-
-def test_rtree_empty_and_single():
-    assert list(BoxRTree([]).query_point(0, 0)) == []
-    tree = BoxRTree([(0, 0, 1, 1)])
-    assert list(tree.query_point(0.5, 0.5)) == [0]
-    assert list(tree.query_point(1.0, 1.0)) == [0]  # boundary included
-    assert list(tree.query_point(2, 2)) == []

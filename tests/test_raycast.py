@@ -19,7 +19,7 @@ from lidarplan import (
     generate_beams,
     simulate_sensor,
 )
-from lidarplan.raycast import VGRID_MAGIC, visibility_row, write_cloud_csv
+from lidarplan.raycast import VGRID_MAGIC, visibility_row
 
 
 def rect(x0, y0, x1, y1):
@@ -175,7 +175,7 @@ def test_cast_ray_matches_reference_on_random_rays(rng):
 
 
 def make_candidate(x, y, height, sensor):
-    return Candidate(x=x, y=y, height=height, sensor=sensor, cost=sensor.unit_cost, zone_id="z")
+    return Candidate(x=x, y=y, height=height, sensor=sensor, cost=sensor.unit_cost)
 
 
 def test_simulate_downward_rings_upward_nothing():
@@ -458,23 +458,3 @@ def test_vgrid_rejects_truncation(tmp_path, rng):
     with pytest.raises(ValueError):
         VisibilityGrid.load(path)
 
-
-def test_vgrid_csv_dump(tmp_path, rng):
-    bits = rng.random((3, 5)) < 0.5
-    grid = VisibilityGrid(bits=bits, delta=1.0)
-    path = tmp_path / "g.csv"
-    grid.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    parsed = np.array([[int(v) for v in line.split(",")] for line in lines])
-    assert np.array_equal(parsed.astype(bool), bits)
-
-
-def test_cloud_csv_export(tmp_path):
-    s = spec(channels=2, vmin=-20, vmax=-10, step=90.0)
-    cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene())
-    path = tmp_path / "cloud.csv"
-    write_cloud_csv(cloud, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,intensity"
-    assert len(lines) == len(cloud.samples) + 1
