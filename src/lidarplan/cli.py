@@ -595,7 +595,9 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
                 f"  {b:g}: " + (f"objective {obj:g} ({m})" if obj is not None else "failed")
             )
 
-    if cfg.weights:
+    if cfg.weights and not (targets.weights > 1).any():
+        lines.append("weighted comparison skipped: no target weight exceeds 1")
+    elif cfg.weights:
         comparison = compare_weighted(
             grid, targets.weights, costs, cfg.constraint(), cfg.exact_limit
         )

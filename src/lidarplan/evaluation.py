@@ -3,7 +3,9 @@ Monte-Carlo moving-occluder robustness proxy, and SVG coverage maps.
 
 The detection-quality proxies here are geometric (sample density, coverage
 under random occluders), not object-detection metrics; reports label them
-as proxies.
+as proxies.  Both cast only the ground rays of the selected sensors
+(raycast.GroundReturns), and an occlusion trial clips only its vehicles
+against rays already cast into the static scene.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import point_in_polygon, polygon_area, polygon_bounds
-from .raycast import VisibilityGrid, eligible_samples, simulate_sensor, visibility_row
+from .raycast import GroundReturns, VisibilityGrid, visibility_row
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
     EXACT_LIMIT_DEFAULT,
@@ -245,10 +247,14 @@ def occlusion_monte_carlo(
     intensity_min: float | None = None,
 ) -> OcclusionReport:
     """Coverage of the chosen deployment under randomly placed vehicle
-    boxes, re-raycasting only the selected sensors each trial.
+    boxes.
 
-    Each trial uses the substream (seed, trial), so reports are pure
-    functions of the inputs and the seed.
+    Vehicles only remove visibility bits, so each selected sensor is cast
+    once against the static scene and each trial clips only its vehicles
+    against that sensor's ground rays; the result equals recasting the
+    sensor into the scene with the vehicles added.  Each trial uses the
+    substream (seed, trial), so reports are pure functions of the inputs
+    and the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -257,18 +263,19 @@ def occlusion_monte_carlo(
     if total_w <= 0:
         raise ValueError("total target weight must be > 0")
     static_cov = coverage_fraction(solution, weights)
-    coverages = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        boxes = _sample_vehicles(scene, vehicle, rng)
-        trial_scene = scene.with_extra_obstacles(boxes)
-        covered = np.zeros(len(targets), dtype=bool)
-        for i in solution.selected:
-            cloud = simulate_sensor(candidates[i], trial_scene, sensor_index=i)
-            covered |= visibility_row(
-                cloud, targets, delta, intensity_min, scene.ground_elevation
+    trial_boxes = [
+        _sample_vehicles(scene, vehicle, np.random.default_rng([seed, t]))
+        for t in range(trials)
+    ]
+    covered = np.zeros((trials, len(targets)), dtype=bool)
+    for i in solution.selected:  # one sensor's static returns alive at a time
+        sensor = GroundReturns(candidates[i], scene)
+        for t, boxes in enumerate(trial_boxes):
+            covered[t] |= visibility_row(
+                sensor.cloud(intensity_min, boxes), targets, delta, intensity_min,
+                scene.ground_elevation,
             )
-        coverages.append(float(weights[covered].sum()) / total_w)
+    coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         trials=trials,
         mean_coverage=float(np.mean(coverages)),
@@ -293,8 +300,7 @@ def sample_density(
     observed; uses a closed radius, unlike the strict visibility test."""
     counts = np.zeros(len(targets), dtype=np.int64)
     for i in solution.selected:
-        cloud = simulate_sensor(candidates[i], scene, sensor_index=i)
-        good = eligible_samples(cloud.samples, scene.ground_elevation, intensity_min)
+        good = GroundReturns(candidates[i], scene).cloud(intensity_min).samples
         if len(good) == 0:
             continue
         tree = cKDTree(good[:, :2])

@@ -7,9 +7,18 @@ against the footprint's edge half-planes and the z interval.  The nearest
 hit within range becomes one point sample with a synthetic intensity of
 1 - t/max_range.
 
+Obstacle culling is exact: a prism is clipped only against the rays whose
+planar path up to their nearest hit so far crosses the prism's footprint
+bounding box, grown by a margin far above the clipping tolerance.  Every
+other ray would keep its result, so the output is the same as clipping
+every ray against every prism.
+
 A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
-which samples may vouch for a target.
+which samples may vouch for a target.  Only ground returns can, and from a
+mount above the ground only downward beams end there, so the visibility
+grid and the evaluation proxies cast just those (GroundReturns);
+simulate_sensor and cast_ray give the full cloud.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +36,7 @@ from .discretization import Candidate, CandidateSet, TargetGrid
 from .scene import Obstacle, Scene, SensorSpec
 
 HIT_EPS = 1e-9  # surface-grazing tolerance, meters
+CULL_MARGIN = 1e-6  # meters an obstacle's cull box reaches past its footprint, at least
 
 VGRID_MAGIC = b"VGRD"
 VGRID_HEADER = struct.Struct("<4sIId")  # magic, rows, cols, delta
@@ -44,7 +54,6 @@ class PointCloud:
     """Simulated returns for one candidate; samples is an (N, 4) array of
     x, y, z, intensity rows in beam order."""
 
-    sensor_index: int
     samples: np.ndarray
 
     def __len__(self) -> int:
@@ -75,45 +84,88 @@ def generate_beams(spec: SensorSpec) -> np.ndarray:
     return np.stack([dx.ravel(), dy.ravel(), dz.ravel()], axis=1)
 
 
+def _downward_beams(spec: SensorSpec) -> np.ndarray:
+    """The rows of generate_beams(spec) that point below the horizon, in beam order."""
+    beams = generate_beams(spec)
+    return beams[beams[:, 2] < 0]
+
+
 def _ccw_footprint(obstacle: Obstacle) -> np.ndarray:
     verts = np.asarray(obstacle.footprint, dtype=np.float64)
     x, y = verts[:, 0], verts[:, 1]
-    signed2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    x_next, y_next = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    signed2 = np.sum(x * y_next - x_next * y)
     return verts if signed2 >= 0 else verts[::-1]
 
 
+class _Prism(NamedTuple):
+    """One obstacle made ready for clipping.
+
+    planes holds (nx, ny, nz, bound) half-planes: footprint edges (outward
+    normal), then the z slab.  box is (cx, cy, hx, hy), the centre and half
+    sizes of a rectangle holding every point the clip can accept, or None
+    when no such rectangle is worth testing against.
+    """
+
+    planes: tuple[tuple[float, float, float, float], ...]
+    box: tuple[float, float, float, float] | None
+
+
+def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
+    verts = _ccw_footprint(obstacle).tolist()
+    edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+    planes = [(ey, -ex, 0.0, ey * ax - ex * ay) for (ax, ay), (ex, ey) in zip(verts, edges)]
+    planes.append((0.0, 0.0, 1.0, ground_z + obstacle.height))
+    planes.append((0.0, 0.0, -1.0, -ground_z))
+
+    # The clip accepts points up to HIT_EPS outside each half-plane, which
+    # is up to HIT_EPS / sin(theta / 2) off the footprint near a corner of
+    # interior angle theta; CULL_MARGIN scaled the same way covers that and
+    # any rounding in the cull test.  Repeated vertices make no corner.
+    units = [(ex / n, ey / n) for ex, ey in edges if (n := (ex * ex + ey * ey) ** 0.5) > 0]
+    sin_half = min(
+        (max(0.0, 0.5 * (1.0 + ux * vx + uy * vy)) ** 0.5
+         for (ux, uy), (vx, vy) in zip(units, units[1:] + units[:1])),
+        default=0.0,
+    )
+    if sin_half <= CULL_MARGIN:  # a needle-sharp corner, or no area at all
+        return _Prism(planes=tuple(planes), box=None)  # clip every ray
+    margin = CULL_MARGIN / sin_half
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    return _Prism(planes=tuple(planes), box=(
+        (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0,
+        (max(xs) - min(xs)) / 2.0 + margin, (max(ys) - min(ys)) / 2.0 + margin,
+    ))
+
+
+def _prisms(obstacles: Sequence[Obstacle], ground_z: float) -> list[_Prism]:
+    return [_prism(obstacle, ground_z) for obstacle in obstacles]
+
+
 def _clip_prism(
-    origin: np.ndarray, dirs: np.ndarray, obstacle: Obstacle, ground_z: float
+    origin: np.ndarray, dirs: np.ndarray, planes
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray (hit?, t) for one extruded convex footprint via slab clipping.
 
-    Rays starting inside the prism hit its boundary on the way out.
+    Every step is elementwise, so clipping a subset of rays gives the same
+    floats as clipping all of them.  Rays starting inside the prism hit its
+    boundary on the way out.
     """
-    verts = _ccw_footprint(obstacle)
     n_rays = len(dirs)
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, np.inf)
     ok = np.ones(n_rays, dtype=bool)
 
-    # Half-planes: footprint edges (outward normal), then the z slab.
-    constraints = []
-    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        nx, ny = ey, -ex  # outward for counterclockwise winding
-        constraints.append((nx, ny, 0.0, nx * a[0] + ny * a[1]))
-    constraints.append((0.0, 0.0, 1.0, ground_z + obstacle.height))
-    constraints.append((0.0, 0.0, -1.0, -ground_z))
-
-    for nx, ny, nz, bound in constraints:
-        slope = nx * dirs[:, 0] + ny * dirs[:, 1] + nz * dirs[:, 2]
-        f0 = nx * origin[0] + ny * origin[1] + nz * origin[2] - bound
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nx, ny, nz, bound in planes:
+            slope = nx * dirs[:, 0] + ny * dirs[:, 1] + nz * dirs[:, 2]
+            f0 = nx * origin[0] + ny * origin[1] + nz * origin[2] - bound
             t_cross = -f0 / slope
-        entering = slope < 0
-        exiting = slope > 0
-        t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
-        t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
-        ok &= ~((slope == 0) & (f0 > 0))
+            entering = slope < 0
+            exiting = slope > 0
+            t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
+            t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
+            ok &= ~((slope == 0) & (f0 > 0))
 
     ok &= t_enter <= t_exit + HIT_EPS
     t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
@@ -122,34 +174,89 @@ def _clip_prism(
     return ok, t_hit
 
 
-def _cast_all(
-    origin: np.ndarray, dirs: np.ndarray, scene: Scene, max_range: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest hit per ray: (hit mask, positions (N,3), intensities).
-
-    Ground hits get z stamped to the exact ground elevation so downstream
-    consumers can classify them by equality.
-    """
-    n_rays = len(dirs)
-    ground_z = scene.ground_elevation
+def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarray:
+    """Distance along each ray to the ground plane, inf where it never gets there."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t_ground = (ground_z - origin[2]) / dirs[:, 2]
-    ground_ok = (dirs[:, 2] != 0) & (t_ground > HIT_EPS)
-    t_best = np.where(ground_ok, t_ground, np.inf)
-    on_ground = ground_ok.copy()
+    return np.where((dirs[:, 2] != 0) & (t_ground > HIT_EPS), t_ground, np.inf)
 
-    for obstacle in scene.obstacles:
-        ok, t_hit = _clip_prism(origin, dirs, obstacle, ground_z)
-        better = ok & (t_hit < t_best)  # strict: earlier obstacle wins ties
-        t_best = np.where(better, t_hit, t_best)
-        on_ground &= ~better
 
+def _cast_all(
+    origin: np.ndarray, dirs: np.ndarray, prisms, max_range: float, t_best: np.ndarray
+) -> np.ndarray:
+    """Nearest hit distance per ray once the prisms are clipped in order,
+    starting from t_best (the ground, or an earlier cast of the same rays).
+
+    A prism is clipped only against the rays whose planar path from the
+    origin to min(t_best, max_range) meets its box.  For any other ray the
+    clip would miss, or hit no nearer than t_best, or hit beyond max_range,
+    where the ray ends without a return either way.  The strict < lets an
+    earlier obstacle win ties.
+    """
+    t_best = t_best.copy()
+    ox, oy = origin[0], origin[1]
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    adx, ady = np.abs(dx), np.abs(dy)
+    reach = np.minimum(t_best, max_range)
+    end_x, end_y = ox + reach * dx, oy + reach * dy
+    for prism in prisms:
+        if prism.box is None:
+            idx = np.arange(len(dirs))
+        else:
+            # Separating axes: the ray's normal, then x and y.  All rays
+            # share the origin, so only their ends are tested on x and y.
+            cx, cy, hx, hy = prism.box
+            near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * ady + hy * adx
+            if ox < cx - hx:
+                near &= end_x >= cx - hx
+            elif ox > cx + hx:
+                near &= end_x <= cx + hx
+            if oy < cy - hy:
+                near &= end_y >= cy - hy
+            elif oy > cy + hy:
+                near &= end_y <= cy + hy
+            idx = np.flatnonzero(near)
+            if len(idx) == 0:
+                continue
+        ok, t_hit = _clip_prism(origin, dirs[idx], prism.planes)
+        better = ok & (t_hit < t_best[idx])
+        idx, t_hit = idx[better], t_hit[better]
+        t_best[idx] = t_hit
+        reach = np.minimum(t_hit, max_range)
+        end_x[idx] = ox + reach * dx[idx]
+        end_y[idx] = oy + reach * dy[idx]
+    return t_best
+
+
+def _returns(
+    origin: np.ndarray, dirs: np.ndarray, t_best: np.ndarray, t_ground: np.ndarray,
+    ground_z: float, max_range: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hit mask, positions (N,3), intensities) of the nearest hits.
+
+    A hit at t_ground is a ground hit (obstacles only ever lower t_best);
+    its z is stamped to the exact ground elevation so downstream consumers
+    can classify it by equality.
+    """
     hit = np.isfinite(t_best) & (t_best <= max_range)
     t = np.where(hit, t_best, 0.0)
     pos = origin[None, :] + t[:, None] * dirs
-    pos[on_ground & hit, 2] = ground_z
+    pos[hit & (t_best == t_ground), 2] = ground_z
     intensity = np.where(hit, 1.0 - t / max_range, 0.0)
     return hit, pos, intensity
+
+
+def _cast_scene(
+    origin: np.ndarray, dirs: np.ndarray, scene: Scene, max_range: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ground_z = scene.ground_elevation
+    t_ground = _ground_t(origin, dirs, ground_z)
+    t_best = _cast_all(origin, dirs, _prisms(scene.obstacles, ground_z), max_range, t_ground)
+    return _returns(origin, dirs, t_best, t_ground, ground_z, max_range)
+
+
+def _mount(candidate: Candidate, scene: Scene) -> np.ndarray:
+    return np.array([candidate.x, candidate.y, scene.ground_elevation + candidate.height])
 
 
 def cast_ray(
@@ -161,21 +268,66 @@ def cast_ray(
     """Nearest intersection of one unit-direction ray, or None on a miss."""
     o = np.asarray(origin, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)[None, :]
-    hit, pos, intensity = _cast_all(o, d, scene, max_range)
+    hit, pos, intensity = _cast_scene(o, d, scene, max_range)
     if not hit[0]:
         return None
     return PointSample(pos[0, 0], pos[0, 1], pos[0, 2], float(intensity[0]))
 
 
-def simulate_sensor(candidate: Candidate, scene: Scene, sensor_index: int = -1) -> PointCloud:
+def simulate_sensor(candidate: Candidate, scene: Scene) -> PointCloud:
     """Cast every beam of the candidate's sensor from its mount position."""
-    origin = np.array(
-        [candidate.x, candidate.y, scene.ground_elevation + candidate.height]
-    )
     dirs = generate_beams(candidate.sensor)
-    hit, pos, intensity = _cast_all(origin, dirs, scene, candidate.sensor.range_m)
-    samples = np.column_stack([pos[hit], intensity[hit]])
-    return PointCloud(sensor_index=sensor_index, samples=samples)
+    hit, pos, intensity = _cast_scene(
+        _mount(candidate, scene), dirs, scene, candidate.sensor.range_m
+    )
+    return PointCloud(samples=np.column_stack([pos[hit], intensity[hit]]))
+
+
+class GroundReturns:
+    """The beams of one mounted sensor that can vouch for a target, cast
+    once against a scene.
+
+    Only ground returns are eligible (eligible_samples), and from a mount
+    above the ground only a downward beam can end there, so only those
+    beams are cast.  cloud() gives the same eligible samples, in the same
+    order, as eligible_samples(simulate_sensor(...).samples, ...).
+    Obstacles added to the scene can only lower a beam's nearest hit, so
+    cloud(extra=...) clips just them, continuing from the static cast.
+    """
+
+    def __init__(
+        self, candidate: Candidate, scene: Scene,
+        down: np.ndarray | None = None, prisms: list[_Prism] | None = None,
+    ):
+        """down (the sensor's downward beams) and prisms (the scene's
+        obstacles, prepared) let a caller casting many sensors make them once."""
+        self.origin = _mount(candidate, scene)
+        self.ground_z = scene.ground_elevation
+        self.max_range = candidate.sensor.range_m
+        if self.origin[2] <= self.ground_z:  # such a mount sees the ground along other beams
+            self.dirs = generate_beams(candidate.sensor)
+        else:
+            self.dirs = _downward_beams(candidate.sensor) if down is None else down
+        if prisms is None:
+            prisms = _prisms(scene.obstacles, self.ground_z)
+        self.t_ground = _ground_t(self.origin, self.dirs, self.ground_z)
+        self.t_static = _cast_all(self.origin, self.dirs, prisms, self.max_range, self.t_ground)
+
+    def cloud(
+        self, intensity_min: float | None, extra: Sequence[Obstacle] = ()
+    ) -> PointCloud:
+        """Eligible returns in beam order, with `extra` obstacles appended
+        to the scene's."""
+        t_best = self.t_static
+        if extra:
+            t_best = _cast_all(
+                self.origin, self.dirs, _prisms(extra, self.ground_z), self.max_range, t_best
+            )
+        hit, pos, intensity = _returns(
+            self.origin, self.dirs, t_best, self.t_ground, self.ground_z, self.max_range
+        )
+        samples = np.column_stack([pos[hit], intensity[hit]])
+        return PointCloud(samples=eligible_samples(samples, self.ground_z, intensity_min))
 
 
 def eligible_samples(
@@ -271,9 +423,12 @@ def build_visibility_grid(
     n_s, n_t = len(candidates), len(targets)
     bits = np.zeros((n_s, n_t), dtype=bool)
     ground_z = scene.ground_elevation
+    prisms = _prisms(scene.obstacles, ground_z)
+    down = {spec: _downward_beams(spec) for spec in {candidates[i].sensor for i in range(n_s)}}
 
     def fill(i: int) -> None:
-        cloud = simulate_sensor(candidates[i], scene, sensor_index=i)
+        returns = GroundReturns(candidates[i], scene, down[candidates[i].sensor], prisms)
+        cloud = returns.cloud(intensity_min)
         bits[i, :] = visibility_row(cloud, targets, delta, intensity_min, ground_z)
 
     if jobs is not None and jobs > 1 and n_s > 1:

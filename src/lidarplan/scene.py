@@ -166,6 +166,18 @@ def validate_scene(scene: Scene) -> list[str]:
     return bad
 
 
+def _finite(value: int | float, where: str) -> float:
+    """JSON allows NaN, Infinity and integers too large for a float; the
+    model takes none of them."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not abs(number) < float("inf"):  # also true for NaN
+        raise SceneParseError(f"{where}: expected a finite number")
+    return number
+
+
 def _points(raw: Any, where: str) -> tuple[Point, ...]:
     if not isinstance(raw, list):
         raise SceneParseError(f"{where}: expected a list of [x, y] pairs")
@@ -177,7 +189,7 @@ def _points(raw: Any, where: str) -> tuple[Point, ...]:
             or not all(isinstance(v, (int, float)) for v in item)
         ):
             raise SceneParseError(f"{where}[{k}]: expected an [x, y] number pair")
-        pts.append((float(item[0]), float(item[1])))
+        pts.append((_finite(item[0], f"{where}[{k}]"), _finite(item[1], f"{where}[{k}]")))
     return tuple(pts)
 
 
@@ -186,7 +198,7 @@ def _require(obj: dict, key: str, kind, where: str):
         raise SceneParseError(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, f"{where}: field {key!r}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is str and isinstance(value, str):
@@ -239,7 +251,9 @@ def scene_from_dict(data: dict) -> Scene:
             MountZone(
                 id=_require(raw, "id", str, where),
                 geometry=_points(_require(raw, "geometry", list, where), f"{where}.geometry"),
-                allowed_heights=tuple(float(h) for h in heights),
+                allowed_heights=tuple(
+                    _finite(h, f"{where}.allowed_heights[{j}]") for j, h in enumerate(heights)
+                ),
                 kind=kind,
                 install_surcharge=_optional_float(raw, "install_surcharge", 0.0, where),
             )
@@ -291,6 +305,8 @@ def load_scene(path: str | Path) -> Scene:
         raise SceneParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+        raise SceneParseError(f"{path}: invalid JSON: {exc}") from exc
     return scene_from_dict(data)
 
 

@@ -168,7 +168,7 @@ def test_criterion_3_visibility_grid_matches_brute_force():
         scene, targets, cands = micro_scene(rng, n_obstacles=int(rng.integers(0, 4)))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene, i) for i, c in enumerate(cands.candidates)]
+        clouds = [simulate_sensor(c, scene) for c in cands.candidates]
         want = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )

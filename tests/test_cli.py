@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lidarplan import demo_scene_path
 from lidarplan.cli import StageOutputs, _build_parser, _merge_config, main
 from lidarplan.solver import Cardinality
 
@@ -202,6 +203,33 @@ def test_weights_produce_baseline_and_comparison(tmp_path):
     cw = report["weighted_comparison"]
     assert cw["weighted_priority"] >= cw["vanilla_priority"]
     assert cw["n_priority_targets"] == 36
+
+
+def test_weights_without_priority_skip_comparison(tmp_path, capsys):
+    out = tmp_path / "low"
+    args = [
+        "pipeline", "--types", "type-1", "--count", "2", "--weights", "central=0.5",
+        "--trials", "1", "--vehicles", "1", "--jobs", "1", "--out", str(out),
+    ]
+    assert run(args) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "weighted_comparison" not in read_json(out / "report.json")
+    assert "weighted comparison skipped: no target weight exceeds 1" in (
+        out / "report.txt"
+    ).read_text()
+
+
+def test_non_finite_scene_number_exit_2(tmp_path, capsys):
+    scene = json.loads(demo_scene_path().read_text())
+    scene["obstacles"][0]["height"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(scene))  # writes the bare token NaN
+    code = run(["grid", "--scene", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "obstacles[0]: field 'height'" in err
 
 
 def test_unknown_weight_segment_exit_2(tmp_path, capsys):

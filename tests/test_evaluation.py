@@ -25,7 +25,7 @@ from lidarplan import (
     solve_exact,
     solve_greedy,
 )
-from lidarplan.evaluation import PROXY_NOTE, write_gain_curve_csv
+from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, write_gain_curve_csv
 
 
 def rect(x0, y0, x1, y1):
@@ -281,6 +281,39 @@ def test_occlusion_single_blocking_vehicle():
     assert report.static_coverage == 1.0
     assert report.per_trial == (0.0,) * 5
     assert report.mean_coverage == 0.0
+
+
+@pytest.mark.parametrize("intensity_min", [None, 0.5])
+def test_occlusion_trials_match_full_recast(
+    demo_scene, demo_targets, demo_candidates_t1, demo_grid_t1, intensity_min
+):
+    # Reference: recast the selected sensors into the scene with the trial's
+    # vehicles added and OR their rows.  Boxes come from the same substreams.
+    problem = DeploymentProblem(
+        demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(4)
+    )
+    solution = solve_greedy(problem)
+    chosen = ListCandidates([demo_candidates_t1[i] for i in solution.selected])
+    vehicle = VehicleModel(count=12)
+    total_w = float(demo_targets.weights.sum())
+    static = build_visibility_grid(
+        chosen, demo_targets, demo_scene, delta=1.5, intensity_min=intensity_min
+    ).bits.any(axis=0)
+    occluded = 0
+    for seed in (0, 1, 2):
+        report = occlusion_monte_carlo(
+            solution, demo_scene, demo_targets, demo_candidates_t1, vehicle,
+            trials=3, seed=seed, delta=1.5, intensity_min=intensity_min,
+        )
+        for t, got in enumerate(report.per_trial):
+            boxes = _sample_vehicles(demo_scene, vehicle, np.random.default_rng([seed, t]))
+            trial_scene = demo_scene.with_extra_obstacles(boxes)
+            covered = build_visibility_grid(
+                chosen, demo_targets, trial_scene, delta=1.5, intensity_min=intensity_min
+            ).bits.any(axis=0)
+            assert got == float(demo_targets.weights[covered].sum()) / total_w
+            occluded += int(np.any(static & ~covered))
+    assert occluded > 0  # the vehicles did remove bits
 
 
 def test_occlusion_validates_inputs():

@@ -16,10 +16,22 @@ from lidarplan import (
     build_visibility_grid,
     cast_ray,
     discretize_roi,
+    enumerate_candidates,
     generate_beams,
     simulate_sensor,
 )
-from lidarplan.raycast import VGRID_MAGIC, visibility_row
+from lidarplan.raycast import (
+    CULL_MARGIN,
+    VGRID_MAGIC,
+    GroundReturns,
+    _cast_scene,
+    _clip_prism,
+    _ground_t,
+    _prism,
+    _returns,
+    eligible_samples,
+    visibility_row,
+)
 
 
 def rect(x0, y0, x1, y1):
@@ -171,6 +183,139 @@ def test_cast_ray_matches_reference_on_random_rays(rng):
 
 
 # ---------------------------------------------------------------------------
+# obstacle culling: clipping only the rays that can reach a prism's box
+# must give the same floats as clipping every ray against every prism
+
+
+def cast_unculled(origin, dirs, scene, max_range):
+    """(hit, positions, intensities) with every ray clipped against every prism."""
+    gz = scene.ground_elevation
+    t_ground = _ground_t(origin, dirs, gz)
+    t_best = t_ground
+    for obstacle in scene.obstacles:
+        ok, t_hit = _clip_prism(origin, dirs, _prism(obstacle, gz).planes)
+        t_best = np.where(ok & (t_hit < t_best), t_hit, t_best)
+    return _returns(origin, dirs, t_best, t_ground, gz, max_range)
+
+
+def assert_culling_exact(origin, dirs, scene, max_range, one_by_one=True):
+    """The batch cast equals the unculled one, and (one_by_one) cast_ray per ray."""
+    origin = np.asarray(origin, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    culled = _cast_scene(origin, dirs, scene, max_range)
+    for got, want in zip(culled, cast_unculled(origin, dirs, scene, max_range)):
+        assert np.array_equal(got, want)
+    for d, hit, pos in zip(dirs, culled[0], culled[1]) if one_by_one else ():
+        sample = cast_ray(tuple(origin), tuple(d), scene, max_range)
+        assert (sample is not None) == hit
+        if hit:
+            assert tuple(sample[:3]) == tuple(pos)
+    return culled
+
+
+def unit(*v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def test_culling_axis_aligned_rays():
+    # dy == 0 and dx == 0 exactly, from origins on a box edge line, on the
+    # cull box's own edge, and clear of it
+    box = Obstacle(id="b", footprint=rect(4.0, -1.0, 6.0, 1.0), height=3.0)
+    side = Obstacle(id="s", footprint=rect(-1.0, 4.0, 1.0, 6.0), height=3.0)
+    scene = open_scene(box, side)
+    cx, cy, hx, hy = _prism(box, 0.0).box
+    dirs = [unit(1, 0, -0.1), unit(1, 0, 0), unit(-1, 0, -0.1), unit(0, 1, -0.1),
+            unit(0, 1, 0), unit(0, -1, -0.1), unit(1, 0, -0.5), (0.0, 0.0, -1.0)]
+    for origin in [(0.0, 0.0, 2.0), (0.0, 1.0, 2.0), (0.0, -1.0, 2.0), (1.0, 0.0, 2.0),
+                   (0.0, cy + hy, 2.0), (0.0, cy - hy, 2.0), (cx - hx, 0.0, 2.0),
+                   (5.0, 0.0, 5.0), (0.0, 3.0, 2.0)]:
+        assert_culling_exact(origin, dirs, scene, 60.0)
+    hit, pos, _ = assert_culling_exact((0.0, 0.0, 2.0), [unit(1, 0, -0.1)], scene, 60.0)
+    assert hit[0] and pos[0, 0] == 4.0  # stopped by the box face, not the ground
+
+
+def test_culling_rays_from_inside_prisms():
+    building = Obstacle(id="in", footprint=rect(-3.0, -3.0, 3.0, 3.0), height=10.0)
+    kiosk = Obstacle(id="under", footprint=rect(8.0, -1.0, 10.0, 1.0), height=2.0)
+    scene = open_scene(building, kiosk)
+    dirs = generate_beams(spec(channels=7, vmin=-60, vmax=30, step=15.0))
+    hit, pos, _ = assert_culling_exact((0.5, -0.5, 5.0), dirs, scene, 60.0)
+    assert hit.all() and np.all(np.max(np.abs(pos[:, :2]), axis=1) <= 3.0 + 1e-9)
+    hit, pos, _ = assert_culling_exact((9.0, 0.0, 4.0), dirs, scene, 60.0)
+    down = dirs[:, 2] < -0.9
+    assert np.all(pos[down & hit, 2] == 2.0)  # straight down onto the kiosk roof
+
+
+def test_culling_grazing_edges_and_corners():
+    box = Obstacle(id="b", footprint=rect(10.0, 2.0, 14.0, 6.0), height=4.0)
+    tri = Obstacle(id="t", footprint=((-10.0, 0.0), (-6.0, 1.0), (-6.0, -1.0)), height=5.0)
+    scene = open_scene(box, tri)
+    # ground points on, and a hair either side of, every corner and edge
+    marks = [(10, 2), (14, 2), (10, 6), (14, 6), (12, 2), (12, 6), (10, 4), (14, 4),
+             (-10, 0), (-6, 1), (-6, -1), (-6, 0)]
+    aims = [(mx + sx * e, my + sy * e) for mx, my in marks for e in (1e-7, 1e-4)
+            for sx in (-1, 0, 1) for sy in (-1, 0, 1)]
+    # origins on every side of the box, level with its edges, and inside it
+    for ox in (0.0, 10.0, 12.0, 14.0, 20.0):
+        for oy in (-3.0, 2.0, 4.0, 6.0, 10.0):
+            origin = np.array([ox, oy, 3.0])
+            dirs = []
+            for ax, ay in aims:
+                if (ax, ay) != (ox, oy):
+                    dirs.append(unit(ax - ox, ay - oy, -3.0))  # lands on the aim
+                    dirs.append(unit(ax - ox, ay - oy, 0.0))  # level, grazes faces
+            assert_culling_exact(origin, dirs, scene, 80.0, one_by_one=False)
+    origin = (0.0, 2.0, 3.0)  # one by one along the face y = 2
+    assert_culling_exact(origin, [unit(1, 0, 0), unit(1, 0, -0.1), unit(1, 0, -0.2)], scene, 80.0)
+
+
+def test_culling_hits_at_exactly_max_range():
+    wall = Obstacle(id="w", footprint=rect(10.0, -2.0, 11.0, 2.0), height=4.0)
+    scene = open_scene(wall)
+    origin = (0.0, 0.0, 3.0)
+    face = (1.0, 0.0, 0.0)  # meets x = 10 at t = 10 exactly
+    ground = (math.sqrt(0.75), 0.0, -0.5)  # lands at t = 6 exactly
+    for max_range in (6.0, 10.0, np.nextafter(10.0, 0.0), np.nextafter(6.0, 0.0)):
+        hit, _, intensity = assert_culling_exact(origin, [face, ground], scene, max_range)
+        assert list(hit) == [max_range == 10.0, max_range >= 6.0]
+        assert intensity[1] == (1.0 - 6.0 / max_range if hit[1] else 0.0)
+    assert cast_ray_ref(origin, face, scene, 10.0)[0] == 10.0
+
+
+def test_culling_needle_corners_and_dense_scenes(rng):
+    needle = Obstacle(id="n", footprint=((0.0, 8.0), (30.0, 8.0 + 1e-5), (30.0, 8.0 - 1e-5)),
+                      height=6.0)
+    assert _prism(needle, 0.0).box is None  # too sharp for a box: clipped against every ray
+    sharp = Obstacle(id="s", footprint=((0.0, -8.0), (30.0, -7.99), (30.0, -8.01)), height=6.0)
+    assert _prism(sharp, 0.0).box[3] > 0.01 + CULL_MARGIN  # margin grows at sharp corners
+    obstacles = [needle, sharp] + [
+        Obstacle(
+            id=f"o{k}",
+            footprint=convex_polygon(rng, rng.uniform(-30, 30), rng.uniform(-30, 30), 0.5, 4),
+            height=float(rng.uniform(0.5, 9)),
+        )
+        for k in range(30)
+    ]
+    scene = open_scene(*obstacles)
+    dirs = generate_beams(spec(channels=9, vmin=-40, vmax=20, step=3.0))
+    for _ in range(6):
+        origin = (rng.uniform(-25, 25), rng.uniform(-25, 25), rng.uniform(0.5, 8))
+        hit, _, _ = assert_culling_exact(origin, dirs, scene, 45.0, one_by_one=False)
+        assert hit.any()
+    ref_hits = 0
+    for _ in range(200):
+        origin = (rng.uniform(-25, 25), rng.uniform(-25, 25), rng.uniform(0.5, 8))
+        d = tuple(unit(*rng.normal(size=3)))
+        mine, ref = cast_ray(origin, d, scene, 45.0), cast_ray_ref(origin, d, scene, 45.0)
+        assert (mine is None) == (ref is None)
+        if ref is not None:
+            ref_hits += 1
+            assert np.allclose(mine[:3], ref[1:4], atol=1e-6)
+    assert ref_hits > 50
+
+
+# ---------------------------------------------------------------------------
 # whole-sensor simulation
 
 
@@ -300,7 +445,7 @@ def test_grid_matches_quadratic_brute_force(rng):
         cands = ListCandidates(micro_candidates(rng, 3))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene, i) for i, c in enumerate(cands.candidates)]
+        clouds = [simulate_sensor(c, scene) for c in cands.candidates]
         expected = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )
@@ -311,7 +456,7 @@ def test_grid_with_intensity_floor_matches_brute_force(rng):
     scene, targets = micro_scene_and_targets(rng)
     cands = ListCandidates(micro_candidates(rng, 3))
     grid = build_visibility_grid(cands, targets, scene, delta=3.0, intensity_min=0.8)
-    clouds = [simulate_sensor(c, scene, i) for i, c in enumerate(cands.candidates)]
+    clouds = [simulate_sensor(c, scene) for c in cands.candidates]
     expected = brute_force_visibility(
         clouds, [tuple(p) for p in targets.points], 3.0, 0.0, intensity_min=0.8
     )
@@ -404,6 +549,36 @@ def test_grid_rejects_bad_delta(rng):
     cands = ListCandidates(micro_candidates(rng, 1))
     with pytest.raises(ValueError, match="delta"):
         build_visibility_grid(cands, targets, scene, delta=0.0)
+
+
+@pytest.mark.parametrize("intensity_min", [None, 0.5])
+def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, intensity_min):
+    # every catalog type at every mount height, downward beams only vs the
+    # eligible samples of the whole simulated cloud
+    cands = enumerate_candidates(demo_scene, spacing=12.0, types=demo_scene.catalog)
+    assert {(c.sensor.type_id, c.height) for c in cands} == {
+        (s.type_id, h) for s in demo_scene.catalog for h in (3.5, 5.4, 8.0)
+    }
+    grid = build_visibility_grid(cands, demo_targets, demo_scene, 1.5, intensity_min)
+    for i, cand in enumerate(cands):
+        full = simulate_sensor(cand, demo_scene)
+        want = eligible_samples(full.samples, demo_scene.ground_elevation, intensity_min)
+        got = GroundReturns(cand, demo_scene).cloud(intensity_min).samples
+        assert np.array_equal(got, want)
+        row = visibility_row(full, demo_targets, 1.5, intensity_min, demo_scene.ground_elevation)
+        assert np.array_equal(grid.bits[i], row)
+    assert grid.bits.any()
+
+
+def test_ground_returns_from_mounts_at_or_below_ground():
+    # no longer only downward beams can end on the ground: every beam is cast
+    box = Obstacle(id="b", footprint=rect(3.0, -2.0, 5.0, 2.0), height=3.0)
+    s = spec(channels=5, vmin=-20, vmax=20, step=30.0)
+    for height in (0.0, -1.0, 0.5):
+        cand = make_candidate(0.0, 0.0, height, s)
+        want = eligible_samples(simulate_sensor(cand, open_scene(box)).samples, 0.0, None)
+        assert len(want) > 0
+        assert np.array_equal(GroundReturns(cand, open_scene(box)).cloud(None).samples, want)
 
 
 def test_visibility_row_empty_targets():

@@ -167,6 +167,35 @@ def test_load_scene_reports_json_line(tmp_path):
         load_scene(path)
 
 
+@pytest.mark.parametrize("path, token", [
+    (("ground_elevation",), "NaN"),
+    (("road_segments", 0, "priority_weight"), "NaN"),
+    (("road_segments", 1, "polygon", 2, 1), "-Infinity"),
+    (("obstacles", 0, "height"), "NaN"),
+    (("obstacles", 3, "footprint", 1, 0), "Infinity"),
+    (("mount_zones", 0, "geometry", 0, 0), "1" + "0" * 400),  # overflows a float
+    (("mount_zones", 0, "geometry", 1, 1), "9" * 5000),  # past Python's int digit limit
+    (("mount_zones", 1, "allowed_heights", 2), "NaN"),
+    (("mount_zones", 2, "install_surcharge"), "Infinity"),
+    (("catalog", 0, "range_m"), "Infinity"),
+    (("catalog", 1, "unit_cost"), "NaN"),
+    (("catalog", 2, "azimuth_step"), "1e400"),
+    (("catalog", 0, "accuracy_m"), "-Infinity"),
+])
+def test_load_scene_rejects_non_finite_numbers(tmp_path, demo_scene, path, token):
+    data = scene_to_dict(demo_scene)
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = "@number@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@number@"', token))
+    with pytest.raises((SceneParseError, SceneValidationError), match="finite|limit") as info:
+        load_scene(bad)
+    assert "\n" not in str(info.value)
+
+
 def test_load_scene_missing_file(tmp_path):
     with pytest.raises(SceneParseError, match="cannot read"):
         load_scene(tmp_path / "nope.json")
