@@ -17,15 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    EDGE_EPS,
-    Point,
-    point_in_polygon,
-    point_segment_distance,
-    points_in_polygon,
-    polygon_bounds,
-)
-from .scene import Scene, SensorSpec, demo_scene_path, load_scene, scene_bounds
+from .geometry import EDGE_EPS, points_in_polygon, points_segment_distance, polygon_bounds
+from .scene import MountZone, Scene, SensorSpec, demo_scene_path, load_scene, scene_bounds
 
 TARGETS_CSV_HEADER = ["idx", "x", "y", "weight", "segment"]
 CANDIDATES_CSV_HEADER = ["idx", "x", "y", "height", "type", "cost"]
@@ -152,16 +145,15 @@ def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
     return TargetGrid(spacing=spacing, points=points, weights=weights, segment_of=seg_ids)
 
 
-def _zone_contains(zone_geometry: tuple[Point, ...], kind: str, x: float, y: float,
-                   spacing: float) -> bool:
-    if kind == "polygon":
-        return point_in_polygon((x, y), zone_geometry)
+def _zone_contains(zone: MountZone, xs: np.ndarray, ys: np.ndarray,
+                   spacing: float) -> np.ndarray:
+    if zone.kind == "polygon":
+        return points_in_polygon(xs, ys, zone.geometry)
     # Polyline zones are corridors half a lattice spacing to each side.
-    half = spacing / 2.0
-    for a, b in zip(zone_geometry[:-1], zone_geometry[1:]):
-        if point_segment_distance((x, y), a, b) <= half + EDGE_EPS:
-            return True
-    return False
+    inside = np.zeros(xs.shape, dtype=bool)
+    for a, b in zip(zone.geometry[:-1], zone.geometry[1:]):
+        inside |= points_segment_distance(xs, ys, a, b) <= spacing / 2.0 + EDGE_EPS
+    return inside
 
 
 def enumerate_candidates(
@@ -187,33 +179,30 @@ def enumerate_candidates(
 
     all_pts = [p for z in scene.mount_zones for p in z.geometry]
     xmin, ymin, xmax, ymax = polygon_bounds(all_pts)
-    xs = lattice_coords(xmin, xmax, spacing)
-    ys = lattice_coords(ymin, ymax, spacing)
+    gx, gy = np.meshgrid(lattice_coords(xmin, xmax, spacing),
+                         lattice_coords(ymin, ymax, spacing))
+    flat_x, flat_y = gx.ravel(), gy.ravel()  # row-major: y outer, x inner
+
+    # Assign each lattice position the first containing zone in file order.
+    owner = np.full(flat_x.shape, -1, dtype=np.int64)
+    for k, zone in enumerate(scene.mount_zones):
+        free = np.flatnonzero(owner == -1)
+        owner[free[_zone_contains(zone, flat_x[free], flat_y[free], spacing)]] = k
 
     out: list[Candidate] = []
-    for y in ys:
-        for x in xs:
-            zone = next(
-                (
-                    z
-                    for z in scene.mount_zones
-                    if _zone_contains(z.geometry, z.kind, x, y, spacing)
-                ),
-                None,
-            )
-            if zone is None:
-                continue
-            for h in zone.allowed_heights:
-                for spec in specs:
-                    out.append(
-                        Candidate(
-                            x=float(x),
-                            y=float(y),
-                            height=float(h),
-                            sensor=spec,
-                            cost=spec.unit_cost + zone.install_surcharge,
-                        )
+    for p in np.flatnonzero(owner >= 0):
+        zone = scene.mount_zones[owner[p]]
+        for h in zone.allowed_heights:
+            for spec in specs:
+                out.append(
+                    Candidate(
+                        x=float(flat_x[p]),
+                        y=float(flat_y[p]),
+                        height=float(h),
+                        sensor=spec,
+                        cost=spec.unit_cost + zone.install_surcharge,
                     )
+                )
     if not out:
         raise EmptyGridError(
             f"no lattice point at spacing {spacing} falls inside any mount zone"

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .discretization import Candidate, CandidateSet, TargetGrid
-from .geometry import point_in_polygon, polygon_area, polygon_bounds
+from .geometry import points_in_polygon, polygon_area, polygon_bounds
 from .raycast import GroundReturns, VisibilityGrid, visibility_row
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
@@ -210,7 +210,7 @@ def _sample_vehicles(scene: Scene, vehicle: VehicleModel,
         for _ in range(10000):
             px = rng.uniform(bx0, bx1)
             py = rng.uniform(by0, by1)
-            if point_in_polygon((px, py), seg.polygon):
+            if points_in_polygon(px, py, seg.polygon):
                 cx, cy = px, py
                 break
         if cx is None:

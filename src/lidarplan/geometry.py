@@ -35,48 +35,12 @@ def polygon_bounds(vertices: Iterable[Point]) -> tuple[float, float, float, floa
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    """True if point p lies on segment a-b within EDGE_EPS."""
-    abx, aby = bx - ax, by - ay
-    apx, apy = px - ax, py - ay
-    cross = abx * apy - aby * apx
-    seg_len = math.hypot(abx, aby)
-    if seg_len == 0.0:
-        return math.hypot(apx, apy) <= EDGE_EPS
-    if abs(cross) / seg_len > EDGE_EPS:
-        return False
-    dot = apx * abx + apy * aby
-    return -EDGE_EPS * seg_len <= dot <= seg_len * seg_len + EDGE_EPS * seg_len
-
-
-def point_in_polygon(point: Point, vertices: Sequence[Point]) -> bool:
-    """Closed point-in-polygon test (boundary counts as inside).
-
-    Even-odd ray crossing with an explicit on-edge pre-check, so points
-    within EDGE_EPS of any edge are deterministically inside.
-    """
-    px, py = point
-    n = len(vertices)
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        if _on_segment(px, py, ax, ay, bx, by):
-            return True
-    inside = False
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        if (ay > py) != (by > py):
-            x_cross = ax + (py - ay) / (by - ay) * (bx - ax)
-            if px < x_cross:
-                inside = not inside
-    return inside
-
-
 def points_in_polygon(xs: np.ndarray, ys: np.ndarray, vertices: Sequence[Point]) -> np.ndarray:
-    """Vectorized closed point-in-polygon test for flat coordinate arrays.
+    """Closed point-in-polygon test (boundary counts as inside) for flat
+    coordinate arrays or scalars.
 
-    Matches point_in_polygon exactly, including the boundary rule.
+    Even-odd ray crossing with an explicit on-edge test, so points within
+    EDGE_EPS of any edge are deterministically inside.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -155,16 +119,15 @@ def polygon_is_convex(vertices: Sequence[Point]) -> bool:
     return True
 
 
-def point_segment_distance(point: Point, a: Point, b: Point) -> float:
-    """Euclidean distance from a point to a closed segment."""
-    px, py = point
+def points_segment_distance(xs: np.ndarray, ys: np.ndarray, a: Point, b: Point) -> np.ndarray:
+    """Euclidean distance from each point to the closed segment a-b."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     ax, ay = a
     bx, by = b
     abx, aby = bx - ax, by - ay
     denom = abx * abx + aby * aby
     if denom == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * abx + (py - ay) * aby) / denom
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * abx), py - (ay + t * aby))
-
+        return np.hypot(xs - ax, ys - ay)
+    t = np.clip(((xs - ax) * abx + (ys - ay) * aby) / denom, 0.0, 1.0)
+    return np.hypot(xs - (ax + t * abx), ys - (ay + t * aby))

@@ -3,8 +3,10 @@
 Both problem flavors select a subset of candidate rows to maximize the total
 weight of covered target columns: either under a procurement budget
 (sum of selected costs <= C) or under a unit cap (number selected <= N).
-With unit weights this is plain maximum coverage; general weights express
-region priorities.  solve_exact is a branch-and-bound search, globally
+A unit cap is solved as a budget over unit costs, so each solver has one
+search loop for both.  With unit weights this is plain maximum coverage;
+general weights express region priorities.  solve_exact is one
+branch-and-bound pass over index sets in lexicographic order, globally
 optimal but limited to small candidate counts; solve_greedy scales to any
 size with the classic 1 - 1/e marginal-gain guarantee in unit-cap mode.
 """
@@ -106,91 +108,13 @@ def _make_solution(problem: DeploymentProblem, selected, method: str,
     )
 
 
-class _Search:
-    """Shared machinery for the branch-and-bound phases.
-
-    Candidates are explored in a fixed order of descending row weight per
-    unit cost (ascending index on ties), which keeps runs reproducible and
-    tightens the bound early.  Every objective is evaluated as a sum over
-    the covered mask, never by accumulating gains, so phase 2 can hit the
-    phase-1 optimum with a plain >= comparison; the search prunes keep a
-    tiny slack to absorb summation-order noise in the bounds themselves.
-    """
-
-    def __init__(self, problem: DeploymentProblem):
-        self.rows = problem.grid.bits
-        self.w = problem.weights
-        self.costs = problem.costs
-        self.constraint = problem.constraint
-        self.tol = 1e-12 * max(1.0, float(self.w.sum()))
-        n = problem.grid.rows
-        row_weight = (self.rows * self.w[None, :]).sum(axis=1) if n else np.zeros(0)
-        with np.errstate(divide="ignore"):
-            benefit = np.where(self.costs > 0, row_weight / self.costs, np.inf)
-            benefit = np.where(row_weight == 0, 0.0, benefit)
-        self.order = sorted(range(n), key=lambda i: (-benefit[i], i))
-
-    def value(self, covered: np.ndarray) -> float:
-        return float(self.w[covered].sum())
-
-    def affordable(self, i: int, cost_used: float, n_used: int) -> bool:
-        if isinstance(self.constraint, Budget):
-            return self.costs[i] <= self.constraint.limit - cost_used + 1e-12
-        return n_used < self.constraint.limit
-
-    def upper_bound(self, covered: np.ndarray, cost_used: float,
-                    n_used: int, remaining: list[int]) -> float:
-        """Value if the affordable remainder covered everything it touches."""
-        usable = [i for i in remaining if self.affordable(i, cost_used, n_used)]
-        if not usable:
-            return self.value(covered)
-        return self.value(covered | self.rows[usable].any(axis=0))
-
-    def best_value(self) -> float:
-        """Phase 1: optimal objective value."""
-        best = 0.0
-
-        def dfs(pos: int, covered: np.ndarray, cost_used: float,
-                n_used: int) -> None:
-            nonlocal best
-            val = self.value(covered)
-            if val > best:
-                best = val
-            remaining = self.order[pos:]
-            if not remaining:
-                return
-            if self.upper_bound(covered, cost_used, n_used, remaining) <= best:
-                return
-            i = self.order[pos]
-            if self.affordable(i, cost_used, n_used):
-                dfs(pos + 1, covered | self.rows[i],
-                    cost_used + float(self.costs[i]), n_used + 1)
-            dfs(pos + 1, covered, cost_used, n_used)
-
-        dfs(0, np.zeros(self.rows.shape[1] if self.rows.size else 0, dtype=bool),
-            0.0, 0)
-        return best
-
-    def can_reach(self, target: float, covered: np.ndarray,
-                  cost_used: float, n_used: int, remaining: list[int]) -> bool:
-        """Phase 2 feasibility: can the target objective still be attained."""
-        if self.value(covered) >= target:
-            return True
-        if self.upper_bound(covered, cost_used, n_used, remaining) < target - self.tol:
-            return False
-        for k, i in enumerate(remaining):
-            if not self.affordable(i, cost_used, n_used):
-                continue
-            if self.can_reach(target, covered | self.rows[i],
-                              cost_used + float(self.costs[i]), n_used + 1,
-                              remaining[k + 1:]):
-                return True
-            # Excluding i: the loop's next iteration handles it, but the
-            # bound must be rechecked without i's contribution.
-            if self.upper_bound(covered, cost_used, n_used,
-                                remaining[k + 1:]) < target - self.tol:
-                return False
-        return False
+def _as_budget(problem: DeploymentProblem) -> tuple[np.ndarray, float]:
+    """Costs and limit of the constraint: a unit cap is a budget over unit
+    costs.  With an integer cap the solvers' test
+    `cost <= limit - spent + 1e-12` is then exactly `n_used < limit`."""
+    if isinstance(problem.constraint, Cardinality):
+        return np.ones(problem.grid.rows), float(problem.constraint.limit)
+    return problem.costs, float(problem.constraint.limit)
 
 
 def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) -> Solution:
@@ -208,103 +132,82 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
             f"{n} candidates exceeds the exact-solver limit of {limit}; "
             "use solve_greedy or raise the limit"
         )
-    search = _Search(problem)
-    opt = search.best_value()
-
-    # Lexicographic reconstruction: walk candidate indices in ascending
-    # order and include one exactly when the optimum stays reachable with
-    # it; sets containing a smaller index always precede the alternatives.
-    selected: list[int] = []
-    covered = np.zeros(problem.grid.cols, dtype=bool)
-    cost_used = 0.0
-    order_pos = {i: p for p, i in enumerate(search.order)}
-    for i in range(n):
-        if search.value(covered) >= opt:
-            break
-        if not search.affordable(i, cost_used, len(selected)):
-            continue
-        suffix = sorted((j for j in range(i + 1, n)), key=order_pos.__getitem__)
-        if search.can_reach(opt, covered | problem.grid.bits[i],
-                            cost_used + float(problem.costs[i]),
-                            len(selected) + 1, suffix):
-            selected.append(i)
-            covered |= problem.grid.bits[i]
-            cost_used += float(problem.costs[i])
-    assert search.value(covered) >= opt, "reconstruction missed the proven optimum"
-    return _make_solution(problem, selected, "exact")
-
-
-def _greedy_cardinality(problem: DeploymentProblem, limit: int) -> tuple[list[int], float]:
     rows, w = problem.grid.bits, problem.weights
-    covered = np.zeros(problem.grid.cols, dtype=bool)
-    selected: list[int] = []
-    taken = np.zeros(problem.grid.rows, dtype=bool)
-    while len(selected) < limit:
-        gains = (rows & ~covered[None, :]) @ w
-        gains[taken] = -1.0
-        best = int(np.argmax(gains))  # first index wins ties
-        if gains[best] <= 0:
-            break
-        selected.append(best)
-        taken[best] = True
-        covered |= rows[best]
-    return selected, float(w[covered].sum())
+    costs, cap = _as_budget(problem)
+    best, best_sel = 0.0, ()
+
+    # Depth-first over index sets, each extended only by larger indices,
+    # including i before trying the sets that skip it: this pre-order visits
+    # the sets in lexicographic order, so the first one to beat every
+    # earlier value strictly is the lexicographically smallest optimum.
+    # Objectives are sums over the covered mask, so equal masks give equal
+    # floats.
+    def dfs(start: int, sel: list[int], covered: np.ndarray, spent: float) -> None:
+        nonlocal best, best_sel
+        for i in range(start, n):
+            afford = costs[i:] <= cap - spent + 1e-12
+            # Every set below has value at most that of covering all that
+            # the affordable rest touches; prune unless that beats best.
+            if float(w[covered | rows[i:][afford].any(axis=0)].sum()) <= best:
+                return
+            if afford[0]:
+                sel.append(i)
+                with_i = covered | rows[i]
+                value = float(w[with_i].sum())
+                if value > best:
+                    best, best_sel = value, tuple(sel)
+                dfs(i + 1, sel, with_i, spent + float(costs[i]))
+                sel.pop()
+
+    dfs(0, [], np.zeros(problem.grid.cols, dtype=bool), 0.0)
+    return _make_solution(problem, best_sel, "exact")
 
 
-def _greedy_budget(problem: DeploymentProblem, limit: float) -> tuple[list[int], float]:
-    rows, w, costs = problem.grid.bits, problem.weights, problem.costs
+def solve_greedy(problem: DeploymentProblem) -> Solution:
+    """Polynomial-time approximate solution.
+
+    Repeatedly takes the affordable candidate with the largest marginal
+    covered weight per unit cost; under a unit cap every cost is 1, so this
+    is the classic 1 - 1/e marginal-gain greedy.  Budget mode also falls
+    back to the best affordable singleton if that scores higher.  Ties
+    always go to the smallest candidate index.
+    """
+    rows, w = problem.grid.bits, problem.weights
+    costs, cap = _as_budget(problem)
     covered = np.zeros(problem.grid.cols, dtype=bool)
     selected: list[int] = []
     taken = np.zeros(problem.grid.rows, dtype=bool)
     spent = 0.0
     while True:
         gains = (rows & ~covered[None, :]) @ w
-        usable = ~taken & (costs <= limit - spent + 1e-12) & (gains > 0)
+        usable = ~taken & (costs <= cap - spent + 1e-12) & (gains > 0)
         if not usable.any():
             break
         with np.errstate(divide="ignore"):
-            ratio = np.where(usable & (costs > 0), gains / costs, 0.0)
-            ratio = np.where(usable & (costs == 0), np.inf, ratio)
-        best = int(np.argmax(ratio))
+            per_cost = np.where(usable & (costs > 0), gains / costs, 0.0)
+            per_cost = np.where(usable & (costs == 0), np.inf, per_cost)
+        best = int(np.argmax(per_cost))
         selected.append(best)
         taken[best] = True
         covered |= rows[best]
         spent += float(costs[best])
-    ratio_obj = float(w[covered].sum())
+    obj = float(w[covered].sum())
 
-    # Safeguard: plain ratio greedy alone has an unbounded gap; taking the
-    # better of it and the best affordable single candidate restores the
-    # (1 - 1/e)/2 guarantee.
-    single_gains = (rows * w[None, :]).sum(axis=1)
-    single_gains[costs > limit + 1e-12] = -1.0
-    best_single = int(np.argmax(single_gains))
-    if single_gains[best_single] > ratio_obj:
-        return [best_single], float(single_gains[best_single])
-    return selected, ratio_obj
-
-
-def solve_greedy(problem: DeploymentProblem) -> Solution:
-    """Polynomial-time approximate solution.
-
-    Unit-cap mode repeatedly takes the candidate with the largest marginal
-    covered weight (the 1 - 1/e approximation).  Budget mode runs
-    cost-benefit greedy and falls back to the best affordable singleton if
-    that scores higher.  Ties always go to the smallest candidate index.
-    """
+    afford = costs <= cap + 1e-12
     if isinstance(problem.constraint, Cardinality):
-        selected, obj = _greedy_cardinality(problem, problem.constraint.limit)
         ratio = GREEDY_RATIO_CARDINALITY
-        afford = np.ones(problem.grid.rows, dtype=bool)
-        if problem.constraint.limit == 0:
-            afford[:] = False
     else:
-        selected, obj = _greedy_budget(problem, problem.constraint.limit)
         ratio = GREEDY_RATIO_BUDGET
-        afford = problem.costs <= problem.constraint.limit + 1e-12
-    if afford.any():
-        reachable = float(problem.weights[problem.grid.bits[afford].any(axis=0)].sum())
-    else:
-        reachable = 0.0
+        # Safeguard: plain ratio greedy alone has an unbounded gap; taking
+        # the better of it and the best affordable single candidate
+        # restores the (1 - 1/e)/2 guarantee.  A unit cap needs none: its
+        # first pick already is that singleton, and the two sums could only
+        # differ there in the last bit, which would move the bound.
+        single_gains = np.where(afford, (rows * w[None, :]).sum(axis=1), -1.0)
+        if afford.any() and single_gains.max() > obj:
+            selected = [int(np.argmax(single_gains))]
+            obj = float(single_gains[selected[0]])
+    reachable = float(w[rows[afford].any(axis=0)].sum())
     bound = 0.0 if obj <= 0 else min(reachable, obj / ratio)
     return _make_solution(problem, selected, "greedy", optimality_bound=bound)
 

@@ -1,10 +1,9 @@
 import numpy as np
 
-from helpers import convex_polygon, point_in_polygon_ref
+from helpers import _seg_dist, convex_polygon, point_in_polygon_ref
 from lidarplan.geometry import (
-    point_in_polygon,
-    point_segment_distance,
     points_in_polygon,
+    points_segment_distance,
     polygon_area,
     polygon_bounds,
     polygon_is_convex,
@@ -32,45 +31,49 @@ def test_polygon_bounds():
     assert polygon_bounds(((-2, 5), (3, -1), (0, 0))) == (-2, -1, 3, 5)
 
 
+def _inside(points, poly):
+    xs, ys = np.array(points, dtype=float).T
+    return points_in_polygon(xs, ys, poly).tolist()
+
+
 def test_point_in_polygon_interior_exterior():
-    assert point_in_polygon((0.5, 0.5), UNIT_SQUARE)
-    assert not point_in_polygon((1.5, 0.5), UNIT_SQUARE)
-    assert point_in_polygon((1.0, 3.0), L_SHAPE)
-    assert not point_in_polygon((3.0, 3.0), L_SHAPE)  # the notch
+    assert _inside([(0.5, 0.5), (1.5, 0.5)], UNIT_SQUARE) == [True, False]
+    # (3, 3) is in the notch
+    assert _inside([(1.0, 3.0), (3.0, 3.0)], L_SHAPE) == [True, False]
 
 
 def test_point_in_polygon_boundary_is_inside():
     # closed polygon: edges and vertices count as inside
-    assert point_in_polygon((0.5, 0.0), UNIT_SQUARE)
-    assert point_in_polygon((1.0, 1.0), UNIT_SQUARE)
-    assert point_in_polygon((0.0, 0.3), UNIT_SQUARE)
-    assert point_in_polygon((2.0, 3.0), L_SHAPE)
+    assert _inside([(0.5, 0.0), (1.0, 1.0), (0.0, 0.3)], UNIT_SQUARE) == [True] * 3
+    assert _inside([(2.0, 3.0)], L_SHAPE) == [True]
+    # just past the EDGE_EPS tolerance is outside
+    assert _inside([(0.5, -2e-9), (1.0 + 2e-9, 1.0)], UNIT_SQUARE) == [False, False]
 
 
 def test_point_in_polygon_matches_winding_oracle(rng):
     for _ in range(40):
         poly = convex_polygon(rng, rng.uniform(-5, 5), rng.uniform(-5, 5), 1.0, 4.0)
         pts = rng.uniform(-10, 10, size=(50, 2))
-        for px, py in pts:
-            assert point_in_polygon((px, py), poly) == point_in_polygon_ref(
-                (px, py), poly
-            )
+        # vertices and edge midpoints exercise the boundary rule
+        pts = np.vstack([pts, poly, (np.array(poly) + np.roll(poly, -1, axis=0)) / 2])
+        want = [point_in_polygon_ref((px, py), poly) for px, py in pts]
+        assert points_in_polygon(pts[:, 0], pts[:, 1], poly).tolist() == want
 
 
 def test_point_in_polygon_concave_matches_oracle(rng):
-    pts = rng.uniform(-1, 5, size=(500, 2))
-    for px, py in pts:
-        assert point_in_polygon((px, py), L_SHAPE) == point_in_polygon_ref(
-            (px, py), L_SHAPE
-        )
+    pts = np.vstack([rng.uniform(-1, 5, size=(500, 2)),
+                     rng.integers(-1, 6, size=(100, 2)) / 2.0])  # lattice hits edges
+    want = [point_in_polygon_ref((px, py), L_SHAPE) for px, py in pts]
+    assert points_in_polygon(pts[:, 0], pts[:, 1], L_SHAPE).tolist() == want
 
 
 def test_points_in_polygon_matches_scalar(rng):
+    # one point passed as two floats gets the same answer as inside an array
     for poly in (UNIT_SQUARE, L_SHAPE, convex_polygon(rng, 0, 0, 1, 3)):
         xs = rng.uniform(-2, 5, 300)
         ys = rng.uniform(-2, 5, 300)
         vec = points_in_polygon(xs, ys, poly)
-        scalar = np.array([point_in_polygon((x, y), poly) for x, y in zip(xs, ys)])
+        scalar = np.array([bool(points_in_polygon(x, y, poly)) for x, y in zip(xs, ys)])
         assert np.array_equal(vec, scalar)
 
 
@@ -86,10 +89,19 @@ def test_polygon_is_convex():
     assert not polygon_is_convex(L_SHAPE)
 
 
-def test_point_segment_distance():
-    assert point_segment_distance((0, 1), (0, 0), (2, 0)) == 1.0
-    assert point_segment_distance((1, 0), (0, 0), (2, 0)) == 0.0
-    # beyond the endpoint the nearest point is the endpoint itself
-    assert point_segment_distance((3, 4), (0, 0), (0, 0)) == 5.0
-    assert point_segment_distance((4, 0), (0, 0), (2, 0)) == 2.0
+def test_point_segment_distance(rng):
+    def dist(points, a, b):
+        xs, ys = np.array(points, dtype=float).T
+        return points_segment_distance(xs, ys, a, b).tolist()
 
+    assert dist([(0, 1), (1, 0), (4, 0)], (0, 0), (2, 0)) == [1.0, 0.0, 2.0]
+    # a degenerate segment is its single point
+    assert dist([(3, 4)], (0, 0), (0, 0)) == [5.0]
+    for _ in range(40):
+        a, b = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
+        if rng.random() < 0.2:
+            b = a.copy()
+        pts = rng.uniform(-10, 10, size=(50, 2))
+        got = points_segment_distance(pts[:, 0], pts[:, 1], tuple(a), tuple(b))
+        want = [_seg_dist(px, py, *a, *b) for px, py in pts]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

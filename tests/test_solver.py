@@ -82,19 +82,37 @@ def test_exact_prefers_lexicographically_smallest_set():
 
 
 def test_exact_lexicographic_vs_all_subsets(rng):
-    # cross-check the tiebreak itself against sorted subset enumeration
-    for _ in range(60):
+    # cross-check the tiebreak itself against sorted subset enumeration;
+    # integer weights and costs in halves keep every sum exact, so ties
+    # are real ties, and duplicate rows make the bound tie the incumbent
+    for trial in range(160):
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 12))
         rows = rng.random((n, m)) < 0.45
+        if n > 1 and trial % 4 == 0:
+            rows[rng.integers(0, n, n)] = rows[rng.integers(0, n)]
         weights = rng.integers(0, 4, m).astype(float)
-        constraint = Cardinality(int(rng.integers(0, n + 1)))
-        prob = problem(rows, weights=weights, constraint=constraint)
+        costs = np.ones(n)
+        if trial % 2:
+            costs = [
+                rng.integers(0, 4, n) / 2.0,  # zero and non-unit costs
+                np.full(n, 1.5),  # equal costs
+                rng.integers(0, 2, n) * 3.0,  # zero or one price
+            ][trial % 3]
+            constraint = Budget(int(rng.integers(0, 2 * costs.sum() + 2)) / 2.0)
+        else:
+            constraint = Cardinality(int(rng.integers(0, n + 1)))
+        prob = problem(rows, weights=weights, costs=costs, constraint=constraint)
         sol = solve_exact(prob)
         best_obj = -1.0
         best_set = None
-        for size in range(0, constraint.limit + 1):
+        for size in range(0, n + 1):
             for combo in itertools.combinations(range(n), size):
+                if isinstance(constraint, Budget):
+                    if costs[list(combo)].sum() > constraint.limit:
+                        continue
+                elif size > constraint.limit:
+                    continue
                 covered = np.zeros(m, dtype=bool)
                 for i in combo:
                     covered |= rows[i]
@@ -195,6 +213,51 @@ def test_greedy_zero_cap_empty():
     assert sol.selected == ()
     assert sol.objective == 0.0
     assert sol.optimality_bound == 0.0
+
+
+def test_no_candidates_gives_empty_solution():
+    for constraint in (Cardinality(2), Budget(5.0)):
+        prob = problem(np.zeros((0, 3), dtype=bool), constraint=constraint)
+        for solve in (solve_exact, solve_greedy):
+            sol = solve(prob)
+            assert sol.selected == ()
+            assert sol.objective == 0.0
+            assert sol.optimality_bound == 0.0
+            assert verify_solution(prob, sol).ok
+
+
+def test_greedy_cardinality_matches_textbook_loop(rng):
+    # the plain marginal-gain greedy, written out: the unit cap must behave
+    # exactly like this, bound included
+    for trial in range(300):
+        rows, weights, costs, _, count = random_instance(rng, 15, 60)
+        n, k = rows.shape[0], count.limit
+        # integer weights keep every gain exact in any summation order, so
+        # the loop below breaks ties, duplicate rows included, like the solver
+        exact_sums = trial % 2 == 0
+        if exact_sums:
+            weights = np.floor(weights)
+            if trial % 4 == 0:
+                rows[rng.integers(0, n, n)] = rows[rng.integers(0, n)]
+        sol = solve_greedy(problem(rows, weights=weights, costs=costs, constraint=count))
+
+        # the bound divides the covered-mask objective; a singleton fallback
+        # would divide a row sum, which can differ from it in the last bit
+        reachable = float(weights[rows.any(axis=0)].sum()) if k else 0.0
+        bound = min(reachable, sol.objective / GREEDY_RATIO) if sol.objective > 0 else 0.0
+        assert sol.optimality_bound == bound
+        if not exact_sums:
+            continue
+        selected, covered = [], np.zeros(rows.shape[1], dtype=bool)
+        while len(selected) < k:
+            gains = [float(weights[rows[i] & ~covered].sum()) for i in range(n)]
+            best = max(range(n), key=lambda i: (gains[i], -i))
+            if gains[best] <= 0:
+                break
+            selected.append(best)
+            covered |= rows[best]
+        assert sol.selected == tuple(sorted(selected))
+        assert sol.objective == float(weights[covered].sum())
 
 
 def test_greedy_ratio_bound_cardinality(rng):
