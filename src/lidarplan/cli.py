@@ -110,67 +110,89 @@ class RunConfig:
             return Budget(self.budget)
         return Cardinality(self.count if self.count is not None else 3)
 
+    def constraint_record(self) -> dict:
+        """The constraint as solution.json and manifest.json record it."""
+        return {"kind": "budget" if self.budget is not None else "count",
+                "value": self.constraint().limit}
 
-_CONFIG_KEYS = {
-    "scene": str,
-    "spacing": float,
-    "candidate_spacing": float,
-    "delta": float,
-    "types": str,
-    "budget": float,
-    "count": int,
-    "weights": str,
-    "seed": int,
-    "jobs": int,
-    "out": str,
-    "exact_limit": int,
-    "method": str,
-    "intensity_min": float,
-    "trials": int,
-    "vehicles": int,
-    "gain_budgets": str,
-}
+
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_weights(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    for part in text.replace(";", ",").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise CliError(EXIT_INPUT, f"bad weight override {part!r}, expected segment=value")
-        key, _, value = part.partition("=")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise CliError(EXIT_INPUT, f"bad weight value in {part!r}") from None
+    for part in _split(text.replace(";", ",")):
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"bad weight override {part!r}, expected segment=value")
+        out[key.strip()] = float(value)
     return out
 
 
+def _parse_methods(text: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in text.split(","))
+    bad = [m for m in methods if m not in ("auto", "exact", "greedy")]
+    if bad:
+        raise ValueError(f"unknown method {bad[0]!r}, expected auto, exact or greedy")
+    return methods
+
+
+# Every run option: config key -> (RunConfig field, text parser, help).  The
+# flag is --key with "-" for "_"; the defaults live in RunConfig alone.
+_OPTIONS = {
+    "scene": ("scene", str, "scene JSON path (default: bundled demo scene)"),
+    "spacing": ("spacing", float, "target lattice spacing, meters"),
+    "candidate_spacing": ("candidate_spacing", float, "mount lattice spacing, meters"),
+    "delta": ("delta", float, "visibility radius (default spacing/2)"),
+    "types": ("types", _split, "comma-separated sensor type ids (default: all)"),
+    "budget": ("budget", float, "cost limit (exclusive with --count)"),
+    "count": ("count", int, "unit limit (exclusive with --budget)"),
+    "weights": ("weights", _parse_weights, "segment weight overrides, e.g. central=10"),
+    "seed": ("seed", int, "RNG seed for stochastic evaluation"),
+    "jobs": ("jobs", int, "worker threads (default: all cores)"),
+    "out": ("out", str, "output directory (default: out)"),
+    "exact_limit": ("exact_limit", int, "max candidates for the exact solver"),
+    "method": ("methods", _parse_methods,
+               "solver method auto, exact or greedy; repeatable (default: auto)"),
+    "intensity_min": ("intensity_min", float,
+                      "minimum sample intensity to count toward visibility"),
+    "trials": ("trials", int, "occlusion Monte-Carlo trials"),
+    "vehicles": ("vehicles", int, "vehicle boxes per trial"),
+    "gain_budgets": ("gain_budgets", lambda text: tuple(float(b) for b in _split(text)),
+                     "comma-separated budgets for the gain-curve sweep"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_option(key: str, text: str, source: str) -> object:
+    try:
+        return _OPTIONS[key][1](text)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"bad value for {source}: {exc}") from None
+
+
 def parse_config_file(path: str | Path) -> dict:
-    """Flat key=value config; '#' starts a comment; keys match flag names."""
-    values: dict = {}
+    """Flat key=value config; '#' starts a comment; keys are the flag names
+    with "_" for "-".  Returns the parsed values by key."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read config file {path}: {exc}") from exc
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (s.strip() for s in line.partition("="))
+        if not eq:
             raise CliError(EXIT_INPUT, f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise CliError(EXIT_INPUT, f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
-            raise CliError(
-                EXIT_INPUT, f"{path}:{lineno}: bad value for {key!r}: {value!r}"
-            ) from None
+        values[key] = _parse_option(key, value, f"{key!r} in {path}:{lineno}")
     return values
 
 
@@ -181,42 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lidarplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--scene", help="scene JSON path (default: bundled demo scene)")
-        p.add_argument("--spacing", type=float, help="target lattice spacing, meters")
-        p.add_argument(
-            "--candidate-spacing", type=float, dest="candidate_spacing",
-            help="mount lattice spacing, meters",
-        )
-        p.add_argument("--delta", type=float, help="visibility radius (default spacing/2)")
-        p.add_argument("--types", help="comma-separated sensor type ids (default: all)")
-        p.add_argument("--budget", type=float, help="cost limit (exclusive with --count)")
-        p.add_argument("--count", type=int, help="unit limit (exclusive with --budget)")
-        p.add_argument("--weights", help="segment weight overrides, e.g. central=10")
-        p.add_argument("--seed", type=int, help="RNG seed for stochastic evaluation")
-        p.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument(
-            "--exact-limit", type=int, dest="exact_limit",
-            help="max candidates for the exact solver",
-        )
-        p.add_argument(
-            "--method", action="append", choices=["auto", "exact", "greedy"],
-            help="solver method; repeatable (default: auto)",
-        )
-        p.add_argument(
-            "--intensity-min", type=float, dest="intensity_min",
-            help="minimum sample intensity to count toward visibility",
-        )
-        p.add_argument("--trials", type=int, help="occlusion Monte-Carlo trials")
-        p.add_argument("--vehicles", type=int, help="vehicle boxes per trial")
-        p.add_argument(
-            "--gain-budgets", dest="gain_budgets",
-            help="comma-separated budgets for the gain-curve sweep",
-        )
-
     for name, doc in [
         ("grid", "discretize the scene and build the visibility matrix"),
         ("solve", "pick a deployment from previously built grid artifacts"),
@@ -224,53 +210,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ("render", "draw the coverage map SVG from existing artifacts"),
         ("pipeline", "run grid, solve, eval, and render in sequence"),
     ]:
-        add_common(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key, (_, _, text) in _OPTIONS.items():
+            p.add_argument(_flag(key), help=text,
+                           action="append" if key == "method" else "store")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    def pick(key: str, flag=None):
-        return flag if flag is not None else file_values.get(key)
-
-    updates: dict = {}
-    simple = [
-        ("scene", args.scene), ("spacing", args.spacing),
-        ("candidate_spacing", args.candidate_spacing), ("delta", args.delta),
-        ("budget", args.budget), ("count", args.count), ("seed", args.seed),
-        ("jobs", args.jobs), ("out", args.out), ("exact_limit", args.exact_limit),
-        ("intensity_min", args.intensity_min), ("trials", args.trials),
-        ("vehicles", args.vehicles),
-    ]
-    for key, flag in simple:
-        value = pick(key, flag)
-        if value is not None:
-            updates[key] = value
-    types = pick("types", args.types)
-    if types is not None:
-        updates["types"] = tuple(t.strip() for t in types.split(",") if t.strip())
-    weights = pick("weights", args.weights)
-    if weights is not None:
-        updates["weights"] = _parse_weights(weights)
-    methods = args.method if args.method else (
-        tuple(m.strip() for m in file_values["method"].split(","))
-        if "method" in file_values else None
-    )
-    if methods:
-        bad = [m for m in methods if m not in ("auto", "exact", "greedy")]
-        if bad:
-            raise CliError(EXIT_INPUT, f"unknown method {bad[0]!r}")
-        updates["methods"] = tuple(methods)
-    gain = pick("gain_budgets", args.gain_budgets)
-    if gain is not None:
-        try:
-            updates["gain_budgets"] = tuple(float(b) for b in str(gain).split(",") if b.strip())
-        except ValueError:
-            raise CliError(EXIT_INPUT, f"bad gain budget list {gain!r}") from None
-
-    cfg = replace(cfg, **updates)
+    values = parse_config_file(args.config) if args.config else {}
+    for key in _OPTIONS:  # flags override the file
+        text = getattr(args, key)
+        if text is not None:
+            text = ",".join(text) if isinstance(text, list) else text
+            values[key] = _parse_option(key, text, _flag(key))
+    cfg = replace(RunConfig(), **{_OPTIONS[key][0]: v for key, v in values.items()})
     if cfg.budget is not None and cfg.count is not None:
         raise CliError(EXIT_INPUT, "--budget and --count are mutually exclusive")
 
@@ -385,15 +340,11 @@ def _solution_payload(
     cfg: RunConfig, solution: Solution, candidates: CandidateSet,
     weights: np.ndarray, weighted: bool,
 ) -> dict:
-    constraint = cfg.constraint()
     return {
         "format": SOLUTION_FORMAT,
         "method": solution.method,
         "weighted": weighted,
-        "constraint": {
-            "kind": "budget" if isinstance(constraint, Budget) else "count",
-            "value": constraint.limit,
-        },
+        "constraint": cfg.constraint_record(),
         "objective": solution.objective,
         "total_cost": solution.total_cost,
         "coverage_fraction": coverage_fraction(solution, weights),
@@ -414,32 +365,35 @@ def _solution_payload(
     }
 
 
-def _solution_from_payload(payload: dict) -> Solution:
-    return Solution(
-        selected=tuple(entry["idx"] for entry in payload["selected"]),
-        covered=frozenset(payload["covered"]),
-        objective=float(payload["objective"]),
-        total_cost=float(payload["total_cost"]),
-        method=payload["method"],
-        optimality_bound=float(payload["optimality_bound"]),
-    )
-
-
-def _read_solution(out_dir: Path, name: str = "solution.json") -> dict:
-    path = out_dir / name
+def _read_solution(out_dir: Path) -> Solution:
+    path = out_dir / "solution.json"
     if not path.exists():
         raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
     if payload.get("format") != SOLUTION_FORMAT:
         raise CliError(
             EXIT_INPUT,
             f"{path}: format {payload.get('format')!r} not supported "
             f"(expected {SOLUTION_FORMAT})",
         )
-    return payload
+    try:
+        return Solution(
+            selected=tuple(entry["idx"] for entry in payload["selected"]),
+            covered=frozenset(payload["covered"]),
+            objective=float(payload["objective"]),
+            total_cost=float(payload["total_cost"]),
+            method=payload["method"],
+            optimality_bound=float(payload["optimality_bound"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(
+            EXIT_INPUT, f"{path}: malformed solution ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +473,7 @@ def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _solution_from_payload(_read_solution(out_dir))
+    solution = _read_solution(out_dir)
     costs = candidates.costs
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
@@ -578,7 +532,7 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     outputs = StageOutputs(out_dir)
     if cfg.gain_budgets:
-        kind = "budget" if cfg.budget is not None else "count"
+        kind = cfg.constraint_record()["kind"]
         curve = gain_curve(
             grid, targets.weights, costs, kind, cfg.gain_budgets, cfg.exact_limit
         )
@@ -623,7 +577,7 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def stage_render(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _solution_from_payload(_read_solution(out_dir))
+    solution = _read_solution(out_dir)
     outputs = StageOutputs(out_dir)
     render_coverage_map(
         scene, targets, grid, solution, candidates.candidates,
@@ -637,7 +591,6 @@ def _manifest_config(cfg: RunConfig) -> dict:
     """Semantic config only: execution details (jobs, out) are omitted so
     they cannot perturb the manifest."""
     scene_path = cfg.scene_path
-    constraint = cfg.constraint()
     return {
         "scene_name": scene_path.name,
         "scene_sha256": _sha256(scene_path),
@@ -645,10 +598,7 @@ def _manifest_config(cfg: RunConfig) -> dict:
         "candidate_spacing": cfg.candidate_spacing,
         "delta": cfg.resolved_delta,
         "types": list(cfg.types),
-        "constraint": {
-            "kind": "budget" if isinstance(constraint, Budget) else "count",
-            "value": constraint.limit,
-        },
+        "constraint": cfg.constraint_record(),
         "weights": dict(sorted(cfg.weights.items())),
         "seed": cfg.seed,
         "exact_limit": cfg.exact_limit,

@@ -220,20 +220,32 @@ def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
             )
 
 
-def read_targets_csv(path: str | Path) -> TargetGrid:
+def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
+    """The rows of a CSV artifact, each converted by parse_row.  Text that is
+    not UTF-8, a wrong header or a malformed row raises ValueError naming the
+    file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TARGETS_CSV_HEADER:
-            raise ValueError(
-                f"{path}: bad targets header {header!r}, expected {TARGETS_CSV_HEADER!r}"
-            )
-        xs, ys, ws, segs = [], [], [], []
-        for row in reader:
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
-            ws.append(float(row[3]))
-            segs.append(row[4])
+        rows = []
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"bad header {found!r}, expected {header!r}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(parse_row(row))
+        except UnicodeDecodeError as exc:  # decoding runs ahead of line_num
+            raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+def read_targets_csv(path: str | Path) -> TargetGrid:
+    rows = _read_csv(path, TARGETS_CSV_HEADER,
+                     lambda r: (float(r[1]), float(r[2]), float(r[3]), r[4]))
+    xs, ys, ws, segs = zip(*rows) if rows else ((), (), (), ())
     points = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
     return TargetGrid(
         spacing=_infer_spacing(points),
@@ -271,16 +283,10 @@ def read_candidates_csv(
     if catalog is None:
         catalog = load_scene(demo_scene_path()).catalog
     by_id = {s.type_id: s for s in catalog}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CANDIDATES_CSV_HEADER:
-            raise ValueError(
-                f"{path}: bad candidates header {header!r}, expected {CANDIDATES_CSV_HEADER!r}"
-            )
-        out = []
-        for r in reader:
-            if r[4] not in by_id:
-                raise ValueError(f"candidate type {r[4]!r} not in the scene catalog")
-            out.append(Candidate(float(r[1]), float(r[2]), float(r[3]), by_id[r[4]], float(r[5])))
-    return CandidateSet(candidates=tuple(out))
+
+    def parse_row(r: list[str]) -> Candidate:
+        if r[4] not in by_id:
+            raise ValueError(f"candidate type {r[4]!r} not in the scene catalog")
+        return Candidate(float(r[1]), float(r[2]), float(r[3]), by_id[r[4]], float(r[5]))
+
+    return CandidateSet(candidates=tuple(_read_csv(path, CANDIDATES_CSV_HEADER, parse_row)))

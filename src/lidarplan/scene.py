@@ -297,7 +297,7 @@ def load_scene(path: str | Path) -> Scene:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneParseError(f"cannot read scene file {path}: {exc}") from exc
     try:
         data = json.loads(text)

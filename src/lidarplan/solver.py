@@ -179,13 +179,14 @@ def solve_greedy(problem: DeploymentProblem) -> Solution:
     taken = np.zeros(problem.grid.rows, dtype=bool)
     spent = 0.0
     while True:
-        gains = (rows & ~covered[None, :]) @ w
+        # einsum sums each row alone, so equal rows get equal gains and ties
+        # really go to the smallest index; a BLAS matvec does not promise that.
+        gains = np.einsum("ij,j->i", rows & ~covered[None, :], w)
         usable = ~taken & (costs <= cap - spent + 1e-12) & (gains > 0)
         if not usable.any():
             break
-        with np.errstate(divide="ignore"):
-            per_cost = np.where(usable & (costs > 0), gains / costs, 0.0)
-            per_cost = np.where(usable & (costs == 0), np.inf, per_cost)
+        per_cost = np.divide(gains, costs, out=np.zeros_like(gains), where=usable & (costs > 0))
+        per_cost[usable & (costs == 0)] = np.inf
         best = int(np.argmax(per_cost))
         selected.append(best)
         taken[best] = True

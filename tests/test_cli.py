@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from lidarplan import demo_scene_path
-from lidarplan.cli import StageOutputs, _build_parser, _merge_config, main
+from lidarplan.cli import _OPTIONS, RunConfig, StageOutputs, _build_parser, _merge_config, main
 from lidarplan.solver import Cardinality
 
 FAST = [
@@ -129,13 +129,14 @@ def test_nonpositive_spacing_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", [
     "--count=-1", "--weights=central=-1", "--spacing=nan", "--gain-budgets=3,2",
     "--delta=inf", "--jobs=0", "--budget=-5", "--budget=inf", "--seed=-1",
-    "--intensity-min=nan",
+    "--intensity-min=nan", "--count=three", "--method=bogus", "--weights=central",
+    "--gain-budgets=1,x",
 ])
 def test_bad_numeric_flag_exit_2(flag, tmp_path, capsys):
     code = run(["pipeline", "--types", "type-3", flag, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usage:" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -289,6 +290,79 @@ def test_config_file_bad_value_exit_2(tmp_path, capsys):
     code = run(["grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "bad value" in capsys.readouterr().err
+
+
+# one valid non-default text value per config key; a new key needs one here
+OPTION_SAMPLES = {
+    "scene": "road.json", "spacing": "2.5", "candidate_spacing": "5", "delta": "1.25",
+    "types": "type-1, type-3", "budget": "40000", "count": "4",
+    "weights": "central=3, ew=2", "seed": "9", "jobs": "2", "out": "elsewhere",
+    "exact_limit": "12", "method": "exact, greedy", "intensity_min": "0.1",
+    "trials": "5", "vehicles": "2", "gain_budgets": "1, 2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+def test_flag_and_config_key_parse_alike(key, tmp_path):
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{key} = {OPTION_SAMPLES[key]}\n")
+    flag = "--" + key.replace("_", "-")
+    parse = _build_parser().parse_args
+    from_flag = _merge_config(parse(["solve", flag, OPTION_SAMPLES[key]]))
+    from_file = _merge_config(parse(["solve", "--config", str(cfg_file)]))
+    assert from_flag == from_file
+    assert from_flag != RunConfig()
+
+
+def test_non_utf8_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bom16.cfg"
+    cfg.write_bytes(b"\xff\xfecount = 3\n")
+    code = run(["grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "bom16.cfg" in err
+
+
+def test_non_utf8_scene_exit_2(tmp_path, capsys):
+    scene = tmp_path / "bom16.json"
+    scene.write_bytes(b"\xff\xfe{}")
+    code = run(["grid", "--scene", str(scene), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "bom16.json" in err
+
+
+def _short_row(text):
+    return text + "7,1.5\n"
+
+
+def _without_selected(text):
+    payload = json.loads(text)
+    del payload["selected"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("name,damage,stage", [
+    ("targets.csv", _short_row, "solve"),
+    ("candidates.csv", _short_row, "solve"),
+    ("solution.json", lambda text: "[]", "eval"),
+    ("solution.json", _without_selected, "render"),
+], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected"])
+def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
+                                              name, damage, stage):
+    out = tmp_path / "damaged"
+    out.mkdir()
+    for artifact in ("targets.csv", "candidates.csv", "grid.vgrd", "solution.json"):
+        (out / artifact).write_bytes((pipeline_dir / artifact).read_bytes())
+    (out / name).write_text(damage((out / name).read_text()))
+    code = run([stage, *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert str(out / name) in err
 
 
 def test_stage_outputs_partial_retention(tmp_path):

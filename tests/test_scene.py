@@ -201,6 +201,13 @@ def test_load_scene_missing_file(tmp_path):
         load_scene(tmp_path / "nope.json")
 
 
+def test_load_scene_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "bom16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SceneParseError, match="cannot read"):
+        load_scene(bad)
+
+
 def test_unknown_keys_ignored(demo_scene):
     data = scene_to_dict(demo_scene)
     data["comment"] = "free-form annotation"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,26 @@ def test_greedy_cardinality_matches_textbook_loop(rng):
             covered |= rows[best]
         assert sol.selected == tuple(sorted(selected))
         assert sol.objective == float(weights[covered].sum())
+
+
+def test_greedy_ties_on_equal_rows_go_to_smallest_index():
+    # fractional weights: equal rows must still get equal gains, so the
+    # first pick is never a later copy of an earlier row
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows = rng.random((10, 200)) < 0.6
+        rows[rng.integers(0, 10, 10)] = rows[rng.integers(0, 10)]
+        weights = rng.random(200) * 10
+        first = solve_greedy(problem(rows, weights=weights)).selected[0]
+        assert not any((rows[i] == rows[first]).all() for i in range(first))
+
+
+def test_greedy_zero_cost_candidate_without_gain_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_greedy(problem([[1, 1], [0, 0]], costs=[1, 0], constraint=Budget(1.0)))
+    assert sol.selected == (0,)
+    assert sol.objective == 2.0
 
 
 def test_greedy_ratio_bound_cardinality(rng):
