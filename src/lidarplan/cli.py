@@ -8,7 +8,8 @@ final artifacts.  Identical config and seed give byte-identical artifacts
 regardless of `--jobs`.
 
 Exit codes: 0 success, 1 infeasible stage or solver refusal, 2 input error,
-3 internal invariant breach.
+3 internal error (an invariant breach or any other exception), each with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -365,7 +366,9 @@ def _solution_payload(
     }
 
 
-def _read_solution(out_dir: Path) -> Solution:
+def _read_solution(out_dir: Path, n_candidates: int, n_targets: int) -> Solution:
+    """solution.json as a Solution whose selected and covered indices
+    address the n_candidates candidates and n_targets targets."""
     path = out_dir / "solution.json"
     if not path.exists():
         raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
@@ -382,7 +385,7 @@ def _read_solution(out_dir: Path) -> Solution:
             f"(expected {SOLUTION_FORMAT})",
         )
     try:
-        return Solution(
+        solution = Solution(
             selected=tuple(entry["idx"] for entry in payload["selected"]),
             covered=frozenset(payload["covered"]),
             objective=float(payload["objective"]),
@@ -394,6 +397,16 @@ def _read_solution(out_dir: Path) -> Solution:
         raise CliError(
             EXIT_INPUT, f"{path}: malformed solution ({type(exc).__name__}: {exc})"
         ) from exc
+    for key, indices, n, what in [
+        ("selected", solution.selected, n_candidates, "candidates"),
+        ("covered", payload["covered"], n_targets, "targets"),
+    ]:
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+                raise CliError(
+                    EXIT_INPUT, f"{path}: {key} index {i!r} is not one of the {n} {what}"
+                )
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +486,7 @@ def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _read_solution(out_dir)
+    solution = _read_solution(out_dir, len(candidates), len(targets))
     costs = candidates.costs
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
@@ -577,7 +590,7 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def stage_render(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _read_solution(out_dir)
+    solution = _read_solution(out_dir, len(candidates), len(targets))
     outputs = StageOutputs(out_dir)
     render_coverage_map(
         scene, targets, grid, solution, candidates.candidates,
@@ -662,6 +675,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug, not bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

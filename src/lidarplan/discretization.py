@@ -11,6 +11,7 @@ Points exactly on a polygon edge count as inside, with tolerance 1e-9 m.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -247,10 +248,14 @@ def read_targets_csv(path: str | Path) -> TargetGrid:
                      lambda r: (float(r[1]), float(r[2]), float(r[3]), r[4]))
     xs, ys, ws, segs = zip(*rows) if rows else ((), (), (), ())
     points = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
+    weights = np.asarray(ws, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1) | ~np.isfinite(weights))
+    if len(bad):
+        raise ValueError(f"{path}: target {bad[0]} has a non-finite coordinate or weight")
     return TargetGrid(
         spacing=_infer_spacing(points),
         points=points,
-        weights=np.asarray(ws, dtype=np.float64),
+        weights=weights,
         segment_of=tuple(segs),
     )
 
@@ -287,6 +292,9 @@ def read_candidates_csv(
     def parse_row(r: list[str]) -> Candidate:
         if r[4] not in by_id:
             raise ValueError(f"candidate type {r[4]!r} not in the scene catalog")
-        return Candidate(float(r[1]), float(r[2]), float(r[3]), by_id[r[4]], float(r[5]))
+        x, y, height, cost = (float(r[k]) for k in (1, 2, 3, 5))
+        if not all(map(math.isfinite, (x, y, height, cost))):
+            raise ValueError("non-finite number")
+        return Candidate(x, y, height, by_id[r[4]], cost)
 
     return CandidateSet(candidates=tuple(_read_csv(path, CANDIDATES_CSV_HEADER, parse_row)))

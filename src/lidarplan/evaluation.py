@@ -16,11 +16,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
-from .raycast import GroundReturns, VisibilityGrid, visibility_row
+from .raycast import GroundReturns, TargetIndex, VisibilityGrid, visibility_row
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
     EXACT_LIMIT_DEFAULT,
@@ -268,12 +267,13 @@ def occlusion_monte_carlo(
         for t in range(trials)
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)
+    index = TargetIndex(targets.points, delta)
     for i in solution.selected:  # one sensor's static returns alive at a time
         sensor = GroundReturns(candidates[i], scene)
         for t, boxes in enumerate(trial_boxes):
             covered[t] |= visibility_row(
                 sensor.cloud(intensity_min, boxes), targets, delta, intensity_min,
-                scene.ground_elevation,
+                scene.ground_elevation, index,
             )
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
@@ -297,14 +297,15 @@ def sample_density(
 ) -> np.ndarray:
     """Eligible samples within delta of each target, summed over the
     selected sensors.  A density proxy for how strongly each cell is
-    observed; uses a closed radius, unlike the strict visibility test."""
+    observed; a sample counts at np.hypot(dx, dy) <= delta, a closed radius
+    unlike the strict visibility test.  The targets are bucketed once
+    (raycast.TargetIndex) for every sensor."""
     counts = np.zeros(len(targets), dtype=np.int64)
+    index = TargetIndex(targets.points, delta)
     for i in solution.selected:
         good = GroundReturns(candidates[i], scene).cloud(intensity_min).samples
-        if len(good) == 0:
-            continue
-        tree = cKDTree(good[:, :2])
-        counts += tree.query_ball_point(targets.points, r=delta, return_length=True)
+        for ids, dist in index.distances(good[:, :2]):
+            np.add.at(counts, ids[dist <= delta], 1)
     return counts
 
 

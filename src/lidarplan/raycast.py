@@ -19,6 +19,12 @@ which samples may vouch for a target.  Only ground returns can, and from a
 mount above the ground only downward beams end there, so the visibility
 grid and the evaluation proxies cast just those (GroundReturns);
 simulate_sensor and cast_ray give the full cloud.
+
+Sample-to-target distances are found through a TargetIndex: a uniform
+bucket grid over the target points with cells at least delta wide, so every
+target within delta of a sample lies in the 3x3 cells around it.  Only
+those pairs are measured, with np.hypot; visibility is the strict test
+(distance < delta), sample density counts the closed one (<= delta).
 """
 
 from __future__ import annotations
@@ -30,13 +36,15 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .scene import Obstacle, Scene, SensorSpec
 
 HIT_EPS = 1e-9  # surface-grazing tolerance, meters
 CULL_MARGIN = 1e-6  # meters an obstacle's cull box reaches past its footprint, at least
+
+BUCKETS_PER_TARGET = 16  # a TargetIndex has at most this many cells per target (or one)
+PAIR_CHUNK = 1 << 20  # sample-target pairs measured at once by TargetIndex.distances
 
 VGRID_MAGIC = b"VGRD"
 VGRID_HEADER = struct.Struct("<4sIId")  # magic, rows, cols, delta
@@ -347,21 +355,104 @@ def eligible_samples(
     return samples[keep]
 
 
+class TargetIndex:
+    """Target points bucketed on a uniform grid, for finding the targets
+    within `delta` of many samples.
+
+    The cell side starts a hair above delta, so every target within delta
+    of a sample lies in the 3x3 cells around the sample's cell, and doubles
+    while there would be more than BUCKETS_PER_TARGET cells per target, so
+    a wide extent with a tiny delta still takes little memory.  Any point
+    set works: a lattice, targets read back from CSV, scattered or
+    duplicate points, or none at all.
+    """
+
+    def __init__(self, points: np.ndarray, delta: float):
+        if not delta > 0:
+            raise ValueError("delta must be > 0")
+        self.delta = delta
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        self.lo = points.min(axis=0) if len(points) else np.zeros(2)
+        extent = points.max(axis=0) - self.lo if len(points) else np.zeros(2)
+        # The slack keeps rounding in the cell arithmetic from putting a
+        # pair within delta more than one cell apart.
+        self.cell = delta * (1.0 + 1e-6)
+        while True:
+            self.nx, self.ny = (int(np.floor(e / self.cell)) + 1 for e in extent)
+            if self.nx * self.ny <= max(1, BUCKETS_PER_TARGET * len(points)):
+                break
+            self.cell *= 2.0
+        # Buckets are numbered over the grid padded by two empty cells on
+        # each side, so a cell next to the grid has all its neighbours.
+        self.width = self.nx + 4
+        key = self._keys(points)
+        self.order = np.argsort(key, kind="stable")  # target ids, bucket by bucket
+        self.xs, self.ys = points[self.order, 0], points[self.order, 1]
+        # Bucket b holds the targets order[start[b]:start[b + 1]].
+        self.start = np.searchsorted(key[self.order], np.arange(self.width * (self.ny + 4) + 1))
+        self.offsets = (np.arange(-1, 2)[:, None] * self.width + np.arange(-1, 2)).ravel()
+        counts = np.diff(self.start)
+        self.around = np.zeros_like(counts)  # targets in the 3x3 cells around each cell
+        inner = slice(self.width + 1, len(counts) - self.width - 1)
+        for off in self.offsets:
+            self.around[inner] += counts[inner.start + off:inner.stop + off]
+
+    def _keys(self, xy: np.ndarray) -> np.ndarray:
+        """Padded bucket of each point's cell; -1 for a point two or more
+        cells off the grid, which has no target within delta."""
+        cx = np.floor((xy[:, 0] - self.lo[0]) / self.cell)
+        cy = np.floor((xy[:, 1] - self.lo[1]) / self.cell)
+        near = (cx >= -1) & (cx <= self.nx) & (cy >= -1) & (cy <= self.ny)
+        return np.where(near, (cy + 2) * self.width + (cx + 2), -1).astype(np.intp)
+
+    def distances(self, xy: np.ndarray):
+        """Yield (target ids, distances) chunks that cover every (sample,
+        target) pair in neighbouring cells, so every pair within delta.
+        A target appears once for each sample near it."""
+        key = self._keys(xy)
+        sample = np.flatnonzero(key >= 0)
+        per_sample = self.around[key[sample]]
+        sample, per_sample = sample[per_sample > 0], per_sample[per_sample > 0]
+        groups = (key[sample, None] + self.offsets).ravel()  # 9 per sample
+        first = self.start[groups]
+        count = self.start[groups + 1] - first
+        ends = np.cumsum(per_sample)
+        i = 0
+        while i < len(sample):  # about PAIR_CHUNK pairs at a time, at least one sample
+            done = ends[i] - per_sample[i]
+            j = max(i + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+            c = count[9 * i:9 * j]
+            # Each pair's place in bucket order: the first target of its
+            # group plus a running index that restarts with every group.
+            pos = np.repeat(first[9 * i:9 * j] - np.cumsum(c) + c, c)
+            pos += np.arange(len(pos))
+            at = np.repeat(sample[i:j], per_sample[i:j])
+            yield self.order[pos], np.hypot(xy[at, 0] - self.xs[pos], xy[at, 1] - self.ys[pos])
+            i = j
+
+
 def visibility_row(
     cloud: PointCloud,
     targets: TargetGrid,
     delta: float,
     intensity_min: float | None,
     ground_z: float,
+    index: TargetIndex | None = None,
 ) -> np.ndarray:
-    """Boolean row: target j is visible iff some eligible sample lies within
-    planar distance < delta of it."""
+    """Boolean row: target j is visible iff some eligible sample lies at
+    planar distance np.hypot(dx, dy) < delta from it (a strict radius).
+
+    index, a TargetIndex of targets.points for at least this delta, lets
+    a caller filling many rows bucket the targets once."""
+    if index is None:
+        index = TargetIndex(targets.points, delta)
+    elif index.delta < delta:
+        raise ValueError(f"target index built for delta {index.delta}, not {delta}")
     good = eligible_samples(cloud.samples, ground_z, intensity_min)
-    if len(good) == 0 or len(targets) == 0:
-        return np.zeros(len(targets), dtype=bool)
-    tree = cKDTree(good[:, :2])
-    dist, _ = tree.query(targets.points, k=1, workers=1)
-    return dist < delta
+    row = np.zeros(len(targets), dtype=bool)
+    for ids, dist in index.distances(good[:, :2]):
+        row[ids[dist < delta]] = True
+    return row
 
 
 @dataclass(frozen=True)
@@ -425,11 +516,12 @@ def build_visibility_grid(
     ground_z = scene.ground_elevation
     prisms = _prisms(scene.obstacles, ground_z)
     down = {spec: _downward_beams(spec) for spec in {candidates[i].sensor for i in range(n_s)}}
+    index = TargetIndex(targets.points, delta)
 
     def fill(i: int) -> None:
         returns = GroundReturns(candidates[i], scene, down[candidates[i].sensor], prisms)
         cloud = returns.cloud(intensity_min)
-        bits[i, :] = visibility_row(cloud, targets, delta, intensity_min, ground_z)
+        bits[i, :] = visibility_row(cloud, targets, delta, intensity_min, ground_z, index)
 
     if jobs is not None and jobs > 1 and n_s > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
-from lidarplan import Budget, Cardinality
+from lidarplan import Budget, Cardinality, TargetGrid
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,56 @@ def brute_force_visibility(clouds, targets_xy, delta, ground_z,
     return bits
 
 
+def brute_force_density(clouds, targets_xy, delta, ground_z,
+                        intensity_min=None) -> np.ndarray:
+    """Eligible samples at distance <= delta (a closed radius) of each
+    target, summed over the clouds; ground returns only."""
+    counts = np.zeros(len(targets_xy), dtype=np.int64)
+    for cloud in clouds:
+        for sample in cloud.samples:
+            if sample[2] != ground_z:
+                continue
+            if intensity_min is not None and sample[3] < intensity_min:
+                continue
+            for j, (tx, ty) in enumerate(targets_xy):
+                if math.hypot(sample[0] - tx, sample[1] - ty) <= delta:
+                    counts[j] += 1
+    return counts
+
+
+def scattered_targets(rng: np.random.Generator, n, lo, hi, duplicates=0) -> TargetGrid:
+    """n uniform random target points in the square [lo, hi)^2, not on any
+    lattice, plus copies of `duplicates` of them; random weights."""
+    points = rng.uniform(lo, hi, (n, 2))
+    points = np.vstack([points, points[rng.integers(0, n, duplicates)]])
+    return TargetGrid(
+        spacing=1.0,
+        points=points,
+        weights=rng.uniform(0.5, 2.0, len(points)),
+        segment_of=("r",) * len(points),
+    )
+
+
+def _hull(points):
+    """Convex hull vertices counter-clockwise (Andrew's monotone chain);
+    points on a hull edge are dropped."""
+    pts = sorted((float(x), float(y)) for x, y in points)
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def convex_polygon(rng: np.random.Generator, cx, cy, r_lo, r_hi, n_lo=3, n_hi=7):
     """Random convex polygon around (cx, cy): convex hull of ring points.
 
@@ -193,6 +242,6 @@ def convex_polygon(rng: np.random.Generator, cx, cy, r_lo, r_hi, n_lo=3, n_hi=7)
         pts = np.column_stack(
             [cx + radii * np.cos(angles), cy + radii * np.sin(angles)]
         )
-        hull = ConvexHull(pts)
-        if len(hull.vertices) >= 3:
-            return tuple((float(x), float(y)) for x, y in pts[hull.vertices])
+        hull = _hull(pts)
+        if len(hull) >= 3:
+            return tuple(hull)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lidarplan import demo_scene_path
+from lidarplan import cli, demo_scene_path
 from lidarplan.cli import _OPTIONS, RunConfig, StageOutputs, _build_parser, _merge_config, main
 from lidarplan.solver import Cardinality
 
@@ -344,12 +346,43 @@ def _without_selected(text):
     return json.dumps(payload)
 
 
+def _first_selected_idx(idx):
+    def damage(text):
+        payload = json.loads(text)
+        payload["selected"][0]["idx"] = idx
+        return json.dumps(payload)
+    return damage
+
+
+def _extra_covered(idx):
+    def damage(text):
+        payload = json.loads(text)
+        payload["covered"].append(idx)
+        return json.dumps(payload)
+    return damage
+
+
+def _nan_first_x(text):
+    header, first, rest = text.split("\n", 2)
+    fields = first.split(",")
+    fields[1] = "nan"
+    return "\n".join([header, ",".join(fields), rest])
+
+
 @pytest.mark.parametrize("name,damage,stage", [
     ("targets.csv", _short_row, "solve"),
     ("candidates.csv", _short_row, "solve"),
     ("solution.json", lambda text: "[]", "eval"),
     ("solution.json", _without_selected, "render"),
-], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected"])
+    ("solution.json", _first_selected_idx(999), "eval"),
+    ("solution.json", _first_selected_idx(-1), "eval"),
+    ("solution.json", _first_selected_idx(1.0), "render"),
+    ("solution.json", _extra_covered(10**6), "eval"),
+    ("targets.csv", _nan_first_x, "eval"),
+    ("candidates.csv", _nan_first_x, "eval"),
+], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
+        "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
+        "solution-covered-past-end", "targets-nan", "candidates-nan"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"
@@ -377,6 +410,31 @@ def test_stage_outputs_partial_retention(tmp_path):
     assert done == [tmp_path / "data.txt"]
     assert not partial.exists()
     assert (tmp_path / "data.txt").read_text() == "half-finished"
+
+
+def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):
+    def broken_stage(cfg, out_dir):
+        raise RuntimeError("stage blew up")
+
+    monkeypatch.setitem(cli._STAGES, "grid", broken_stage)
+    code = run(["grid", *FAST, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["internal error: RuntimeError: stage blew up"]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lidarplan.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

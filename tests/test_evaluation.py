@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exhaustive_best, random_instance
+from helpers import brute_force_density, exhaustive_best, random_instance, scattered_targets
 from lidarplan import (
     Budget,
     Candidate,
@@ -13,6 +13,8 @@ from lidarplan import (
     RoadSegment,
     Scene,
     SensorSpec,
+    Solution,
+    TargetGrid,
     VehicleModel,
     VisibilityGrid,
     build_visibility_grid,
@@ -22,6 +24,7 @@ from lidarplan import (
     occlusion_monte_carlo,
     render_coverage_map,
     sample_density,
+    simulate_sensor,
     solve_exact,
     solve_greedy,
 )
@@ -338,6 +341,66 @@ def test_sample_density_nonzero_exactly_where_useful():
     covered = np.zeros(len(targets), dtype=bool)
     covered[list(solution.covered)] = True
     assert np.all(density[covered] >= 1)
+
+
+@pytest.mark.parametrize("intensity_min", [None, 0.5])
+def test_sample_density_matches_closed_radius_oracle_on_demo(
+    demo_scene, demo_targets, demo_candidates_t1, demo_grid_t1, intensity_min
+):
+    problem = DeploymentProblem(
+        demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(3)
+    )
+    solution = solve_greedy(problem)
+    density = sample_density(
+        solution, demo_scene, demo_targets, demo_candidates_t1, 1.5, intensity_min
+    )
+    clouds = [simulate_sensor(demo_candidates_t1[i], demo_scene) for i in solution.selected]
+    want = brute_force_density(clouds, [tuple(p) for p in demo_targets.points], 1.5,
+                               demo_scene.ground_elevation, intensity_min)
+    assert want.sum() > 0
+    assert np.array_equal(density, want)
+
+
+def test_sample_density_matches_closed_radius_oracle_on_scattered_targets(rng):
+    scene, _, cands, solution = micro_setup()
+    assert len(solution.selected) == 2
+    clouds = [simulate_sensor(cands[i], scene) for i in solution.selected]
+    counted = 0
+    for n, duplicates in [(1, 0), (1, 2), (60, 15)]:
+        # the samples reach well past [-25, 25)^2 and the targets beyond them
+        targets = scattered_targets(rng, n, -25.0, 25.0, duplicates)
+        delta = float(rng.uniform(0.3, 3.0))
+        for intensity_min in (None, 0.5):
+            density = sample_density(solution, scene, targets, cands, delta, intensity_min)
+            want = brute_force_density(clouds, [tuple(p) for p in targets.points], delta,
+                                       scene.ground_elevation, intensity_min)
+            assert np.array_equal(density, want)
+            counted += int(want.sum())
+    assert counted > 0
+
+
+def test_sample_density_counts_a_sample_at_exactly_delta():
+    # One beam, one ground return; the first target sits at exactly delta
+    # from it by construction, the second just past delta.
+    s = SensorSpec(type_id="t", channels=1, vertical_fov_min=-14.0, vertical_fov_max=-14.0,
+                   horizontal_fov=360.0, range_m=50.0, unit_cost=1.0, azimuth_step=360.0)
+    scene = Scene(
+        road_segments=(RoadSegment(id="r", polygon=rect(15, -5, 25, 5)),),
+        mount_zones=(MountZone(id="z", geometry=rect(-1, -1, 1, 1), allowed_heights=(5.0,)),),
+    )
+    cands = ListCandidates([Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0)])
+    (sx, sy, _, _), = simulate_sensor(cands[0], scene).samples
+    points = np.array([[sx + 1.0, sy], [np.nextafter(sx + 1.0, np.inf), sy]])
+    delta = abs(sx - points[0, 0])
+    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
+    solution = Solution(selected=(0,), covered=frozenset(), objective=0.0, total_cost=1.0,
+                        method="exact", optimality_bound=0.0)
+    density = sample_density(solution, scene, targets, cands, delta)
+    assert density.tolist() == [1, 0]
+    assert np.array_equal(density, brute_force_density(
+        [simulate_sensor(cands[0], scene)], [tuple(p) for p in points], delta, 0.0))
+    grid = build_visibility_grid(cands, targets, scene, delta=delta)
+    assert not grid.bits.any()  # the strict radius leaves both out
 
 
 def test_proxy_note_mentions_limits():

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import brute_force_visibility, cast_ray_ref, convex_polygon
+from helpers import (
+    brute_force_density,
+    brute_force_visibility,
+    cast_ray_ref,
+    convex_polygon,
+    scattered_targets,
+)
 from lidarplan import (
     Candidate,
     MountZone,
@@ -12,6 +18,7 @@ from lidarplan import (
     RoadSegment,
     Scene,
     SensorSpec,
+    TargetGrid,
     VisibilityGrid,
     build_visibility_grid,
     cast_ray,
@@ -23,7 +30,10 @@ from lidarplan import (
 from lidarplan.raycast import (
     CULL_MARGIN,
     VGRID_MAGIC,
+    BUCKETS_PER_TARGET,
     GroundReturns,
+    PointCloud,
+    TargetIndex,
     _cast_scene,
     _clip_prism,
     _ground_t,
@@ -582,8 +592,6 @@ def test_ground_returns_from_mounts_at_or_below_ground():
 
 
 def test_visibility_row_empty_targets():
-    from lidarplan import TargetGrid
-
     empty = TargetGrid(
         spacing=1.0,
         points=np.zeros((0, 2)),
@@ -594,6 +602,95 @@ def test_visibility_row_empty_targets():
     cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene())
     row = visibility_row(cloud, empty, 2.0, None, 0.0)
     assert row.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# target index against the quadratic oracles
+
+
+def cloud_around(rng, points, n, reach, lo, hi):
+    """n samples: half within `reach` per axis of random target points, half
+    uniform over [lo, hi)^2; about a quarter off the ground (z = 0)."""
+    near = points[rng.integers(0, len(points), n // 2)] + rng.uniform(-reach, reach, (n // 2, 2))
+    xy = np.vstack([near, rng.uniform(lo, hi, (n - n // 2, 2))])
+    z = np.where(rng.random(n) < 0.25, 1.0, 0.0)
+    return PointCloud(samples=np.column_stack([xy, z, rng.random(n)]))
+
+
+def closed_counts(index, cloud, delta):
+    """Per-target count of ground samples at distance <= delta, from the index."""
+    counts = np.zeros(len(index.order), dtype=np.int64)
+    ground = cloud.samples[cloud.samples[:, 2] == 0.0]
+    for ids, dist in index.distances(ground[:, :2]):
+        np.add.at(counts, ids[dist <= delta], 1)
+    return counts
+
+
+def assert_index_matches_oracles(targets, cloud, delta):
+    xy = [tuple(p) for p in targets.points]
+    index = TargetIndex(targets.points, delta)
+    for intensity_min in (None, 0.5):
+        want = brute_force_visibility([cloud], xy, delta, 0.0, intensity_min)[0]
+        assert np.array_equal(visibility_row(cloud, targets, delta, intensity_min, 0.0), want)
+        assert np.array_equal(
+            visibility_row(cloud, targets, delta, intensity_min, 0.0, index), want
+        )
+    assert np.array_equal(closed_counts(index, cloud, delta),
+                          brute_force_density([cloud], xy, delta, 0.0))
+
+
+def test_index_scattered_targets_with_duplicates(rng):
+    for n, duplicates in [(1, 0), (1, 3), (2, 2), (40, 10), (150, 30)]:
+        targets = scattered_targets(rng, n, -10.0, 10.0, duplicates)
+        delta = float(rng.uniform(0.2, 4.0))
+        # uniform samples reach well past the targets on every side
+        cloud = cloud_around(rng, targets.points, 400, 1.5 * delta, -25.0, 25.0)
+        assert_index_matches_oracles(targets, cloud, delta)
+
+
+@pytest.mark.parametrize("unit", [0.125, 0.25, 0.5])
+def test_index_pairs_at_exactly_delta(rng, unit):
+    # Dyadic coordinates and 3-4-5 offsets: every sample below sits at
+    # exactly delta = 5 * unit from its target, which the strict test must
+    # reject and the closed one count.  Targets are 3 * delta apart, so no
+    # other target is that close.
+    delta = 5 * unit
+    cells = rng.choice(400, 60, replace=False)
+    points = 3 * delta * np.column_stack([cells % 20, cells // 20]).astype(float) - 7.0
+    targets = TargetGrid(spacing=1.0, points=np.vstack([points, points[:5]]),
+                         weights=np.ones(65), segment_of=("r",) * 65)
+    offsets = unit * np.array([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (-4, 3), (-3, -4),
+                               (4, -3)], dtype=float)
+    xy = (points[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    inside = points[::2] + 0.5 * offsets[4]  # half the targets also get a sample within delta
+    samples = np.vstack([xy, inside])
+    cloud = PointCloud(samples=np.column_stack(
+        [samples, np.zeros(len(samples)), np.ones(len(samples))]
+    ))
+    assert_index_matches_oracles(targets, cloud, delta)
+    row = visibility_row(cloud, targets, delta, None, 0.0)
+    assert np.array_equal(row[:60], np.arange(60) % 2 == 0)
+    assert np.all(closed_counts(TargetIndex(targets.points, delta), cloud, delta)[:60] >= 8)
+
+
+def test_index_wide_extent_tiny_delta_caps_buckets(rng):
+    targets = scattered_targets(rng, 300, -1e4, 1e4, duplicates=20)
+    delta = 1e-3
+    index = TargetIndex(targets.points, delta)
+    assert index.cell > 1000 * delta  # the cap doubled the cell many times
+    assert index.nx * index.ny <= BUCKETS_PER_TARGET * len(targets)
+    cloud = cloud_around(rng, targets.points, 2000, 2 * delta, -2e4, 2e4)
+    assert_index_matches_oracles(targets, cloud, delta)
+    assert visibility_row(cloud, targets, delta, None, 0.0).any()
+
+
+def test_index_rejects_a_smaller_reach(rng):
+    targets = scattered_targets(rng, 10, 0.0, 5.0)
+    cloud = cloud_around(rng, targets.points, 20, 1.0, 0.0, 5.0)
+    with pytest.raises(ValueError, match="delta"):
+        visibility_row(cloud, targets, 2.0, None, 0.0, TargetIndex(targets.points, 1.0))
+    with pytest.raises(ValueError, match="delta"):
+        TargetIndex(targets.points, 0.0)
 
 
 # ---------------------------------------------------------------------------
