@@ -1,11 +1,12 @@
 """Command-line pipeline: scene file in, deployment plan and reports out.
 
 Subcommands mirror the stages (grid, solve, eval, render); `pipeline` runs
-them all and writes a manifest of config and artifact checksums.  Every
-stage writes its outputs under `--out`, first as `<name>.partial`, renamed
-only when the stage finishes, so interrupted runs leave no half-written
-final artifacts.  Identical config and seed give byte-identical artifacts
-regardless of `--jobs`.
+them all on one `Run`, which hands the scene, artifacts and solution from
+stage to stage in memory, and writes a manifest of config and artifact
+checksums.  Every stage writes its outputs under `--out`, first as
+`<name>.partial`, renamed only when the stage finishes, so interrupted runs
+leave no half-written final artifacts.  Identical config and seed give
+byte-identical artifacts regardless of `--jobs`.
 
 Exit codes: 0 success, 1 infeasible stage or solver refusal, 2 input error,
 3 internal error (an invariant breach or any other exception), each with one
@@ -22,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -132,7 +134,7 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(","))
+    methods = tuple(dict.fromkeys(m.strip() for m in text.split(",")))  # first-seen order
     bad = [m for m in methods if m not in ("auto", "exact", "greedy")]
     if bad:
         raise ValueError(f"unknown method {bad[0]!r}, expected auto, exact or greedy")
@@ -293,16 +295,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_scene_checked(cfg: RunConfig) -> Scene:
-    path = cfg.scene_path
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"scene file not found: {path}")
-    try:
-        return load_scene(path)
-    except (SceneParseError, SceneValidationError) as exc:
-        raise CliError(EXIT_INPUT, f"invalid scene {path}: {exc}") from exc
-
-
 def _select_types(scene: Scene, cfg: RunConfig):
     if not cfg.types:
         return list(scene.catalog)
@@ -311,30 +303,6 @@ def _select_types(scene: Scene, cfg: RunConfig):
     if missing:
         raise CliError(EXIT_INPUT, f"unknown sensor types: {', '.join(missing)}")
     return [by_id[t] for t in cfg.types]
-
-
-def _read_artifacts(
-    cfg: RunConfig, out_dir: Path
-) -> tuple[Scene, TargetGrid, CandidateSet, VisibilityGrid]:
-    scene = _load_scene_checked(cfg)
-    for name in ("targets.csv", "candidates.csv", "grid.vgrd"):
-        if not (out_dir / name).exists():
-            raise CliError(
-                EXIT_INPUT, f"missing artifact {out_dir / name}; run the grid stage first"
-            )
-    try:
-        targets = read_targets_csv(out_dir / "targets.csv")
-        candidates = read_candidates_csv(out_dir / "candidates.csv", scene.catalog)
-        grid = VisibilityGrid.load(out_dir / "grid.vgrd")
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
-    if grid.rows != len(candidates) or grid.cols != len(targets):
-        raise CliError(
-            EXIT_INPUT,
-            f"artifact shape mismatch: grid is {grid.rows}x{grid.cols} but there are "
-            f"{len(candidates)} candidates and {len(targets)} targets",
-        )
-    return scene, targets, candidates, grid
 
 
 def _solution_payload(
@@ -366,55 +334,106 @@ def _solution_payload(
     }
 
 
-def _read_solution(out_dir: Path, n_candidates: int, n_targets: int) -> Solution:
-    """solution.json as a Solution whose selected and covered indices
-    address the n_candidates candidates and n_targets targets."""
-    path = out_dir / "solution.json"
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or not UTF-8
-        raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    if payload.get("format") != SOLUTION_FORMAT:
-        raise CliError(
-            EXIT_INPUT,
-            f"{path}: format {payload.get('format')!r} not supported "
-            f"(expected {SOLUTION_FORMAT})",
-        )
-    try:
-        solution = Solution(
-            selected=tuple(entry["idx"] for entry in payload["selected"]),
-            covered=frozenset(payload["covered"]),
-            objective=float(payload["objective"]),
-            total_cost=float(payload["total_cost"]),
-            method=payload["method"],
-            optimality_bound=float(payload["optimality_bound"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(
-            EXIT_INPUT, f"{path}: malformed solution ({type(exc).__name__}: {exc})"
-        ) from exc
-    for key, indices, n, what in [
-        ("selected", solution.selected, n_candidates, "candidates"),
-        ("covered", payload["covered"], n_targets, "targets"),
-    ]:
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
-                raise CliError(
-                    EXIT_INPUT, f"{path}: {key} index {i!r} is not one of the {n} {what}"
-                )
-    return solution
+def _solution_name(method: str) -> str:
+    return "solution.json" if method == "auto" else f"solution_{method}.json"
+
+
+class Run:
+    """The inputs of one command, shared by the stages it runs.
+
+    A value an earlier stage of this process produced (the grid stage sets
+    `artifacts`, the solve stage `solution`) is used as is, so a pipeline
+    never reads back what it wrote nor evaluates a solution it did not
+    write; anything else is read once, on first use, from --scene or --out.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.out_dir = Path(cfg.out)
+
+    @cached_property
+    def scene(self) -> Scene:
+        path = self.cfg.scene_path
+        if not path.exists():
+            raise CliError(EXIT_INPUT, f"scene file not found: {path}")
+        try:
+            return load_scene(path)
+        except (SceneParseError, SceneValidationError) as exc:
+            raise CliError(EXIT_INPUT, f"invalid scene {path}: {exc}") from exc
+
+    @cached_property
+    def artifacts(self) -> tuple[TargetGrid, CandidateSet, VisibilityGrid]:
+        """(targets, candidates, grid) as the grid stage writes them."""
+        catalog = self.scene.catalog  # a bad --scene is reported before a missing artifact
+        paths = [self.out_dir / name for name in ("targets.csv", "candidates.csv", "grid.vgrd")]
+        for path in paths:
+            if not path.exists():
+                raise CliError(EXIT_INPUT, f"missing artifact {path}; run the grid stage first")
+        try:
+            targets = read_targets_csv(paths[0])
+            candidates = read_candidates_csv(paths[1], catalog)
+            grid = VisibilityGrid.load(paths[2])
+        except ValueError as exc:
+            raise CliError(EXIT_INPUT, str(exc)) from exc
+        if grid.rows != len(candidates) or grid.cols != len(targets):
+            raise CliError(
+                EXIT_INPUT,
+                f"artifact shape mismatch: grid is {grid.rows}x{grid.cols} but there are "
+                f"{len(candidates)} candidates and {len(targets)} targets",
+            )
+        return targets, candidates, grid
+
+    @cached_property
+    def solution(self) -> Solution:
+        """The first --method's solution, which eval and render evaluate; its
+        selected and covered indices address the candidates and targets."""
+        targets, candidates, _ = self.artifacts
+        path = self.out_dir / _solution_name(self.cfg.methods[0])
+        if not path.exists():
+            raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or not UTF-8
+            raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
+        if payload.get("format") != SOLUTION_FORMAT:
+            raise CliError(
+                EXIT_INPUT,
+                f"{path}: format {payload.get('format')!r} not supported "
+                f"(expected {SOLUTION_FORMAT})",
+            )
+        try:
+            solution = Solution(
+                selected=tuple(entry["idx"] for entry in payload["selected"]),
+                covered=frozenset(payload["covered"]),
+                objective=float(payload["objective"]),
+                total_cost=float(payload["total_cost"]),
+                method=payload["method"],
+                optimality_bound=float(payload["optimality_bound"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(
+                EXIT_INPUT, f"{path}: malformed solution ({type(exc).__name__}: {exc})"
+            ) from exc
+        for key, indices, n, what in [
+            ("selected", solution.selected, len(candidates), "candidates"),
+            ("covered", payload["covered"], len(targets), "targets"),
+        ]:
+            for i in indices:
+                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+                    raise CliError(
+                        EXIT_INPUT, f"{path}: {key} index {i!r} is not one of the {n} {what}"
+                    )
+        return solution
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_grid(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    scene = _load_scene_checked(cfg)
+def stage_grid(run: Run) -> list[Path]:
+    cfg, scene = run.cfg, run.scene
     types = _select_types(scene, cfg)
     try:
         targets = discretize_roi(scene, cfg.spacing)
@@ -438,25 +457,25 @@ def stage_grid(cfg: RunConfig, out_dir: Path) -> list[Path]:
         f"[grid] {len(targets)} targets, {len(candidates)} candidates, "
         f"{grid.bits.sum()} visibility bits ({time.perf_counter() - t0:.1f}s)"
     )
-    outputs = StageOutputs(out_dir)
+    outputs = StageOutputs(run.out_dir)
     write_targets_csv(targets, outputs.path_for("targets.csv"))
     write_candidates_csv(candidates, outputs.path_for("candidates.csv"))
     grid.save(outputs.path_for("grid.vgrd"))
+    run.artifacts = targets, candidates, grid
     return outputs.commit()
 
 
-def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    _, targets, candidates, grid = _read_artifacts(cfg, out_dir)
+def stage_solve(run: Run) -> list[Path]:
+    cfg = run.cfg
+    targets, candidates, grid = run.artifacts
     costs = candidates.costs
     weighted = bool(cfg.weights)
     runs = [  # (method, artifact, target weights, weighted flag in the artifact)
-        (method, "solution.json" if method == "auto" else f"solution_{method}.json",
-         targets.weights, weighted)
-        for method in cfg.methods
+        (method, _solution_name(method), targets.weights, weighted) for method in cfg.methods
     ]
     if weighted:  # uniform-weight baseline for comparison
         runs.append(("auto", "solution_uniform.json", np.ones_like(targets.weights), False))
-    outputs = StageOutputs(out_dir)
+    outputs = StageOutputs(run.out_dir)
     for method, name, weights, is_weighted in runs:
         problem = DeploymentProblem(grid, weights, costs, cfg.constraint())
         t0 = time.perf_counter()
@@ -481,12 +500,14 @@ def stage_solve(cfg: RunConfig, out_dir: Path) -> list[Path]:
             outputs.path_for(name),
             _solution_payload(cfg, solution, candidates, weights, is_weighted),
         )
+        if name == runs[0][1]:  # the first --method's, which eval and render evaluate
+            run.solution = solution
     return outputs.commit()
 
 
-def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _read_solution(out_dir, len(candidates), len(targets))
+def stage_eval(run: Run) -> list[Path]:
+    cfg, scene, solution = run.cfg, run.scene, run.solution
+    targets, candidates, grid = run.artifacts
     costs = candidates.costs
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
@@ -543,7 +564,7 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
         f"max {report['sample_density']['max_over_covered']}",
     ]
 
-    outputs = StageOutputs(out_dir)
+    outputs = StageOutputs(run.out_dir)
     if cfg.gain_budgets:
         kind = cfg.constraint_record()["kind"]
         curve = gain_curve(
@@ -588,12 +609,12 @@ def stage_eval(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return outputs.commit()
 
 
-def stage_render(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    scene, targets, candidates, grid = _read_artifacts(cfg, out_dir)
-    solution = _read_solution(out_dir, len(candidates), len(targets))
-    outputs = StageOutputs(out_dir)
+def stage_render(run: Run) -> list[Path]:
+    solution = run.solution
+    targets, candidates, grid = run.artifacts
+    outputs = StageOutputs(run.out_dir)
     render_coverage_map(
-        scene, targets, grid, solution, candidates.candidates,
+        run.scene, targets, grid, solution, candidates.candidates,
         outputs.path_for("coverage.svg"),
     )
     print(f"[render] coverage map for {len(solution.selected)} sensors")
@@ -624,13 +645,11 @@ def _manifest_config(cfg: RunConfig) -> dict:
     }
 
 
-def stage_pipeline(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def stage_pipeline(run: Run) -> list[Path]:
     artifacts: list[Path] = []
-    artifacts += stage_grid(cfg, out_dir)
-    artifacts += stage_solve(cfg, out_dir)
-    artifacts += stage_eval(cfg, out_dir)
-    artifacts += stage_render(cfg, out_dir)
-    config = _manifest_config(cfg)
+    for stage in (stage_grid, stage_solve, stage_eval, stage_render):
+        artifacts += stage(run)
+    config = _manifest_config(run.cfg)
     config_text = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -640,10 +659,10 @@ def stage_pipeline(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
-    outputs = StageOutputs(out_dir)
+    outputs = StageOutputs(run.out_dir)
     _write_json(outputs.path_for("manifest.json"), manifest)
     done = outputs.commit()
-    print(f"[pipeline] wrote {len(artifacts) + 1} artifacts to {out_dir}")
+    print(f"[pipeline] wrote {len(artifacts) + 1} artifacts to {run.out_dir}")
     return artifacts + done
 
 
@@ -660,9 +679,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _merge_config(args)
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _STAGES[args.command](cfg, out_dir)
+        run = Run(cfg)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        _STAGES[args.command](run)
         return EXIT_OK
     except CliError as exc:
         print(f"[{getattr(args, 'command', '?')}] error: {exc}", file=sys.stderr)

@@ -75,14 +75,13 @@ def generate_beams(spec: SensorSpec) -> np.ndarray:
     (a single channel sits at the midpoint).  Azimuths are the multiples of
     azimuth_step in [0, horizontal_fov), so a full 360-degree sweep never
     duplicates the 0/360 direction and the beam count is exactly
-    channels * ceil(horizontal_fov / azimuth_step).
+    spec.beam_count.
     """
     if spec.channels == 1:
         elevations = np.array([(spec.vertical_fov_min + spec.vertical_fov_max) / 2.0])
     else:
         elevations = np.linspace(spec.vertical_fov_min, spec.vertical_fov_max, spec.channels)
-    n_az = int(np.ceil(spec.horizontal_fov / spec.azimuth_step - HIT_EPS))
-    azimuths = np.arange(n_az, dtype=np.float64) * spec.azimuth_step
+    azimuths = np.arange(spec.azimuth_count, dtype=np.float64) * spec.azimuth_step
 
     el = np.deg2rad(elevations)[:, None]
     az = np.deg2rad(azimuths)[None, :]

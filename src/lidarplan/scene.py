@@ -9,6 +9,7 @@ is immutable after load and safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,10 @@ from .geometry import (
 
 # Default vertical resolution of one spinning-head revolution (degrees per step).
 DEFAULT_AZIMUTH_STEP = 0.4
+# Most beams one revolution may have; the demo's largest type has 23,040.
+# A finite but huge channels or a tiny azimuth_step is refused at load
+# instead of asking the raycaster for billions of beams.
+MAX_BEAMS = 1 << 22
 
 
 class SceneParseError(ValueError):
@@ -56,6 +61,20 @@ class SensorSpec:
     # Recorded for reporting only; the static coverage model ignores them.
     capture_frequency_hz: float | None = None
     accuracy_m: float | None = None
+
+    @property
+    def azimuth_count(self) -> int:
+        """Azimuths per channel: the multiples of azimuth_step in
+        [0, horizontal_fov), i.e. ceil(horizontal_fov / azimuth_step).  The
+        1e-9 keeps a step that divides the FOV up to rounding from adding
+        one; the 2**62 cap (past any valid count) keeps a subnormal step
+        from making the ratio infinite."""
+        return math.ceil(min(self.horizontal_fov / self.azimuth_step, 2.0**62) - 1e-9)
+
+    @property
+    def beam_count(self) -> int:
+        """Beams per revolution, as generate_beams casts them."""
+        return self.channels * self.azimuth_count
 
 
 @dataclass(frozen=True)
@@ -163,6 +182,9 @@ def validate_scene(scene: Scene) -> list[str]:
             bad.append(f"sensor {spec.type_id!r}: unit_cost must be > 0")
         if spec.azimuth_step <= 0:
             bad.append(f"sensor {spec.type_id!r}: azimuth_step must be > 0")
+        elif spec.beam_count > MAX_BEAMS:
+            bad.append(f"sensor {spec.type_id!r}: {spec.beam_count} beams per revolution "
+                       f"exceed the limit of {MAX_BEAMS}")
     return bad
 
 

@@ -2,9 +2,16 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lidarplan
+from lidarplan.cli import main
+
+from test_cli import FAST
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -27,3 +34,26 @@ def test_traced_names_resolve():
 def test_public_names_resolve():
     missing = [name for name in lidarplan.__all__ if not hasattr(lidarplan, name)]
     assert missing == []
+
+
+def test_pipeline_hands_artifacts_over_in_memory(tmp_path):
+    """A traced pipeline loads the scene once, writes the two CSVs and the
+    grid once and reads none of them back, and traced artifacts match an
+    untraced run's."""
+    traced, plain, trace = tmp_path / "traced", tmp_path / "plain", tmp_path / "trace.json"
+    src = Path(lidarplan.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(trace), "pipeline", *FAST, "--out", str(traced)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    tracer = load_tracer()
+    spans = json.loads(trace.read_text())["spans"]
+    assert tracer.calls(spans, "scene.load") == 1
+    assert tracer.calls(spans, "discretization.csv_io") == 2
+    assert tracer.calls(spans, tracer.GRID_IO_SPAN) == 1
+    assert main(["pipeline", *FAST, "--out", str(plain)]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in traced.iterdir()) == names
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name

@@ -83,15 +83,45 @@ def test_pipeline_reruns_identically(pipeline_dir, tmp_path):
         assert (again / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
-def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
-    staged = tmp_path / "staged"
+def assert_staged_matches_pipeline(work, args, pipeline=None):
+    """grid, solve, eval and render run one by one write the files a
+    pipeline with the same args writes, byte for byte, all but its manifest."""
+    if pipeline is None:
+        pipeline = work / "pipeline"
+        assert run(["pipeline", *args, "--out", str(pipeline)]) == 0
+    staged = work / "staged"
     for stage in ("grid", "solve", "eval", "render"):
-        assert run([stage, *FAST, "--out", str(staged)]) == 0
-    for name in PIPELINE_FILES:
-        if name == "manifest.json":
-            assert not (staged / name).exists()
-            continue
-        assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+        assert run([stage, *args, "--out", str(staged)]) == 0
+    names = sorted(p.name for p in pipeline.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in staged.iterdir()) == names
+    for name in names:
+        assert (staged / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
+    assert_staged_matches_pipeline(tmp_path / "default", FAST, pipeline_dir)
+    # A stand-alone render infers the spacing from targets.csv, where 0.7
+    # reads back as 0.6999999999999886; the pipeline hands it the exact 0.7.
+    assert_staged_matches_pipeline(tmp_path / "spacing", [*FAST, "--spacing", "0.7"])
+
+
+def test_stages_evaluate_the_first_method(tmp_path):
+    assert_staged_matches_pipeline(tmp_path, [*FAST, "--method", "exact"])
+    pipeline = tmp_path / "pipeline"
+    assert not (pipeline / "solution.json").exists()
+    assert (read_json(pipeline / "report.json")["occlusion"]["static_coverage"]
+            == read_json(pipeline / "solution_exact.json")["coverage_fraction"])
+
+
+def test_pipeline_evaluates_its_own_solution(pipeline_dir, tmp_path):
+    out = tmp_path / "rerun"
+    out.mkdir()
+    for name in PIPELINE_FILES:  # an earlier --count 3 run, solution.json included
+        (out / name).write_bytes((pipeline_dir / name).read_bytes())
+    assert run(["pipeline", *FAST, "--count", "2", "--method", "greedy",
+                "--out", str(out)]) == 0
+    assert len(read_json(out / "solution_greedy.json")["selected"]) == 2
+    assert "sensors: 2," in (out / "report.txt").read_text()
 
 
 def test_missing_scene_exit_2_names_path(tmp_path, capsys):
@@ -176,6 +206,21 @@ def test_oversized_exact_request_exit_1(tmp_path, capsys):
     assert "exact-solver limit" in capsys.readouterr().err
 
 
+def test_repeated_method_solves_once(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "repeat"
+    out.mkdir()
+    for name in ("targets.csv", "candidates.csv", "grid.vgrd"):
+        (out / name).write_bytes((pipeline_dir / name).read_bytes())
+    capsys.readouterr()
+    assert run(["solve", *FAST, "--method", "greedy", "--method", "greedy",
+                "--out", str(out)]) == 0
+    solve_lines = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[solve]")]
+    assert len(solve_lines) == 1
+    assert sorted(p.name for p in out.glob("solution*")) == ["solution_greedy.json"]
+    assert not list(out.glob("*.partial"))
+
+
 def test_solve_both_methods(pipeline_dir, tmp_path):
     out = tmp_path / "methods"
     assert run(["grid", *FAST, "--out", str(out)]) == 0
@@ -233,6 +278,23 @@ def test_non_finite_scene_number_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert "obstacles[0]: field 'height'" in err
+
+
+@pytest.mark.parametrize("field,value", [("channels", 10**12), ("azimuth_step", 1e-9)])
+def test_too_many_beams_exit_2(monkeypatch, tmp_path, capsys, field, value):
+    def no_beams(*args, **kwargs):
+        raise AssertionError("generate_beams called")
+
+    monkeypatch.setattr("lidarplan.raycast.generate_beams", no_beams)
+    scene = json.loads(demo_scene_path().read_text())
+    scene["catalog"][0][field] = value
+    path = tmp_path / "beams.json"
+    path.write_text(json.dumps(scene))
+    code = run(["grid", "--scene", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "sensor 'type-1'" in err and "beams per revolution" in err
 
 
 def test_unknown_weight_segment_exit_2(tmp_path, capsys):
@@ -413,7 +475,7 @@ def test_stage_outputs_partial_retention(tmp_path):
 
 
 def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):
-    def broken_stage(cfg, out_dir):
+    def broken_stage(run):
         raise RuntimeError("stage blew up")
 
     monkeypatch.setitem(cli._STAGES, "grid", broken_stage)

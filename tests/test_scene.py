@@ -125,6 +125,38 @@ def test_validate_rejects_bad_sensor_and_zone():
         assert any("'t'" in v and needle in v for v in bad), needle
 
 
+def _spec(**overrides) -> SensorSpec:
+    base = dict(type_id="t", channels=16, vertical_fov_min=-15.0, vertical_fov_max=15.0,
+                horizontal_fov=360.0, range_m=100.0, unit_cost=1.0, azimuth_step=0.2)
+    base.update(overrides)
+    return SensorSpec(**base)
+
+
+def _no_beams(*args, **kwargs):
+    raise AssertionError("generate_beams called")
+
+
+@pytest.mark.parametrize("overrides,count", [
+    ({"channels": 10**12}, 10**12 * 1800),
+    ({"azimuth_step": 1e-9}, 16 * 360_000_000_000),
+    ({"channels": (1 << 22) + 1, "horizontal_fov": 0.2}, (1 << 22) + 1),
+    # 360 / 5e-324 overflows to inf; the count caps the ratio at 2**62
+    ({"azimuth_step": 5e-324}, 16 << 62),
+], ids=["channels", "azimuth-step", "just-over", "subnormal-step"])
+def test_validate_rejects_too_many_beams(monkeypatch, overrides, count):
+    monkeypatch.setattr("lidarplan.raycast.generate_beams", _no_beams)
+    spec = _spec(**overrides)
+    assert spec.beam_count == count
+    bad = validate_scene(minimal_scene(catalog=(spec,)))
+    assert bad == [f"sensor 't': {count} beams per revolution exceed the limit of {1 << 22}"]
+
+
+def test_validate_accepts_the_beam_limit():
+    at_limit = _spec(channels=1 << 22, horizontal_fov=0.2)
+    assert at_limit.beam_count == 1 << 22
+    assert validate_scene(minimal_scene(catalog=(at_limit,))) == []
+
+
 def test_parse_missing_field_names_location():
     data = {"road_segments": [{"polygon": [[0, 0], [1, 0], [1, 1]]}], "mount_zones": []}
     with pytest.raises(SceneParseError, match=r"road_segments\[0\].*'id'"):
