@@ -166,17 +166,15 @@ def enumerate_candidates(
     Positions are lattice points strictly inside the bounding box of the
     union of mount-zone geometries; each position belongs to the first zone
     in file order that contains it.  Ordering is position (row-major), then
-    the zone's height list, then catalog order of the requested types.
+    the zone's height list, then the given types: catalog entries in catalog
+    order, any other spec after them in the given order, duplicates once.
     """
     if spacing <= 0:
         raise ValueError("spacing must be > 0")
     if not types:
         raise ValueError("types must be non-empty")
-    # Keep catalog file order regardless of the caller's list order.
-    requested = {t.type_id for t in types}
-    specs = [s for s in scene.catalog if s.type_id in requested]
-    if not specs:
-        specs = list(types)  # types not drawn from scene.catalog (tests)
+    rank = {spec: k for k, spec in enumerate(scene.catalog)}
+    specs = sorted(dict.fromkeys(types), key=lambda spec: rank.get(spec, len(rank)))
 
     all_pts = [p for z in scene.mount_zones for p in z.geometry]
     xmin, ymin, xmax, ymax = polygon_bounds(all_pts)

@@ -1,9 +1,8 @@
 """Static world model: roads, obstacles, mount zones, and the sensor catalog.
 
-Scenes are loaded from UTF-8 JSON files.  Top-level keys: ``road_segments``,
-``obstacles``, ``mount_zones``, ``catalog``, ``ground_elevation``.  All
-lengths are meters, angles degrees, costs abstract currency units.  A scene
-is immutable after load and safe to share across workers.
+Scenes are loaded from UTF-8 JSON files whose format ``_FORMAT`` declares.
+All lengths are meters, angles degrees, costs abstract currency units.  A
+scene is immutable after load and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -23,7 +23,7 @@ from .geometry import (
     polygon_is_simple,
 )
 
-# Default vertical resolution of one spinning-head revolution (degrees per step).
+# Default horizontal step between the beams of one channel (degrees).
 DEFAULT_AZIMUTH_STEP = 0.4
 # Most beams one revolution may have; the demo's largest type has 23,040.
 # A finite but huge channels or a tiny azimuth_step is refused at load
@@ -67,9 +67,9 @@ class SensorSpec:
         """Azimuths per channel: the multiples of azimuth_step in
         [0, horizontal_fov), i.e. ceil(horizontal_fov / azimuth_step).  The
         1e-9 keeps a step that divides the FOV up to rounding from adding
-        one; the 2**62 cap (past any valid count) keeps a subnormal step
-        from making the ratio infinite."""
-        return math.ceil(min(self.horizontal_fov / self.azimuth_step, 2.0**62) - 1e-9)
+        one; clamping the ratio to [0, 2**62] (past any valid count) keeps
+        a subnormal step or a huge negative FOV from making it infinite."""
+        return math.ceil(min(max(self.horizontal_fov / self.azimuth_step, 0.0), 2.0**62) - 1e-9)
 
     @property
     def beam_count(self) -> int:
@@ -200,112 +200,111 @@ def _finite(value: int | float, where: str) -> float:
     return number
 
 
-def _points(raw: Any, where: str) -> tuple[Point, ...]:
-    if not isinstance(raw, list):
-        raise SceneParseError(f"{where}: expected a list of [x, y] pairs")
+# JSON types, by the name a wrong-type message gives; a bool is none of them.
+_TYPES = {"str": str, "int": int, "float": (int, float), "list": list}
+
+
+def _is(expected: str, value: Any) -> bool:
+    return isinstance(value, _TYPES[expected]) and not isinstance(value, bool)
+
+
+def _typed(expected: str, value: Any, where: str, key: str) -> Any:
+    if not _is(expected, value):
+        raise SceneParseError(f"{where}: field {key!r} has wrong type (expected {expected})")
+    return value
+
+
+_str = partial(_typed, "str")
+_int = partial(_typed, "int")
+
+
+def _float(value: Any, where: str, key: str) -> float:
+    return _finite(_typed("float", value, where, key), f"{where}: field {key!r}")
+
+
+def _points(value: Any, where: str, key: str) -> tuple[Point, ...]:
     pts = []
-    for k, item in enumerate(raw):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)
-        ):
-            raise SceneParseError(f"{where}[{k}]: expected an [x, y] number pair")
-        pts.append((_finite(item[0], f"{where}[{k}]"), _finite(item[1], f"{where}[{k}]")))
+    for k, item in enumerate(_typed("list", value, where, key)):
+        at = f"{where}.{key}[{k}]"
+        if not (_is("list", item) and len(item) == 2 and all(_is("float", v) for v in item)):
+            raise SceneParseError(f"{at}: expected an [x, y] number pair")
+        pts.append((_finite(item[0], at), _finite(item[1], at)))
     return tuple(pts)
 
 
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise SceneParseError(f"{where}: missing required field {key!r}")
-    value = obj[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value, f"{where}: field {key!r}")
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is list and isinstance(value, list):
-        return value
-    raise SceneParseError(f"{where}: field {key!r} has wrong type (expected {kind.__name__})")
+def _numbers(value: Any, where: str, key: str) -> tuple[float, ...]:
+    if not all(_is("float", v) for v in _typed("list", value, where, key)):
+        raise SceneParseError(f"{where}.{key}: expected numbers")
+    return tuple(_finite(v, f"{where}.{key}[{k}]") for k, v in enumerate(value))
 
 
-def _optional_float(obj: dict, key: str, default, where: str):
-    if key not in obj or obj[key] is None:
-        return default
-    return _require(obj, key, float, where)
+def _records(cls: type, value: Any, where: str, key: str) -> tuple:
+    # Entries are named from the top level, the only one with record lists.
+    entries = _typed("list", value, where, key)
+    return tuple(_record(cls, raw, f"{key}[{k}]") for k, raw in enumerate(entries))
+
+
+# The scene file format: each record's JSON fields in file and dataclass order,
+# with their reader, read(value, where, key) -> model value, and how a file can
+# leave them out for the dataclass default (OPTIONAL: absent; NULLABLE: absent or null).
+_REQUIRED, _OPTIONAL, _NULLABLE = "required", "optional", "nullable"
+_FORMAT: dict[type, dict[str, tuple[Any, str]]] = {
+    Scene: {
+        "road_segments": (partial(_records, RoadSegment), _REQUIRED),
+        "obstacles": (partial(_records, Obstacle), _NULLABLE),
+        "mount_zones": (partial(_records, MountZone), _REQUIRED),
+        "catalog": (partial(_records, SensorSpec), _NULLABLE),
+        "ground_elevation": (_float, _NULLABLE),
+    },
+    RoadSegment: {
+        "id": (_str, _REQUIRED),
+        "polygon": (_points, _REQUIRED),
+        "priority_weight": (_float, _NULLABLE),
+    },
+    Obstacle: {
+        "id": (_str, _REQUIRED),
+        "footprint": (_points, _REQUIRED),
+        "height": (_float, _REQUIRED),
+    },
+    MountZone: {
+        "id": (_str, _REQUIRED),
+        "geometry": (_points, _REQUIRED),
+        "allowed_heights": (_numbers, _REQUIRED),
+        "kind": (_str, _OPTIONAL),
+        "install_surcharge": (_float, _NULLABLE),
+    },
+    SensorSpec: {
+        "type_id": (_str, _REQUIRED),
+        "channels": (_int, _REQUIRED),
+        "vertical_fov_min": (_float, _REQUIRED),
+        "vertical_fov_max": (_float, _REQUIRED),
+        "horizontal_fov": (_float, _REQUIRED),
+        "range_m": (_float, _REQUIRED),
+        "unit_cost": (_float, _REQUIRED),
+        "azimuth_step": (_float, _NULLABLE),
+        "capture_frequency_hz": (_float, _NULLABLE),
+        "accuracy_m": (_float, _NULLABLE),
+    },
+}
+
+
+def _record(cls: type, raw: Any, where: str):
+    """Parse a `cls` record field by field in _FORMAT order; raises the first fault."""
+    if not isinstance(raw, dict):
+        raise SceneParseError(f"{where}: expected a JSON object")
+    values = {}
+    for key, (read, presence) in _FORMAT[cls].items():
+        if key in raw and (raw[key] is not None or presence != _NULLABLE):
+            values[key] = read(raw[key], where, key)
+        elif presence == _REQUIRED:
+            raise SceneParseError(f"{where}: missing required field {key!r}")
+    return cls(**values)
 
 
 def scene_from_dict(data: dict) -> Scene:
     """Build and validate a Scene from already-parsed JSON data."""
-    if not isinstance(data, dict):
-        raise SceneParseError("top level: expected a JSON object")
-    segments = []
-    for k, raw in enumerate(_require(data, "road_segments", list, "top level")):
-        where = f"road_segments[{k}]"
-        segments.append(
-            RoadSegment(
-                id=_require(raw, "id", str, where),
-                polygon=_points(_require(raw, "polygon", list, where), f"{where}.polygon"),
-                priority_weight=_optional_float(raw, "priority_weight", 1.0, where),
-            )
-        )
-    obstacles = []
-    for k, raw in enumerate(data.get("obstacles", []) or []):
-        where = f"obstacles[{k}]"
-        obstacles.append(
-            Obstacle(
-                id=_require(raw, "id", str, where),
-                footprint=_points(_require(raw, "footprint", list, where), f"{where}.footprint"),
-                height=_require(raw, "height", float, where),
-            )
-        )
-    zones = []
-    for k, raw in enumerate(_require(data, "mount_zones", list, "top level")):
-        where = f"mount_zones[{k}]"
-        heights = _require(raw, "allowed_heights", list, where)
-        if not all(isinstance(h, (int, float)) and not isinstance(h, bool) for h in heights):
-            raise SceneParseError(f"{where}.allowed_heights: expected numbers")
-        kind = raw.get("kind", "polygon")
-        if not isinstance(kind, str):
-            raise SceneParseError(f"{where}: field 'kind' has wrong type (expected str)")
-        zones.append(
-            MountZone(
-                id=_require(raw, "id", str, where),
-                geometry=_points(_require(raw, "geometry", list, where), f"{where}.geometry"),
-                allowed_heights=tuple(
-                    _finite(h, f"{where}.allowed_heights[{j}]") for j, h in enumerate(heights)
-                ),
-                kind=kind,
-                install_surcharge=_optional_float(raw, "install_surcharge", 0.0, where),
-            )
-        )
-    catalog = []
-    for k, raw in enumerate(data.get("catalog", []) or []):
-        where = f"catalog[{k}]"
-        catalog.append(
-            SensorSpec(
-                type_id=_require(raw, "type_id", str, where),
-                channels=_require(raw, "channels", int, where),
-                vertical_fov_min=_require(raw, "vertical_fov_min", float, where),
-                vertical_fov_max=_require(raw, "vertical_fov_max", float, where),
-                horizontal_fov=_require(raw, "horizontal_fov", float, where),
-                range_m=_require(raw, "range_m", float, where),
-                unit_cost=_require(raw, "unit_cost", float, where),
-                azimuth_step=_optional_float(raw, "azimuth_step", DEFAULT_AZIMUTH_STEP, where),
-                capture_frequency_hz=_optional_float(raw, "capture_frequency_hz", None, where),
-                accuracy_m=_optional_float(raw, "accuracy_m", None, where),
-            )
-        )
-    scene = Scene(
-        road_segments=tuple(segments),
-        obstacles=tuple(obstacles),
-        mount_zones=tuple(zones),
-        catalog=tuple(catalog),
-        ground_elevation=_optional_float(data, "ground_elevation", 0.0, "top level"),
-    )
-    violations = validate_scene(scene)
-    if violations:
+    scene = _record(Scene, data, "top level")
+    if violations := validate_scene(scene):
         raise SceneValidationError(violations)
     return scene
 
@@ -332,51 +331,17 @@ def load_scene(path: str | Path) -> Scene:
     return scene_from_dict(data)
 
 
+def _plain(value: Any) -> Any:
+    """JSON form of a record (its non-None _FORMAT fields), a sequence or a scalar."""
+    if type(value) in _FORMAT:
+        fields = ((key, getattr(value, key)) for key in _FORMAT[type(value)])
+        return {key: _plain(field) for key, field in fields if field is not None}
+    return [_plain(item) for item in value] if isinstance(value, (tuple, list)) else value
+
+
 def scene_to_dict(scene: Scene) -> dict:
     """Plain-JSON form of a scene; inverse of scene_from_dict."""
-    data: dict[str, Any] = {
-        "road_segments": [
-            {
-                "id": s.id,
-                "polygon": [[x, y] for x, y in s.polygon],
-                "priority_weight": s.priority_weight,
-            }
-            for s in scene.road_segments
-        ],
-        "obstacles": [
-            {"id": o.id, "footprint": [[x, y] for x, y in o.footprint], "height": o.height}
-            for o in scene.obstacles
-        ],
-        "mount_zones": [
-            {
-                "id": z.id,
-                "geometry": [[x, y] for x, y in z.geometry],
-                "allowed_heights": list(z.allowed_heights),
-                "kind": z.kind,
-                "install_surcharge": z.install_surcharge,
-            }
-            for z in scene.mount_zones
-        ],
-        "catalog": [],
-        "ground_elevation": scene.ground_elevation,
-    }
-    for spec in scene.catalog:
-        entry: dict[str, Any] = {
-            "type_id": spec.type_id,
-            "channels": spec.channels,
-            "vertical_fov_min": spec.vertical_fov_min,
-            "vertical_fov_max": spec.vertical_fov_max,
-            "horizontal_fov": spec.horizontal_fov,
-            "range_m": spec.range_m,
-            "unit_cost": spec.unit_cost,
-            "azimuth_step": spec.azimuth_step,
-        }
-        if spec.capture_frequency_hz is not None:
-            entry["capture_frequency_hz"] = spec.capture_frequency_hz
-        if spec.accuracy_m is not None:
-            entry["accuracy_m"] = spec.accuracy_m
-        data["catalog"].append(entry)
-    return data
+    return _plain(scene)
 
 
 def save_scene(scene: Scene, path: str | Path) -> None:

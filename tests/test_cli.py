@@ -8,6 +8,7 @@ import pytest
 
 from lidarplan import cli, demo_scene_path
 from lidarplan.cli import _OPTIONS, RunConfig, StageOutputs, _build_parser, _merge_config, main
+from lidarplan.scene import SceneParseError, scene_from_dict
 from lidarplan.solver import Cardinality
 
 FAST = [
@@ -278,6 +279,32 @@ def test_non_finite_scene_number_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert "obstacles[0]: field 'height'" in err
+
+
+@pytest.mark.parametrize("key,index,value,message", [
+    *[pytest.param(key, 0, value, f"{key}[0]: expected a JSON object",
+                   id=f"{key}[0]={json.dumps(value)}")
+      for key in ("road_segments", "obstacles", "mount_zones", "catalog")
+      for value in (5, [1, 2], None, "abc")],
+    *[pytest.param(key, None, value, f"top level: field {key!r} has wrong type (expected list)",
+                   id=f"{key}={json.dumps(value)}")
+      for key in ("obstacles", "catalog") for value in ({"a": 1}, "abc", 3)],
+])
+def test_malformed_scene_entry_exit_2(tmp_path, capsys, key, index, value, message):
+    scene = json.loads(demo_scene_path().read_text())
+    if index is None:
+        scene[key] = value
+    else:
+        scene[key][index] = value
+    with pytest.raises(SceneParseError) as info:
+        scene_from_dict(scene)
+    assert str(info.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scene))
+    code = run(["grid", "--scene", str(path), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].endswith(message)
 
 
 @pytest.mark.parametrize("field,value", [("channels", 10**12), ("azimuth_step", 1e-9)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,21 @@ def test_enumerate_candidates_ordering_is_reproducible(demo_scene):
     # catalog order kept even when the caller shuffles the request
     c = enumerate_candidates(demo_scene, 6.0, list(reversed(types)))
     assert c == a
+
+
+def test_enumerate_candidates_uses_every_given_spec(demo_scene):
+    first = demo_scene.catalog[0]
+    foreign = replace(first, type_id="foreign", channels=8)
+    changed = replace(first, range_m=50.0)  # reuses a catalog type_id
+    alone = enumerate_candidates(demo_scene, 6.0, [first])
+    mixed = enumerate_candidates(demo_scene, 6.0, [foreign, first, changed, first])
+    assert len(alone) == 24
+    assert len(mixed) == 3 * len(alone)
+    # catalog specs first, then the others in the given order; duplicates once
+    assert [c.sensor for c in mixed.candidates[:3]] == [first, foreign, changed]
+    assert [c.sensor for c in enumerate_candidates(demo_scene, 6.0, [changed]).candidates] == (
+        [changed] * 24
+    )
 
 
 def test_enumerate_candidates_requires_types(demo_scene):

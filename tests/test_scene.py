@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidarplan import (
     MountZone,
@@ -15,7 +18,7 @@ from lidarplan import (
     scene_bounds,
     validate_scene,
 )
-from lidarplan.scene import scene_from_dict, scene_to_dict
+from lidarplan.scene import _FORMAT, scene_from_dict, scene_to_dict
 
 SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 
@@ -181,7 +184,7 @@ def test_parse_bad_vertex():
         scene_from_dict(data)
 
 
-def test_parse_rejects_bool_as_number():
+def test_parse_rejects_bool_as_number(demo_scene):
     data = {
         "road_segments": [
             {"id": "r", "polygon": [[0, 0], [1, 0], [1, 1]], "priority_weight": True}
@@ -190,6 +193,16 @@ def test_parse_rejects_bool_as_number():
     }
     with pytest.raises(SceneParseError, match="priority_weight"):
         scene_from_dict(data)
+    for record, k, field, j in [
+        ("road_segments", 1, "polygon", 2),
+        ("obstacles", 3, "footprint", 1),
+        ("mount_zones", 0, "geometry", 0),
+    ]:
+        data = scene_to_dict(demo_scene)
+        data[record][k][field][j] = [True, 1]
+        with pytest.raises(SceneParseError) as info:
+            scene_from_dict(data)
+        assert str(info.value) == f"{record}[{k}].{field}[{j}]: expected an [x, y] number pair"
 
 
 def test_load_scene_reports_json_line(tmp_path):
@@ -245,6 +258,11 @@ def test_unknown_keys_ignored(demo_scene):
     data["comment"] = "free-form annotation"
     data["road_segments"][0]["extra"] = 123
     assert scene_from_dict(data) == demo_scene
+
+
+def test_format_declares_every_field_in_order():
+    for cls, fields in _FORMAT.items():
+        assert list(fields) == [f.name for f in dataclasses.fields(cls)], cls
 
 
 def test_round_trip_save_load(tmp_path, demo_scene):
@@ -335,3 +353,45 @@ def test_fixture_file_is_annotated():
 
     raw = json.loads(demo_scene_path().read_text())
     assert "comment" in raw  # documents the modeling approximations
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 1e308, -1e308, 5e-324]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Each splice walks the scene dict by key positions (taken modulo the keys
+# there) and replaces the value where the walk ends.
+SPLICES = st.lists(
+    st.tuples(st.lists(st.integers(0, 40), min_size=1, max_size=5), JSON_VALUES),
+    min_size=1, max_size=3,
+)
+
+
+def _splice(data: dict, steps: list[int], value) -> None:
+    node = data
+    for n, step in enumerate(steps):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = keys[step % len(keys)]
+        child = node[key]
+        if n == len(steps) - 1 or not (isinstance(child, (dict, list)) and child):
+            node[key] = value
+            return
+        node = child
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(splices=SPLICES)
+# catalog[0].horizontal_fov ([3, 0, 4]) = -1e308 with its azimuth_step ([3, 0, 7]) = 0.5
+# once overflowed the beam count
+@example(splices=[([3, 0, 4], -1e308), ([3, 0, 7], 0.5)])
+def test_scene_from_dict_fuzz(demo_scene, splices):
+    data = scene_to_dict(demo_scene)
+    for steps, value in splices:
+        _splice(data, steps, value)
+    try:
+        scene_from_dict(data)
+    except (SceneParseError, SceneValidationError) as exc:
+        assert "\n" not in str(exc)
