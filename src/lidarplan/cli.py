@@ -33,6 +33,7 @@ from . import __version__
 from .discretization import (
     CandidateSet,
     EmptyGridError,
+    LatticeTooLargeError,
     TargetGrid,
     discretize_roi,
     enumerate_candidates,
@@ -236,18 +237,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not ok:
             raise CliError(EXIT_INPUT, message)
 
+    # Chained comparisons with inf refuse NaN and inf, and unlike
+    # math.isfinite do not overflow on an int beyond the float range.
     for name, value in [
         ("spacing", cfg.spacing), ("candidate-spacing", cfg.candidate_spacing),
         ("delta", cfg.resolved_delta),
     ]:
-        check(math.isfinite(value) and value > 0,
-              f"--{name} must be finite and > 0, got {value}")
+        check(0 < value < math.inf, f"--{name} must be finite and > 0, got {value}")
     non_negative = [("budget", cfg.budget), ("count", cfg.count), ("seed", cfg.seed),
                     ("vehicles", cfg.vehicles)]
-    non_negative += [(f"weights {seg}", w) for seg, w in cfg.weights.items()]
+    non_negative += [(f"weights {seg!r}", w) for seg, w in cfg.weights.items()]
     non_negative += [("gain-budgets", b) for b in cfg.gain_budgets]
     for name, value in non_negative:
-        check(value is None or (math.isfinite(value) and value >= 0),
+        check(value is None or 0 <= value < math.inf,
               f"--{name} must be finite and >= 0, got {value}")
     check(cfg.intensity_min is None or math.isfinite(cfg.intensity_min),
           f"--intensity-min must be finite, got {cfg.intensity_min}")
@@ -271,11 +273,21 @@ def _sha256(path: Path) -> str:
 
 
 class StageOutputs:
-    """Write-to-partial, rename-on-commit artifact collector."""
+    """Write-to-partial, rename-on-commit artifact collector.  Used as a
+    context manager, it deletes its uncommitted partials when the block
+    raises."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.pending: list[tuple[Path, Path]] = []
+
+    def __enter__(self) -> "StageOutputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for partial, _ in self.pending:
+                partial.unlink(missing_ok=True)
 
     def path_for(self, name: str) -> Path:
         partial = self.out_dir / f"{name}.partial"
@@ -440,6 +452,8 @@ def stage_grid(run: Run) -> list[Path]:
         candidates = enumerate_candidates(scene, cfg.candidate_spacing, types)
     except EmptyGridError as exc:
         raise CliError(EXIT_STAGE, str(exc)) from exc
+    except LatticeTooLargeError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
     if cfg.weights:
         unknown = set(cfg.weights) - {s.id for s in scene.road_segments}
         if unknown:
@@ -457,12 +471,12 @@ def stage_grid(run: Run) -> list[Path]:
         f"[grid] {len(targets)} targets, {len(candidates)} candidates, "
         f"{grid.bits.sum()} visibility bits ({time.perf_counter() - t0:.1f}s)"
     )
-    outputs = StageOutputs(run.out_dir)
-    write_targets_csv(targets, outputs.path_for("targets.csv"))
-    write_candidates_csv(candidates, outputs.path_for("candidates.csv"))
-    grid.save(outputs.path_for("grid.vgrd"))
-    run.artifacts = targets, candidates, grid
-    return outputs.commit()
+    with StageOutputs(run.out_dir) as outputs:
+        write_targets_csv(targets, outputs.path_for("targets.csv"))
+        write_candidates_csv(candidates, outputs.path_for("candidates.csv"))
+        grid.save(outputs.path_for("grid.vgrd"))
+        run.artifacts = targets, candidates, grid
+        return outputs.commit()
 
 
 def stage_solve(run: Run) -> list[Path]:
@@ -475,7 +489,7 @@ def stage_solve(run: Run) -> list[Path]:
     ]
     if weighted:  # uniform-weight baseline for comparison
         runs.append(("auto", "solution_uniform.json", np.ones_like(targets.weights), False))
-    outputs = StageOutputs(run.out_dir)
+    payloads = []
     for method, name, weights, is_weighted in runs:
         problem = DeploymentProblem(grid, weights, costs, cfg.constraint())
         t0 = time.perf_counter()
@@ -496,13 +510,13 @@ def stage_solve(run: Run) -> list[Path]:
             f"cost {solution.total_cost:g}, {len(solution.selected)} sensors "
             f"({elapsed:.2f}s)"
         )
-        _write_json(
-            outputs.path_for(name),
-            _solution_payload(cfg, solution, candidates, weights, is_weighted),
-        )
+        payloads.append((name, _solution_payload(cfg, solution, candidates, weights, is_weighted)))
         if name == runs[0][1]:  # the first --method's, which eval and render evaluate
             run.solution = solution
-    return outputs.commit()
+    with StageOutputs(run.out_dir) as outputs:
+        for name, payload in payloads:
+            _write_json(outputs.path_for(name), payload)
+        return outputs.commit()
 
 
 def stage_eval(run: Run) -> list[Path]:
@@ -564,13 +578,11 @@ def stage_eval(run: Run) -> list[Path]:
         f"max {report['sample_density']['max_over_covered']}",
     ]
 
-    outputs = StageOutputs(run.out_dir)
     if cfg.gain_budgets:
         kind = cfg.constraint_record()["kind"]
         curve = gain_curve(
             grid, targets.weights, costs, kind, cfg.gain_budgets, cfg.exact_limit
         )
-        write_gain_curve_csv(curve, outputs.path_for("gain_curve.csv"))
         report["gain_curve"] = {
             "kind": curve.kind,
             "budgets": list(curve.budgets),
@@ -602,23 +614,26 @@ def stage_eval(run: Run) -> list[Path]:
             f"{comparison.weighted_priority:.4f} with overrides"
         )
 
-    _write_json(outputs.path_for("report.json"), report)
-    Path(outputs.path_for("report.txt")).write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    return outputs.commit()
+    with StageOutputs(run.out_dir) as outputs:
+        if cfg.gain_budgets:
+            write_gain_curve_csv(curve, outputs.path_for("gain_curve.csv"))
+        _write_json(outputs.path_for("report.json"), report)
+        Path(outputs.path_for("report.txt")).write_text(
+            "\n".join(lines) + "\n", encoding="utf-8"
+        )
+        return outputs.commit()
 
 
 def stage_render(run: Run) -> list[Path]:
     solution = run.solution
     targets, candidates, grid = run.artifacts
-    outputs = StageOutputs(run.out_dir)
-    render_coverage_map(
-        run.scene, targets, grid, solution, candidates.candidates,
-        outputs.path_for("coverage.svg"),
-    )
-    print(f"[render] coverage map for {len(solution.selected)} sensors")
-    return outputs.commit()
+    with StageOutputs(run.out_dir) as outputs:
+        render_coverage_map(
+            run.scene, targets, grid, solution, candidates.candidates,
+            outputs.path_for("coverage.svg"),
+        )
+        print(f"[render] coverage map for {len(solution.selected)} sensors")
+        return outputs.commit()
 
 
 def _manifest_config(cfg: RunConfig) -> dict:
@@ -659,9 +674,9 @@ def stage_pipeline(run: Run) -> list[Path]:
         "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
-    outputs = StageOutputs(run.out_dir)
-    _write_json(outputs.path_for("manifest.json"), manifest)
-    done = outputs.commit()
+    with StageOutputs(run.out_dir) as outputs:
+        _write_json(outputs.path_for("manifest.json"), manifest)
+        done = outputs.commit()
     print(f"[pipeline] wrote {len(artifacts) + 1} artifacts to {run.out_dir}")
     return artifacts + done
 

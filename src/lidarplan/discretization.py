@@ -23,10 +23,18 @@ from .scene import MountZone, Scene, SensorSpec, demo_scene_path, load_scene, sc
 
 TARGETS_CSV_HEADER = ["idx", "x", "y", "weight", "segment"]
 CANDIDATES_CSV_HEADER = ["idx", "x", "y", "height", "type", "cost"]
+# Most points a lattice's bounding box may hold (a 2048 x 2048 box, or the
+# demo scene at about 5 cm).  A huge scene extent or a tiny spacing is
+# refused before numpy is asked for the lattice.
+MAX_LATTICE_POINTS = 1 << 22
 
 
 class EmptyGridError(ValueError):
     """No lattice point fell inside any containing geometry."""
+
+
+class LatticeTooLargeError(ValueError):
+    """The lattice would hold more than MAX_LATTICE_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,30 @@ def lattice_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(1, n + 1, dtype=np.float64)
 
 
+def _lattice(bounds, spacing: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice strictly inside bounds, flattened row-major (y
+    outer, x inner).  Raises LatticeTooLargeError, before allocating, when
+    it would hold more than MAX_LATTICE_POINTS points."""
+    xmin, ymin, xmax, ymax = bounds
+    nx, ny = (max(np.floor((hi - lo) / spacing - EDGE_EPS), 0.0)
+              for lo, hi in ((xmin, xmax), (ymin, ymax)))
+    if nx * ny > MAX_LATTICE_POINTS:
+        raise LatticeTooLargeError(
+            f"{what} lattice at spacing {spacing} would hold {nx * ny:.4g} points, "
+            f"more than {MAX_LATTICE_POINTS}"
+        )
+    gx, gy = np.meshgrid(lattice_coords(xmin, xmax, spacing),
+                         lattice_coords(ymin, ymax, spacing))
+    return gx.ravel(), gy.ravel()
+
+
 def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
     """Lattice points strictly inside the ROI bounding box that fall inside
     at least one road segment, in row-major (y outer, x inner) order.
 
     Raises EmptyGridError when the spacing is too coarse to produce any
-    point inside a segment.
+    point inside a segment, LatticeTooLargeError when it is so fine that
+    the lattice would exceed MAX_LATTICE_POINTS.
     """
     if spacing <= 0:
         raise ValueError("spacing must be > 0")
@@ -112,10 +138,7 @@ def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
             f"spacing {spacing} is not smaller than the ROI extent "
             f"({xmax - xmin} x {ymax - ymin})"
         )
-    xs = lattice_coords(xmin, xmax, spacing)
-    ys = lattice_coords(ymin, ymax, spacing)
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y varies along axis 0
-    flat_x, flat_y = gx.ravel(), gy.ravel()
+    flat_x, flat_y = _lattice((xmin, ymin, xmax, ymax), spacing, "target")
 
     # Assign each lattice point the first containing segment in file order.
     owner = np.full(flat_x.shape, -1, dtype=np.int64)
@@ -177,10 +200,7 @@ def enumerate_candidates(
     specs = sorted(dict.fromkeys(types), key=lambda spec: rank.get(spec, len(rank)))
 
     all_pts = [p for z in scene.mount_zones for p in z.geometry]
-    xmin, ymin, xmax, ymax = polygon_bounds(all_pts)
-    gx, gy = np.meshgrid(lattice_coords(xmin, xmax, spacing),
-                         lattice_coords(ymin, ymax, spacing))
-    flat_x, flat_y = gx.ravel(), gy.ravel()  # row-major: y outer, x inner
+    flat_x, flat_y = _lattice(polygon_bounds(all_pts), spacing, "mount")
 
     # Assign each lattice position the first containing zone in file order.
     owner = np.full(flat_x.shape, -1, dtype=np.int64)

@@ -6,8 +6,9 @@ weight of covered target columns: either under a procurement budget
 A unit cap is solved as a budget over unit costs, so each solver has one
 search loop for both.  With unit weights this is plain maximum coverage;
 general weights express region priorities.  solve_exact is one
-branch-and-bound pass over index sets in lexicographic order, globally
-optimal but limited to small candidate counts; solve_greedy scales to any
+branch-and-bound pass over index sets in lexicographic order, on rows
+packed into Python ints, globally optimal but limited to small candidate
+counts; solve_greedy scales to any
 size with the classic 1 - 1/e marginal-gain guarantee in unit-cap mode.
 """
 
@@ -68,9 +69,9 @@ class DeploymentProblem:
             raise ValueError(
                 f"dimension mismatch: {len(costs)} costs for {self.grid.rows} candidates"
             )
-        if (weights < 0).any():
+        if not (weights >= 0).all():  # NaN fails this too
             raise ValueError("weights must be >= 0")
-        if (costs < 0).any():
+        if not (costs >= 0).all():
             raise ValueError("costs must be >= 0")
         if self.constraint.limit < 0:
             raise ValueError("constraint limit must be >= 0")
@@ -117,6 +118,11 @@ def _as_budget(problem: DeploymentProblem) -> tuple[np.ndarray, float]:
     return problem.costs, float(problem.constraint.limit)
 
 
+def _pack(bits: np.ndarray) -> int:
+    """A bool vector as a Python int, element j at bit j."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) -> Solution:
     """Globally optimal solution by branch-and-bound.
 
@@ -132,34 +138,96 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
             f"{n} candidates exceeds the exact-solver limit of {limit}; "
             "use solve_greedy or raise the limit"
         )
-    rows, w = problem.grid.bits, problem.weights
+    w, m = problem.weights, problem.grid.cols
     costs, cap = _as_budget(problem)
+    costs = costs.tolist()
+    # A set of targets is an int, target j at bit j.  Its value is the sum
+    # over the distinct positive weights v of v times its popcount within
+    # the targets of weight v; with many distinct weights, a sum of per-byte
+    # table lookups instead.
+    rows = [_pack(row) for row in problem.grid.bits]
+    nbytes = (m + 7) // 8
+    classes = [(v, _pack(w == v)) for v in sorted(set(w[w > 0].tolist()))]
+    if len(classes) == 1:
+        (v, k), = classes
+
+        def weigh(x: int) -> float:
+            return v * (x & k).bit_count()
+    elif 4 * len(classes) <= nbytes:
+        def weigh(x: int) -> float:
+            return sum([v * (x & k).bit_count() for v, k in classes])
+    else:
+        byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                  bitorder="little").astype(np.float64)
+        padded = np.zeros(nbytes * 8)
+        padded[:m] = w
+        tables = (padded.reshape(nbytes, 8) @ byte_bits.T).tolist()
+
+        def weigh(x: int) -> float:
+            return sum(map(list.__getitem__, tables, x.to_bytes(nbytes, "little")))
+
+    def float_value(x: int) -> float:
+        """The value as the float sum over the mask, as _make_solution sums it."""
+        bits = np.unpackbits(np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8),
+                             count=m, bitorder="little")
+        return float(w[bits.view(bool)].sum())
+
+    # Integer weights summing below 2**53 make every float sum exact, so
+    # weigh gives float_value.  Otherwise the two differ by less than eps,
+    # and float_value decides any comparison with best closer than that.
+    total = float(w.sum())
+    if (w == np.floor(w)).all() and total < 2.0**53:
+        def beats(x: int) -> bool:
+            """Whether the float value of set x exceeds best."""
+            return weigh(x) > best
+    else:
+        eps = 4.0 * (m + 1) * 2.0**-53 * total
+
+        def beats(x: int) -> bool:
+            est = weigh(x)
+            if est > best + eps:
+                return True
+            if est < best - eps:
+                return False
+            return float_value(x) > best
+
+    # suffix[i] is the union of rows i.., min_cost[i] and max_cost[i] the
+    # smallest and largest of their costs.
+    suffix, min_cost, max_cost = [0] * (n + 1), [math.inf] * (n + 1), [-math.inf] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | rows[i]
+        min_cost[i] = min(min_cost[i + 1], costs[i])
+        max_cost[i] = max(max_cost[i + 1], costs[i])
     best, best_sel = 0.0, ()
 
     # Depth-first over index sets, each extended only by larger indices,
     # including i before trying the sets that skip it: this pre-order visits
     # the sets in lexicographic order, so the first one to beat every
     # earlier value strictly is the lexicographically smallest optimum.
-    # Objectives are sums over the covered mask, so equal masks give equal
-    # floats.
-    def dfs(start: int, sel: list[int], covered: np.ndarray, spent: float) -> None:
+    def dfs(start: int, sel: list[int], covered: int, spent: float) -> None:
         nonlocal best, best_sel
+        room = cap - spent + 1e-12
+        if min_cost[start] > room:  # the bound is covered's own value, never above best
+            return
+        reach = suffix
+        if max_cost[start] > room:  # union only the affordable rest
+            reach = [0] * (n + 1)
+            for j in range(n - 1, start - 1, -1):
+                reach[j] = reach[j + 1] | rows[j] if costs[j] <= room else reach[j + 1]
         for i in range(start, n):
-            afford = costs[i:] <= cap - spent + 1e-12
             # Every set below has value at most that of covering all that
             # the affordable rest touches; prune unless that beats best.
-            if float(w[covered | rows[i:][afford].any(axis=0)].sum()) <= best:
+            if not beats(covered | reach[i]):
                 return
-            if afford[0]:
+            if costs[i] <= room:
                 sel.append(i)
                 with_i = covered | rows[i]
-                value = float(w[with_i].sum())
-                if value > best:
-                    best, best_sel = value, tuple(sel)
-                dfs(i + 1, sel, with_i, spent + float(costs[i]))
+                if beats(with_i):
+                    best, best_sel = float_value(with_i), tuple(sel)
+                dfs(i + 1, sel, with_i, spent + costs[i])
                 sel.pop()
 
-    dfs(0, [], np.zeros(problem.grid.cols, dtype=bool), 0.0)
+    dfs(0, [], 0, 0.0)
     return _make_solution(problem, best_sel, "exact")
 
 

@@ -74,6 +74,42 @@ def exhaustive_best(rows: np.ndarray, weights: np.ndarray, costs: np.ndarray,
     return float(objectives[feasible].max())
 
 
+def reference_exact(problem):
+    """The numpy branch and bound that solve_exact replaced, kept as its
+    oracle: the same lexicographic depth-first search and union bound, with
+    every value a float sum over a bool mask.  Returns (selected, objective,
+    covered, total_cost) as solve_exact's Solution states them."""
+    n = problem.grid.rows
+    rows, w = problem.grid.bits, problem.weights
+    if isinstance(problem.constraint, Cardinality):
+        costs, cap = np.ones(n), float(problem.constraint.limit)
+    else:
+        costs, cap = problem.costs, float(problem.constraint.limit)
+    best, best_sel = 0.0, ()
+
+    def dfs(start: int, sel: list[int], covered: np.ndarray, spent: float) -> None:
+        nonlocal best, best_sel
+        for i in range(start, n):
+            afford = costs[i:] <= cap - spent + 1e-12
+            if float(w[covered | rows[i:][afford].any(axis=0)].sum()) <= best:
+                return
+            if afford[0]:
+                sel.append(i)
+                with_i = covered | rows[i]
+                value = float(w[with_i].sum())
+                if value > best:
+                    best, best_sel = value, tuple(sel)
+                dfs(i + 1, sel, with_i, spent + float(costs[i]))
+                sel.pop()
+
+    dfs(0, [], np.zeros(problem.grid.cols, dtype=bool), 0.0)
+    mask = np.zeros(problem.grid.cols, dtype=bool)
+    for i in best_sel:
+        mask |= rows[i]
+    total_cost = float(problem.costs[list(best_sel)].sum()) if best_sel else 0.0
+    return best_sel, float(w[mask].sum()), frozenset(np.flatnonzero(mask).tolist()), total_cost
+
+
 def random_instance(rng: np.random.Generator, max_rows: int = 15, max_cols: int = 60):
     """One random deployment instance plus both constraint forms."""
     n = int(rng.integers(1, max_rows + 1))

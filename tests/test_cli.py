@@ -1,13 +1,18 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from lidarplan import cli, demo_scene_path
-from lidarplan.cli import _OPTIONS, RunConfig, StageOutputs, _build_parser, _merge_config, main
+from lidarplan import cli, demo_scene_path, discretization
+from lidarplan.cli import (
+    _OPTIONS, RunConfig, StageOutputs, _build_parser, _flag, _merge_config, main,
+)
 from lidarplan.scene import SceneParseError, scene_from_dict
 from lidarplan.solver import Cardinality
 
@@ -324,6 +329,30 @@ def test_too_many_beams_exit_2(monkeypatch, tmp_path, capsys, field, value):
     assert "sensor 'type-1'" in err and "beams per revolution" in err
 
 
+@pytest.mark.parametrize("edit,flags", [
+    (lambda scene: scene["road_segments"][1]["polygon"][1].__setitem__(0, 1e300), []),
+    (lambda scene: None, ["--spacing", "1e-6"]),
+    (lambda scene: None, ["--candidate-spacing", "1e-6"]),
+])
+def test_huge_lattice_exit_2(monkeypatch, tmp_path, capsys, edit, flags):
+    real = discretization.lattice_coords
+
+    def small_lattice_coords(lo, hi, spacing):
+        assert (hi - lo) / spacing < 1e4, "huge lattice allocated"
+        return real(lo, hi, spacing)
+
+    monkeypatch.setattr(discretization, "lattice_coords", small_lattice_coords)
+    scene = json.loads(demo_scene_path().read_text())
+    edit(scene)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scene))
+    code = run(["grid", "--scene", str(path), *flags, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "lattice at spacing" in err and "points, more than 4194304" in err
+
+
 def test_unknown_weight_segment_exit_2(tmp_path, capsys):
     code = run(["grid", "--weights", "nowhere=4", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -501,6 +530,41 @@ def test_stage_outputs_partial_retention(tmp_path):
     assert (tmp_path / "data.txt").read_text() == "half-finished"
 
 
+def test_stage_outputs_drop_partials_when_the_block_raises(tmp_path):
+    with pytest.raises(RuntimeError):
+        with StageOutputs(tmp_path) as outputs:
+            outputs.path_for("a.txt").write_text("written")
+            outputs.path_for("b.txt")  # never written
+            raise RuntimeError("stage failed")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_solve_leaves_no_partial(tmp_path, capsys):
+    # 108 candidates: greedy solves, then exact refuses the instance
+    out = tmp_path / "o"
+    code = run(["pipeline", "--spacing", "3", "--candidate-spacing", "4", "--count", "4",
+                "--method", "greedy", "--method", "exact", "--jobs", "1", "--trials", "1",
+                "--out", str(out)])
+    assert code == 1
+    assert "exact-solver limit" in capsys.readouterr().err
+    assert not list(out.glob("*.partial"))
+    assert not (out / "solution_greedy.json").exists()
+
+
+def test_failed_render_leaves_no_partial(monkeypatch, tmp_path, pipeline_dir):
+    def half_render(scene, targets, grid, solution, candidates, path):
+        Path(path).write_text("<svg")
+        raise RuntimeError("render failed")
+
+    out = tmp_path / "o"
+    shutil.copytree(pipeline_dir, out)
+    (out / "coverage.svg").unlink()
+    monkeypatch.setattr(cli, "render_coverage_map", half_render)
+    assert run(["render", *FAST, "--out", str(out)]) == 3
+    assert not list(out.glob("*.partial"))
+    assert not (out / "coverage.svg").exists()
+
+
 def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):
     def broken_stage(run):
         raise RuntimeError("stage blew up")
@@ -534,3 +598,55 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "lidarplan" in proc.stdout
+
+
+# Option text as a user might mistype it: numbers of every size and form,
+# lists, segment=value pairs and arbitrary text (no surrogates, which a
+# UTF-8 config file cannot hold).
+PARSER = _build_parser()
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e309", "-1", "-0", "0", "1_000", "0x10",
+                     "5e-324", str(10**400), str(-(10**400)), "9" * 5000]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+OPTION_TEXT = st.one_of(
+    NUMBER_TEXT,
+    st.lists(NUMBER_TEXT, max_size=4).map(",".join),
+    st.lists(st.tuples(st.text(st.sampled_from("ab =,;#\n\t\x0b\u2028"), max_size=4),
+                       NUMBER_TEXT), max_size=3).map(
+        lambda pairs: ",".join(f"{k}={v}" for k, v in pairs)
+    ),
+    st.lists(st.sampled_from(["auto", "exact", "greedy", "", " x"]), max_size=3).map(",".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# a seed beyond the float range once overflowed math.isfinite (exit 3), and a
+# line break in a weight override's segment once split the message
+@example(text=str(10**400), others={}, in_file=[False] * 3)
+@example(text="a\nb=-1", others={}, in_file=[False] * 3)
+@given(text=OPTION_TEXT, others=st.dictionaries(st.sampled_from(sorted(_OPTIONS)), OPTION_TEXT,
+                                                max_size=2),
+       in_file=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_option_values_parse_or_exit_2(tmp_path, key, text, others, in_file):
+    # Only parsing and validation run, no stage: main() reports a CliError
+    # as its exit code and one line, and any other exception as exit 3.
+    argv, lines = ["grid"], []
+    for (name, value), to_file in zip({**others, key: text}.items(), in_file):
+        if to_file:
+            lines.append(f"{name} = {value}\n")
+        else:
+            argv.append(f"{_flag(name)}={value}")
+    if lines:
+        cfg_file = tmp_path / "fuzz.cfg"
+        cfg_file.write_text("".join(lines), encoding="utf-8")
+        argv += ["--config", str(cfg_file)]
+    try:
+        _merge_config(PARSER.parse_args(argv))
+    except cli.CliError as exc:
+        assert exc.code == 2
+        assert len(str(exc).splitlines()) == 1

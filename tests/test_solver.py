@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exhaustive_best, random_instance
+from helpers import exhaustive_best, random_instance, reference_exact
 from lidarplan import (
     Budget,
     Cardinality,
@@ -135,6 +137,58 @@ def test_exact_matches_exhaustive_oracle(rng):
             want = exhaustive_best(rows, weights, costs, constraint)
             assert math.isclose(sol.objective, want, rel_tol=1e-12, abs_tol=1e-9)
             assert verify_solution(prob, sol).ok
+
+
+WEIGHT_KINDS = {  # a weight per target; "uniform" draws a seed for rng.uniform
+    "integer": st.integers(0, 9).map(float),
+    "tenths": st.integers(0, 30).map(lambda k: k * 0.1),
+    "levels": st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    "priority": st.sampled_from([0.0, 1.0, 10.0]),
+}
+
+
+@st.composite
+def instances(draw):
+    n, m = draw(st.integers(0, 12)), draw(st.integers(1, 80))
+    rows = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=bool).reshape(n, m)
+    if n:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+            rows[a] = rows[b]
+    kind = draw(st.sampled_from(["uniform", *WEIGHT_KINDS]))
+    if kind == "uniform":
+        weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 10.0, m)
+    else:
+        weights = np.array(draw(st.lists(WEIGHT_KINDS[kind], min_size=m, max_size=m)))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]), min_size=n, max_size=n))
+    constraint = draw(st.one_of(st.integers(0, 40).map(lambda k: Budget(k / 4)),
+                                st.integers(0, n).map(Cardinality)))
+    return problem(rows, weights=weights, costs=costs, constraint=constraint)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(prob=instances())
+def test_exact_matches_reference_search(prob):
+    sol = solve_exact(prob)
+    assert (sol.selected, sol.objective, sol.covered, sol.total_cost) == reference_exact(prob)
+
+
+@pytest.mark.parametrize("padding", [0, 124])
+def test_exact_near_tie_follows_the_float_mask_sum(padding):
+    # targets of weight 0.3, 0.2, 0.1 sum to 0.6 in mask order, but to
+    # 0.6000000000000001 in ascending weight order; candidate 1 covers them
+    # and must not beat candidate 0's single target of weight 0.6.
+    # Zero-weight padding moves the search from per-byte tables to
+    # per-weight popcounts.
+    assert 0.3 + 0.2 + 0.1 == 0.6 < 0.1 + 0.2 + 0.3
+    weights = [0.3, 0.2, 0.1, 0.6] + [0.0] * padding
+    rows = np.zeros((2, len(weights)), dtype=bool)
+    rows[0, 3] = rows[1, :3] = True
+    prob = problem(rows, weights=weights, constraint=Cardinality(1))
+    sol = solve_exact(prob)
+    assert sol.selected == (0,)
+    assert (sol.selected, sol.objective, sol.covered, sol.total_cost) == reference_exact(prob)
 
 
 def test_exact_refuses_large_instances():
@@ -337,6 +391,14 @@ def test_problem_validates_dimensions():
         DeploymentProblem(grid, -np.ones(3), np.ones(2), Cardinality(1))
     with pytest.raises(ValueError):
         DeploymentProblem(grid, np.ones(3), np.ones(2), Cardinality(-1))
+
+
+def test_problem_rejects_nan_weights_and_costs():
+    grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
+    with pytest.raises(ValueError, match="weights must be >= 0"):
+        DeploymentProblem(grid, [1.0, math.nan, 1.0], np.ones(2), Cardinality(1))
+    with pytest.raises(ValueError, match="costs must be >= 0"):
+        DeploymentProblem(grid, np.ones(3), [math.nan, 1.0], Budget(1.0))
 
 
 def test_verify_passes_on_solver_outputs(rng):
