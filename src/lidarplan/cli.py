@@ -237,24 +237,31 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not ok:
             raise CliError(EXIT_INPUT, message)
 
-    # Chained comparisons with inf refuse NaN and inf, and unlike
-    # math.isfinite do not overflow on an int beyond the float range.
+    def finite(value) -> bool:
+        """Whether value is a number within the float range.  An int beyond
+        it makes math.isfinite raise, as it would make the stages raise."""
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+
     for name, value in [
         ("spacing", cfg.spacing), ("candidate-spacing", cfg.candidate_spacing),
         ("delta", cfg.resolved_delta),
     ]:
-        check(0 < value < math.inf, f"--{name} must be finite and > 0, got {value}")
+        check(finite(value) and value > 0, f"--{name} must be finite and > 0, got {value}")
     non_negative = [("budget", cfg.budget), ("count", cfg.count), ("seed", cfg.seed),
-                    ("vehicles", cfg.vehicles)]
+                    ("vehicles", cfg.vehicles), ("exact-limit", cfg.exact_limit)]
     non_negative += [(f"weights {seg!r}", w) for seg, w in cfg.weights.items()]
     non_negative += [("gain-budgets", b) for b in cfg.gain_budgets]
     for name, value in non_negative:
-        check(value is None or 0 <= value < math.inf,
+        check(value is None or finite(value) and value >= 0,
               f"--{name} must be finite and >= 0, got {value}")
-    check(cfg.intensity_min is None or math.isfinite(cfg.intensity_min),
+    check(cfg.intensity_min is None or finite(cfg.intensity_min),
           f"--intensity-min must be finite, got {cfg.intensity_min}")
-    check(cfg.trials >= 1, f"--trials must be >= 1, got {cfg.trials}")
-    check(cfg.jobs is None or cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}")
+    for name, value in [("trials", cfg.trials), ("jobs", cfg.jobs)]:
+        check(value is None or finite(value) and value >= 1,
+              f"--{name} must be finite and >= 1, got {value}")
     check(all(a < b for a, b in zip(cfg.gain_budgets, cfg.gain_budgets[1:])),
           "--gain-budgets must be strictly increasing")
     return cfg

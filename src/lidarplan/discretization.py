@@ -108,13 +108,16 @@ def lattice_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
 def _lattice(bounds, spacing: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """x and y of the lattice strictly inside bounds, flattened row-major (y
     outer, x inner).  Raises LatticeTooLargeError, before allocating, when
-    it would hold more than MAX_LATTICE_POINTS points."""
+    it would hold more than MAX_LATTICE_POINTS points.  An empty axis counts
+    as one line, so the other axis is bounded on its own; an extent that
+    overflows to inf makes the count inf or NaN, refused too."""
     xmin, ymin, xmax, ymax = bounds
     nx, ny = (max(np.floor((hi - lo) / spacing - EDGE_EPS), 0.0)
               for lo, hi in ((xmin, xmax), (ymin, ymax)))
-    if nx * ny > MAX_LATTICE_POINTS:
+    points = max(nx, 1.0) * max(ny, 1.0)
+    if not points <= MAX_LATTICE_POINTS:
         raise LatticeTooLargeError(
-            f"{what} lattice at spacing {spacing} would hold {nx * ny:.4g} points, "
+            f"{what} lattice at spacing {spacing} would hold {points:.4g} points, "
             f"more than {MAX_LATTICE_POINTS}"
         )
     gx, gy = np.meshgrid(lattice_coords(xmin, xmax, spacing),

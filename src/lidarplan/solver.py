@@ -144,16 +144,19 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
     # A set of targets is an int, target j at bit j.  Its value is the sum
     # over the distinct positive weights v of v times its popcount within
     # the targets of weight v; with many distinct weights, a sum of per-byte
-    # table lookups instead.
+    # table lookups instead.  Measured on 24 candidates and 87 to 3077
+    # targets, the popcounts are faster up to about 2 sqrt(nbytes) classes.
     rows = [_pack(row) for row in problem.grid.bits]
     nbytes = (m + 7) // 8
     classes = [(v, _pack(w == v)) for v in sorted(set(w[w > 0].tolist()))]
     if len(classes) == 1:
+        # One weight (unit weights, say): one popcount, without the loop
+        # over classes, which alone costs exact-small's pipeline ~20 %.
         (v, k), = classes
 
         def weigh(x: int) -> float:
             return v * (x & k).bit_count()
-    elif 4 * len(classes) <= nbytes:
+    elif len(classes) ** 2 <= 4 * nbytes:
         def weigh(x: int) -> float:
             return sum([v * (x & k).bit_count() for v, k in classes])
     else:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -168,7 +169,9 @@ def test_nonpositive_spacing_exit_2(tmp_path, capsys):
     "--count=-1", "--weights=central=-1", "--spacing=nan", "--gain-budgets=3,2",
     "--delta=inf", "--jobs=0", "--budget=-5", "--budget=inf", "--seed=-1",
     "--intensity-min=nan", "--count=three", "--method=bogus", "--weights=central",
-    "--gain-budgets=1,x",
+    "--gain-budgets=1,x", "--exact-limit=-5",
+    # an int beyond the float range would overflow float() in a stage
+    pytest.param(f"--count={10**400}", id="--count=10**400"),
 ])
 def test_bad_numeric_flag_exit_2(flag, tmp_path, capsys):
     code = run(["pipeline", "--types", "type-3", flag, "--out", str(tmp_path / "o")])
@@ -329,10 +332,21 @@ def test_too_many_beams_exit_2(monkeypatch, tmp_path, capsys, field, value):
     assert "sensor 'type-1'" in err and "beams per revolution" in err
 
 
+def _curb(x0, x1):
+    """Scene edit: one straight horizontal mount zone, a box of zero height."""
+    zone = {"id": "curb", "kind": "polyline", "geometry": [[x0, 10.0], [x1, 10.0]],
+            "allowed_heights": [5.0]}
+    return lambda scene: scene.__setitem__("mount_zones", [zone])
+
+
 @pytest.mark.parametrize("edit,flags", [
     (lambda scene: scene["road_segments"][1]["polygon"][1].__setitem__(0, 1e300), []),
     (lambda scene: None, ["--spacing", "1e-6"]),
     (lambda scene: None, ["--candidate-spacing", "1e-6"]),
+    # the empty y axis must not let the x axis through unbounded, nor an
+    # x extent that overflows to inf
+    (_curb(-50.0, 50.0), ["--candidate-spacing", "1e-6"]),
+    (_curb(-1e308, 1e308), []),
 ])
 def test_huge_lattice_exit_2(monkeypatch, tmp_path, capsys, edit, flags):
     real = discretization.lattice_coords
@@ -625,8 +639,9 @@ OPTION_TEXT = st.one_of(
 @pytest.mark.parametrize("key", sorted(_OPTIONS))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-# a seed beyond the float range once overflowed math.isfinite (exit 3), and a
-# line break in a weight override's segment once split the message
+# a seed beyond the float range once overflowed math.isfinite (exit 3), a
+# count beyond it once passed validation, and a line break in a weight
+# override's segment once split the message
 @example(text=str(10**400), others={}, in_file=[False] * 3)
 @example(text="a\nb=-1", others={}, in_file=[False] * 3)
 @given(text=OPTION_TEXT, others=st.dictionaries(st.sampled_from(sorted(_OPTIONS)), OPTION_TEXT,
@@ -646,7 +661,14 @@ def test_option_values_parse_or_exit_2(tmp_path, key, text, others, in_file):
         cfg_file.write_text("".join(lines), encoding="utf-8")
         argv += ["--config", str(cfg_file)]
     try:
-        _merge_config(PARSER.parse_args(argv))
+        cfg = _merge_config(PARSER.parse_args(argv))
     except cli.CliError as exc:
         assert exc.code == 2
         assert len(str(exc).splitlines()) == 1
+    else:
+        # what validation lets through is a float-range number, so no stage
+        # can overflow converting it
+        numbers = [cfg.spacing, cfg.candidate_spacing, cfg.resolved_delta, cfg.budget,
+                   cfg.count, cfg.seed, cfg.jobs, cfg.exact_limit, cfg.intensity_min,
+                   cfg.trials, cfg.vehicles, *cfg.weights.values(), *cfg.gain_budgets]
+        assert all(math.isfinite(x) for x in numbers if x is not None)
