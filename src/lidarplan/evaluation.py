@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
-from .raycast import GroundReturns, TargetIndex, VisibilityGrid, visibility_row
+from .raycast import GroundReturns, TargetIndex, VisibilityGrid, _prisms, visibility_row
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
     EXACT_LIMIT_DEFAULT,
@@ -251,9 +251,10 @@ def occlusion_monte_carlo(
     Vehicles only remove visibility bits, so each selected sensor is cast
     once against the static scene and each trial clips only its vehicles
     against that sensor's ground rays; the result equals recasting the
-    sensor into the scene with the vehicles added.  Each trial uses the
-    substream (seed, trial), so reports are pure functions of the inputs
-    and the seed.
+    sensor into the scene with the vehicles added.  The scene's and each
+    trial's prisms are prepared once, before the sensor loop.  Each trial
+    uses the substream (seed, trial), so reports are pure functions of the
+    inputs and the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -262,18 +263,20 @@ def occlusion_monte_carlo(
     if total_w <= 0:
         raise ValueError("total target weight must be > 0")
     static_cov = coverage_fraction(solution, weights)
-    trial_boxes = [
-        _sample_vehicles(scene, vehicle, np.random.default_rng([seed, t]))
+    ground_z = scene.ground_elevation
+    static = _prisms(scene.obstacles, ground_z)
+    trial_prisms = [
+        _prisms(_sample_vehicles(scene, vehicle, np.random.default_rng([seed, t])), ground_z)
         for t in range(trials)
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)
     index = TargetIndex(targets.points, delta)
     for i in solution.selected:  # one sensor's static returns alive at a time
-        sensor = GroundReturns(candidates[i], scene)
-        for t, boxes in enumerate(trial_boxes):
+        sensor = GroundReturns(candidates[i], scene, prisms=static)
+        for t, vehicles in enumerate(trial_prisms):
             covered[t] |= visibility_row(
-                sensor.cloud(intensity_min, boxes), targets, delta, intensity_min,
-                scene.ground_elevation, index,
+                sensor.cloud(intensity_min, vehicles), targets, delta, intensity_min,
+                ground_z, index,
             )
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
@@ -302,8 +305,9 @@ def sample_density(
     (raycast.TargetIndex) for every sensor."""
     counts = np.zeros(len(targets), dtype=np.int64)
     index = TargetIndex(targets.points, delta)
+    static = _prisms(scene.obstacles, scene.ground_elevation)
     for i in solution.selected:
-        good = GroundReturns(candidates[i], scene).cloud(intensity_min).samples
+        good = GroundReturns(candidates[i], scene, prisms=static).cloud(intensity_min).samples
         for ids, dist in index.distances(good[:, :2]):
             np.add.at(counts, ids[dist <= delta], 1)
     return counts

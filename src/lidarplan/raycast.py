@@ -7,11 +7,18 @@ against the footprint's edge half-planes and the z interval.  The nearest
 hit within range becomes one point sample with a synthetic intensity of
 1 - t/max_range.
 
-Obstacle culling is exact: a prism is clipped only against the rays whose
-planar path up to their nearest hit so far crosses the prism's footprint
-bounding box, grown by a margin far above the clipping tolerance.  Every
-other ray would keep its result, so the output is the same as clipping
-every ray against every prism.
+A cast handles all its prisms at once, in a fixed number of numpy calls.
+Its rays are kept sorted by azimuth (_Rays).  Each prism's cull box (its
+footprint's bounding box, grown by a margin far above the clipping
+tolerance) spans an azimuth window from the origin; one searchsorted finds
+the rays in every window (_windows), so the work grows with the rays that
+can reach an obstacle, not with rays times obstacles.  On those (ray,
+prism) pairs an exact test keeps the rays whose planar path crosses the
+box before the ray's starting hit (the ground, or an earlier cast) or its
+max range, and one pass clips every kept pair; each ray takes its nearest
+hit.  Every other ray would keep its
+result, so the output is the same as clipping every ray against every
+prism.
 
 A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
@@ -42,6 +49,8 @@ from .scene import Obstacle, Scene, SensorSpec
 
 HIT_EPS = 1e-9  # surface-grazing tolerance, meters
 CULL_MARGIN = 1e-6  # meters an obstacle's cull box reaches past its footprint, at least
+WINDOW_SLACK_M = 1e-3  # meters a cull box is grown by before its azimuth window is taken
+WINDOW_SLACK_RAD = 1e-9  # radians an azimuth window is widened by on each side
 
 BUCKETS_PER_TARGET = 16  # a TargetIndex has at most this many cells per target (or one)
 PAIR_CHUNK = 1 << 20  # sample-target pairs measured at once by TargetIndex.distances
@@ -145,40 +154,48 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
     ))
 
 
-def _prisms(obstacles: Sequence[Obstacle], ground_z: float) -> list[_Prism]:
-    return [_prism(obstacle, ground_z) for obstacle in obstacles]
+class _Rays(NamedTuple):
+    """Ray directions with their azimuth order: phi[k] is the azimuth
+    np.arctan2(dy, dx) of dirs[order[k]], ascending.  Every cast of the
+    same directions shares one."""
+
+    dirs: np.ndarray
+    order: np.ndarray
+    phi: np.ndarray
 
 
-def _clip_prism(
-    origin: np.ndarray, dirs: np.ndarray, planes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-ray (hit?, t) for one extruded convex footprint via slab clipping.
+def _rays(dirs: np.ndarray) -> _Rays:
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    order = np.argsort(phi, kind="stable")
+    return _Rays(dirs=dirs, order=order, phi=phi[order])
 
-    Every step is elementwise, so clipping a subset of rays gives the same
-    floats as clipping all of them.  Rays starting inside the prism hit its
-    boundary on the way out.
+
+class _PrismSet(NamedTuple):
+    """Prisms made ready for casting together.
+
+    boxes (P, 4) holds each cull box (cx, cy, hx, hy), zeros where boxless
+    is set (the prism's box is None: it is clipped against every ray).
+    planes (4, K, P) holds the nx, ny, nz and bound of each prism's K
+    half-planes, padded to the longest list with the no-op plane
+    (0, 0, 0, 1), which no ray crosses.
     """
-    n_rays = len(dirs)
-    t_enter = np.zeros(n_rays)
-    t_exit = np.full(n_rays, np.inf)
-    ok = np.ones(n_rays, dtype=bool)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for nx, ny, nz, bound in planes:
-            slope = nx * dirs[:, 0] + ny * dirs[:, 1] + nz * dirs[:, 2]
-            f0 = nx * origin[0] + ny * origin[1] + nz * origin[2] - bound
-            t_cross = -f0 / slope
-            entering = slope < 0
-            exiting = slope > 0
-            t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
-            t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
-            ok &= ~((slope == 0) & (f0 > 0))
+    boxes: np.ndarray
+    boxless: np.ndarray
+    planes: np.ndarray
 
-    ok &= t_enter <= t_exit + HIT_EPS
-    t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
-    ok &= t_hit > HIT_EPS
-    ok &= np.isfinite(t_hit)
-    return ok, t_hit
+
+def _prisms(obstacles: Sequence[Obstacle], ground_z: float) -> _PrismSet:
+    prisms = [_prism(obstacle, ground_z) for obstacle in obstacles]
+    k = max((len(p.planes) for p in prisms), default=0)
+    pad = ((0.0, 0.0, 0.0, 1.0),)
+    return _PrismSet(
+        boxes=np.array([p.box or (0.0,) * 4 for p in prisms]).reshape(-1, 4),
+        boxless=np.array([p.box is None for p in prisms], dtype=bool),
+        planes=np.ascontiguousarray(np.array(
+            [p.planes + pad * (k - len(p.planes)) for p in prisms]
+        ).reshape(len(prisms), k, 4).T),
+    )
 
 
 def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarray:
@@ -188,50 +205,98 @@ def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarr
     return np.where((dirs[:, 2] != 0) & (t_ground > HIT_EPS), t_ground, np.inf)
 
 
-def _cast_all(
-    origin: np.ndarray, dirs: np.ndarray, prisms, max_range: float, t_best: np.ndarray
-) -> np.ndarray:
-    """Nearest hit distance per ray once the prisms are clipped in order,
-    starting from t_best (the ground, or an earlier cast of the same rays).
-
-    A prism is clipped only against the rays whose planar path from the
-    origin to min(t_best, max_range) meets its box.  For any other ray the
-    clip would miss, or hit no nearer than t_best, or hit beyond max_range,
-    where the ray ends without a return either way.  The strict < lets an
-    earlier obstacle win ties.
-    """
-    t_best = t_best.copy()
+def _windows(origin: np.ndarray, rays: _Rays, prisms: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, prism) index pairs holding every ray that can reach each prism's
+    cull box: the rays whose azimuth lies in the interval the box, grown by
+    WINDOW_SLACK_M, spans from the origin, widened by WINDOW_SLACK_RAD each
+    side.  A prism without a box, or whose grown box holds the origin, gets
+    every ray.  Pairs come grouped by prism, in prism order."""
     ox, oy = origin[0], origin[1]
-    dx, dy = dirs[:, 0], dirs[:, 1]
-    adx, ady = np.abs(dx), np.abs(dy)
-    reach = np.minimum(t_best, max_range)
+    cx, cy, hx, hy = prisms.boxes.T
+    hx, hy = hx + WINDOW_SLACK_M, hy + WINDOW_SLACK_M
+    vx, vy = cx - ox, cy - oy
+    every = prisms.boxless | ((np.abs(vx) <= hx) & (np.abs(vy) <= hy))
+    # A box clear of the origin lies in an open half-plane through it, so
+    # each corner is less than pi from the centre's direction.
+    ux = vx[:, None] + hx[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
+    uy = vy[:, None] + hy[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+    turn = np.arctan2(vx[:, None] * uy - vy[:, None] * ux, vx[:, None] * ux + vy[:, None] * uy)
+    centre = np.arctan2(vy, vx)
+    lo = centre + turn.min(axis=1) - WINDOW_SLACK_RAD
+    hi = centre + turn.max(axis=1) + WINDOW_SLACK_RAD
+    # An interval past -pi or pi wraps: [lo, pi] plus [-pi, hi] on the
+    # other side, which also takes in both azimuths (+pi and -pi) of a
+    # ray pointing along -x.
+    low, high = lo < -np.pi, hi > np.pi
+    n, p = len(rays.phi), len(lo)
+    cut = np.searchsorted(rays.phi, np.concatenate((
+        np.where(low, lo + 2.0 * np.pi, lo), np.where(high, hi - 2.0 * np.pi, hi),
+    )))
+    first, last = cut[:p], cut[p:]
+    wrap = low | high
+    # Each window is two ranges [start, stop) of the sorted rays (the second
+    # empty unless it wraps), a prism's two side by side.
+    start = np.column_stack((np.where(every, 0, first), np.zeros(p, dtype=np.intp)))
+    stop = np.column_stack((np.where(every | wrap, n, last), np.where(wrap & ~every, last, 0)))
+    count = (stop - start).ravel()
+    pos = np.repeat(start.ravel() - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return rays.order[pos], np.repeat(np.arange(p), (stop - start).sum(axis=1))
+
+
+def _cast_all(
+    origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float, t_start: np.ndarray
+) -> np.ndarray:
+    """Nearest hit distance per ray once the prisms are clipped, starting
+    from t_start (the ground, or an earlier cast of the same rays).
+
+    A prism is clipped only against the rays of its window (_windows) whose
+    planar path from the origin to min(t_start, max_range) meets its box.
+    For any other ray the clip would miss, or hit no nearer than t_start,
+    or hit beyond max_range, where the ray ends without a return either
+    way.  All kept (ray, prism) pairs are clipped in one pass with the
+    elementwise steps of a per-prism clip, and each ray takes the least
+    hit, so the result equals clipping every ray against every prism.
+    """
+    t_best = t_start.copy()
+    ox, oy, oz = origin
+    ray, prism = _windows(origin, rays, prisms)
+    dx, dy, dz = (d[ray] for d in rays.dirs.T)
+    reach = np.minimum(t_start[ray], max_range)
+
+    # Separating axes: the ray's normal, then x and y.  All rays share the
+    # origin, so only their ends are tested on x and y.  (np.take leaves
+    # each gathered row contiguous; indexing boxes[prism] would not.)
+    cx, cy, hx, hy = np.take(prisms.boxes.T, prism, axis=1)
+    near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * np.abs(dy) + hy * np.abs(dx)
     end_x, end_y = ox + reach * dx, oy + reach * dy
-    for prism in prisms:
-        if prism.box is None:
-            idx = np.arange(len(dirs))
-        else:
-            # Separating axes: the ray's normal, then x and y.  All rays
-            # share the origin, so only their ends are tested on x and y.
-            cx, cy, hx, hy = prism.box
-            near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * ady + hy * adx
-            if ox < cx - hx:
-                near &= end_x >= cx - hx
-            elif ox > cx + hx:
-                near &= end_x <= cx + hx
-            if oy < cy - hy:
-                near &= end_y >= cy - hy
-            elif oy > cy + hy:
-                near &= end_y <= cy + hy
-            idx = np.flatnonzero(near)
-            if len(idx) == 0:
-                continue
-        ok, t_hit = _clip_prism(origin, dirs[idx], prism.planes)
-        better = ok & (t_hit < t_best[idx])
-        idx, t_hit = idx[better], t_hit[better]
-        t_best[idx] = t_hit
-        reach = np.minimum(t_hit, max_range)
-        end_x[idx] = ox + reach * dx[idx]
-        end_y[idx] = oy + reach * dy[idx]
+    near &= np.where(ox < cx - hx, end_x >= cx - hx, (ox <= cx + hx) | (end_x <= cx + hx))
+    near &= np.where(oy < cy - hy, end_y >= cy - hy, (oy <= cy + hy) | (end_y <= cy + hy))
+    near |= prisms.boxless[prism]
+    ray, prism, dx, dy, dz = (a[near] for a in (ray, prism, dx, dy, dz))
+
+    # Slab clipping of every pair against its prism's planes, one plane
+    # slot at a time.  The pairs come grouped by prism, so np.repeat lays
+    # each prism's coefficients out along them.
+    nx, ny, nz, bound = prisms.planes
+    coef = np.stack((nx, ny, nz, nx * ox + ny * oy + nz * oz - bound), axis=1)  # (K, 4, P)
+    per_prism = np.bincount(prism, minlength=len(prisms.boxless))
+    t_enter = np.zeros(len(ray))
+    t_exit = np.full(len(ray), np.inf)
+    ok = np.ones(len(ray), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nx, ny, nz, f0 in (np.repeat(c, per_prism, axis=1) for c in coef):
+            slope = nx * dx + ny * dy + nz * dz
+            t_cross = -f0 / slope
+            entering = slope < 0
+            exiting = slope > 0
+            t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
+            t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
+            ok &= ~((slope == 0) & (f0 > 0))
+    ok &= t_enter <= t_exit + HIT_EPS
+    t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
+    ok &= t_hit > HIT_EPS
+    ok &= np.isfinite(t_hit)
+    np.minimum.at(t_best, ray[ok], t_hit[ok])
     return t_best
 
 
@@ -258,7 +323,8 @@ def _cast_scene(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ground_z = scene.ground_elevation
     t_ground = _ground_t(origin, dirs, ground_z)
-    t_best = _cast_all(origin, dirs, _prisms(scene.obstacles, ground_z), max_range, t_ground)
+    prisms = _prisms(scene.obstacles, ground_z)
+    t_best = _cast_all(origin, _rays(dirs), prisms, max_range, t_ground)
     return _returns(origin, dirs, t_best, t_ground, ground_z, max_range)
 
 
@@ -304,34 +370,31 @@ class GroundReturns:
 
     def __init__(
         self, candidate: Candidate, scene: Scene,
-        down: np.ndarray | None = None, prisms: list[_Prism] | None = None,
+        down: _Rays | None = None, prisms: _PrismSet | None = None,
     ):
-        """down (the sensor's downward beams) and prisms (the scene's
-        obstacles, prepared) let a caller casting many sensors make them once."""
+        """down (the sensor's downward beams, _rays(_downward_beams(spec)))
+        and prisms (the scene's obstacles, _prisms) let a caller casting
+        many sensors make them once."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
         if self.origin[2] <= self.ground_z:  # such a mount sees the ground along other beams
-            self.dirs = generate_beams(candidate.sensor)
+            self.rays = _rays(generate_beams(candidate.sensor))
         else:
-            self.dirs = _downward_beams(candidate.sensor) if down is None else down
+            self.rays = _rays(_downward_beams(candidate.sensor)) if down is None else down
         if prisms is None:
             prisms = _prisms(scene.obstacles, self.ground_z)
-        self.t_ground = _ground_t(self.origin, self.dirs, self.ground_z)
-        self.t_static = _cast_all(self.origin, self.dirs, prisms, self.max_range, self.t_ground)
+        self.t_ground = _ground_t(self.origin, self.rays.dirs, self.ground_z)
+        self.t_static = _cast_all(self.origin, self.rays, prisms, self.max_range, self.t_ground)
 
-    def cloud(
-        self, intensity_min: float | None, extra: Sequence[Obstacle] = ()
-    ) -> PointCloud:
-        """Eligible returns in beam order, with `extra` obstacles appended
-        to the scene's."""
+    def cloud(self, intensity_min: float | None, extra: _PrismSet | None = None) -> PointCloud:
+        """Eligible returns in beam order, with the `extra` prisms (made by
+        _prisms) added to the scene's obstacles."""
         t_best = self.t_static
-        if extra:
-            t_best = _cast_all(
-                self.origin, self.dirs, _prisms(extra, self.ground_z), self.max_range, t_best
-            )
+        if extra is not None:
+            t_best = _cast_all(self.origin, self.rays, extra, self.max_range, t_best)
         hit, pos, intensity = _returns(
-            self.origin, self.dirs, t_best, self.t_ground, self.ground_z, self.max_range
+            self.origin, self.rays.dirs, t_best, self.t_ground, self.ground_z, self.max_range
         )
         samples = np.column_stack([pos[hit], intensity[hit]])
         return PointCloud(samples=eligible_samples(samples, self.ground_z, intensity_min))
@@ -514,7 +577,8 @@ def build_visibility_grid(
     bits = np.zeros((n_s, n_t), dtype=bool)
     ground_z = scene.ground_elevation
     prisms = _prisms(scene.obstacles, ground_z)
-    down = {spec: _downward_beams(spec) for spec in {candidates[i].sensor for i in range(n_s)}}
+    specs = {candidates[i].sensor for i in range(n_s)}
+    down = {spec: _rays(_downward_beams(spec)) for spec in specs}
     index = TargetIndex(targets.points, delta)
 
     def fill(i: int) -> None:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from lidarplan import Budget, Cardinality, TargetGrid
+from lidarplan.raycast import HIT_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,91 @@ def cast_ray_ref(origin, direction, scene, max_range):
     if on_ground:
         z = g
     return best, x, y, z, on_ground
+
+
+# ---------------------------------------------------------------------------
+# Per-prism reference cast: the loop the library's single-pass cast replaced,
+# kept as its oracle.  Prisms are clipped one at a time, in order, each
+# against the rays whose path up to their nearest hit so far meets its box.
+
+
+def reference_clip_prism(
+    origin: np.ndarray, dirs: np.ndarray, planes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ray (hit?, t) for one extruded convex footprint via slab clipping.
+
+    Every step is elementwise, so clipping a subset of rays gives the same
+    floats as clipping all of them.  Rays starting inside the prism hit its
+    boundary on the way out.
+    """
+    n_rays = len(dirs)
+    t_enter = np.zeros(n_rays)
+    t_exit = np.full(n_rays, np.inf)
+    ok = np.ones(n_rays, dtype=bool)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nx, ny, nz, bound in planes:
+            slope = nx * dirs[:, 0] + ny * dirs[:, 1] + nz * dirs[:, 2]
+            f0 = nx * origin[0] + ny * origin[1] + nz * origin[2] - bound
+            t_cross = -f0 / slope
+            entering = slope < 0
+            exiting = slope > 0
+            t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
+            t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
+            ok &= ~((slope == 0) & (f0 > 0))
+
+    ok &= t_enter <= t_exit + HIT_EPS
+    t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
+    ok &= t_hit > HIT_EPS
+    ok &= np.isfinite(t_hit)
+    return ok, t_hit
+
+
+def reference_cast_all(
+    origin: np.ndarray, dirs: np.ndarray, prisms, max_range: float, t_best: np.ndarray
+) -> np.ndarray:
+    """Nearest hit distance per ray once the prisms are clipped in order,
+    starting from t_best (the ground, or an earlier cast of the same rays).
+
+    A prism is clipped only against the rays whose planar path from the
+    origin to min(t_best, max_range) meets its box.  For any other ray the
+    clip would miss, or hit no nearer than t_best, or hit beyond max_range,
+    where the ray ends without a return either way.  The strict < lets an
+    earlier obstacle win ties.
+    """
+    t_best = t_best.copy()
+    ox, oy = origin[0], origin[1]
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    adx, ady = np.abs(dx), np.abs(dy)
+    reach = np.minimum(t_best, max_range)
+    end_x, end_y = ox + reach * dx, oy + reach * dy
+    for prism in prisms:
+        if prism.box is None:
+            idx = np.arange(len(dirs))
+        else:
+            # Separating axes: the ray's normal, then x and y.  All rays
+            # share the origin, so only their ends are tested on x and y.
+            cx, cy, hx, hy = prism.box
+            near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * ady + hy * adx
+            if ox < cx - hx:
+                near &= end_x >= cx - hx
+            elif ox > cx + hx:
+                near &= end_x <= cx + hx
+            if oy < cy - hy:
+                near &= end_y >= cy - hy
+            elif oy > cy + hy:
+                near &= end_y <= cy + hy
+            idx = np.flatnonzero(near)
+            if len(idx) == 0:
+                continue
+        ok, t_hit = reference_clip_prism(origin, dirs[idx], prism.planes)
+        better = ok & (t_hit < t_best[idx])
+        idx, t_hit = idx[better], t_hit[better]
+        t_best[idx] = t_hit
+        reach = np.minimum(t_hit, max_range)
+        end_x[idx] = ox + reach * dx[idx]
+        end_y[idx] = oy + reach * dy[idx]
+    return t_best
 
 
 def brute_force_visibility(clouds, targets_xy, delta, ground_z,

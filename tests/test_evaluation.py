@@ -28,7 +28,9 @@ from lidarplan import (
     solve_exact,
     solve_greedy,
 )
+from lidarplan import evaluation
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, write_gain_curve_csv
+from lidarplan.raycast import _prisms
 
 
 def rect(x0, y0, x1, y1):
@@ -317,6 +319,23 @@ def test_occlusion_trials_match_full_recast(
             assert got == float(demo_targets.weights[covered].sum()) / total_w
             occluded += int(np.any(static & ~covered))
     assert occluded > 0  # the vehicles did remove bits
+
+
+def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):
+    # one prepared prism set for the static scene and one per trial,
+    # however many sensors are selected
+    scene, targets, cands, solution = micro_setup()
+    assert len(solution.selected) == 2
+    made = []
+
+    def counting(obstacles, ground_z):
+        made.append(len(obstacles))
+        return _prisms(obstacles, ground_z)
+
+    monkeypatch.setattr(evaluation, "_prisms", counting)
+    occlusion_monte_carlo(solution, scene, targets, cands,
+                          VehicleModel(count=3), trials=4, seed=7, delta=2.5)
+    assert made == [0, 3, 3, 3, 3]
 
 
 def test_occlusion_validates_inputs():

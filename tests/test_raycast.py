@@ -1,14 +1,19 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_density,
     brute_force_visibility,
     cast_ray_ref,
     convex_polygon,
+    reference_cast_all,
+    reference_clip_prism,
     scattered_targets,
 )
 from lidarplan import (
@@ -30,15 +35,19 @@ from lidarplan import (
 from lidarplan.raycast import (
     CULL_MARGIN,
     VGRID_MAGIC,
+    WINDOW_SLACK_M,
     BUCKETS_PER_TARGET,
     GroundReturns,
     PointCloud,
     TargetIndex,
+    _cast_all,
     _cast_scene,
-    _clip_prism,
     _ground_t,
     _prism,
+    _prisms,
+    _rays,
     _returns,
+    _windows,
     eligible_samples,
     visibility_row,
 )
@@ -203,7 +212,7 @@ def cast_unculled(origin, dirs, scene, max_range):
     t_ground = _ground_t(origin, dirs, gz)
     t_best = t_ground
     for obstacle in scene.obstacles:
-        ok, t_hit = _clip_prism(origin, dirs, _prism(obstacle, gz).planes)
+        ok, t_hit = reference_clip_prism(origin, dirs, _prism(obstacle, gz).planes)
         t_best = np.where(ok & (t_hit < t_best), t_hit, t_best)
     return _returns(origin, dirs, t_best, t_ground, gz, max_range)
 
@@ -323,6 +332,140 @@ def test_culling_needle_corners_and_dense_scenes(rng):
             ref_hits += 1
             assert np.allclose(mine[:3], ref[1:4], atol=1e-6)
     assert ref_hits > 50
+
+
+NEEDLE = Obstacle(id="n", footprint=((0.0, 8.0), (30.0, 8.0 + 1e-5), (30.0, 8.0 - 1e-5)),
+                  height=6.0)
+
+
+@st.composite
+def cast_cases(draw):
+    """(origin, dirs, obstacles, split, max_range) for casting obstacles[:split]
+    and then obstacles[split:] from the origin.  Origins fall anywhere, inside
+    a cull box, or on or within 1e-9 m of an edge or corner of a cull box or
+    of the box its azimuth window is taken from; beam fans are full or
+    partial, upward beams are cast from at or below the ground too, and
+    extra rays point straight up and down, along -x with dy = +0.0 and -0.0
+    (azimuths +pi and -pi), and at every corner of those boxes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obstacles = [
+        Obstacle(
+            id=f"o{k}",
+            footprint=convex_polygon(rng, rng.uniform(-20, 20), rng.uniform(-20, 20), 0.5, 5),
+            height=float(rng.uniform(0.5, 8)),
+        )
+        for k in range(draw(st.integers(0, 8)))
+    ]
+    if draw(st.booleans()):
+        obstacles.insert(draw(st.integers(0, len(obstacles))), NEEDLE)
+    boxes = [box for o in obstacles if (box := _prism(o, 0.0).box) is not None]
+    where = draw(st.sampled_from(["anywhere", "inside", "edge", "corner"]))
+    if where == "anywhere" or not boxes:
+        ox, oy = rng.uniform(-25, 25, 2)
+    else:
+        cx, cy, hx, hy = boxes[draw(st.integers(0, len(boxes) - 1))]
+        grow = draw(st.sampled_from([0.0, WINDOW_SLACK_M]))
+        off_x, off_y = (draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-12])) for _ in "xy")
+        sx, sy = rng.choice([-1.0, 1.0], 2)
+        ox, oy = cx + rng.uniform(-hx, hx), cy + rng.uniform(-hy, hy)
+        on_x = where == "corner" or (where == "edge" and draw(st.booleans()))
+        on_y = where == "corner" or (where == "edge" and not on_x)
+        if on_x:
+            ox = cx + sx * (hx + grow + off_x)
+        if on_y:
+            oy = cy + sy * (hy + grow + off_y)
+    oz = draw(st.sampled_from([3.0, 0.0, -1.0]))
+    fan = spec(
+        channels=draw(st.integers(1, 6)), vmin=-70.0, vmax=draw(st.sampled_from([-5.0, 30.0])),
+        hfov=draw(st.sampled_from([360.0, 135.0, 270.0])), step=draw(st.sampled_from([5.0, 12.0])),
+    )
+    dirs = [generate_beams(fan), np.array([
+        (0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (-0.8, 0.0, -0.6), (-0.8, -0.0, -0.6),
+        (-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0),
+    ])]
+    for cx, cy, hx, hy in boxes:
+        for g in (0.0, WINDOW_SLACK_M):
+            for kx, ky in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
+                ax, ay = cx + kx * (hx + g) - ox, cy + ky * (hy + g) - oy
+                if ax or ay:
+                    dirs.append(np.array([unit(ax, ay, -oz - 1.0), unit(ax, ay, 0.0)]))
+    return (np.array([ox, oy, oz]), np.vstack(dirs), obstacles,
+            draw(st.integers(0, len(obstacles))), draw(st.sampled_from([10.0, 45.0, 80.0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cast_cases())
+def test_cast_all_equals_per_prism_reference(case):
+    # a static cast, then one continued from it with more obstacles (as
+    # GroundReturns.cloud adds vehicles), bit for bit, inf included
+    origin, dirs, obstacles, split, max_range = case
+    rays = _rays(dirs)
+    got = want = _ground_t(origin, dirs, 0.0)
+    for part in (obstacles[:split], obstacles[split:]):
+        got = _cast_all(origin, rays, _prisms(part, 0.0), max_range, got)
+        want = reference_cast_all(origin, dirs, [_prism(o, 0.0) for o in part], max_range, want)
+        assert np.array_equal(got, want)
+
+
+def reaches_box(origin, dirs, box, reach):
+    """reference_cast_all's test of which rays reach a cull box, on every ray."""
+    ox, oy = origin[0], origin[1]
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    cx, cy, hx, hy = box
+    end_x, end_y = ox + reach * dx, oy + reach * dy
+    near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * np.abs(dy) + hy * np.abs(dx)
+    if ox < cx - hx:
+        near &= end_x >= cx - hx
+    elif ox > cx + hx:
+        near &= end_x <= cx + hx
+    if oy < cy - hy:
+        near &= end_y >= cy - hy
+    elif oy > cy + hy:
+        near &= end_y <= cy + hy
+    return near
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cast_cases())
+def test_windows_hold_every_ray_that_reaches_a_box(case):
+    # at full range, the farthest any cast tests a box at
+    origin, dirs, obstacles, _, max_range = case
+    ray, prism = _windows(origin, _rays(dirs), _prisms(obstacles, 0.0))
+    assert np.all(np.diff(prism) >= 0)  # grouped by prism, as _cast_all lays them out
+    for j, obstacle in enumerate(obstacles):
+        window = ray[prism == j]
+        assert len(np.unique(window)) == len(window)
+        box = _prism(obstacle, 0.0).box
+        if box is None:
+            assert len(window) == len(dirs)
+        else:
+            reached = np.flatnonzero(reaches_box(origin, dirs, box, max_range))
+            assert np.isin(reached, window).all()
+
+
+def test_cast_raises_no_warning(rng):
+    # the scene of test_culling_needle_corners_and_dense_scenes, needle
+    # (a prism without a cull box) included, and an empty one
+    sharp = Obstacle(id="s", footprint=((0.0, -8.0), (30.0, -7.99), (30.0, -8.01)), height=6.0)
+    obstacles = [NEEDLE, sharp] + [
+        Obstacle(
+            id=f"o{k}",
+            footprint=convex_polygon(rng, rng.uniform(-30, 30), rng.uniform(-30, 30), 0.5, 4),
+            height=float(rng.uniform(0.5, 9)),
+        )
+        for k in range(30)
+    ]
+    dirs = generate_beams(spec(channels=9, vmin=-40, vmax=20, step=3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(6):
+            origin = np.array([rng.uniform(-25, 25), rng.uniform(-25, 25), rng.uniform(0.5, 8)])
+            for scene in (open_scene(*obstacles), open_scene()):
+                hit, _, _ = _cast_scene(origin, dirs, scene, 45.0)
+                assert hit.any()
+        cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
+        returns = GroundReturns(cand, open_scene(*obstacles[2:]))
+        assert len(returns.cloud(None, _prisms([NEEDLE], 0.0)).samples) > 0
 
 
 # ---------------------------------------------------------------------------
