@@ -49,7 +49,6 @@ from .evaluation import (
     gain_curve,
     occlusion_monte_carlo,
     render_coverage_map,
-    sample_density,
     write_gain_curve_csv,
 )
 from .raycast import VisibilityGrid, build_visibility_grid
@@ -304,7 +303,10 @@ class StageOutputs:
     def commit(self) -> list[Path]:
         done = []
         for partial, final in self.pending:
-            os.replace(partial, final)
+            try:
+                os.replace(partial, final)
+            except OSError as exc:  # e.g. a directory where the artifact goes
+                raise CliError(EXIT_INPUT, f"cannot write {final}: {exc}") from exc
             done.append(final)
         self.pending.clear()
         return done
@@ -392,7 +394,7 @@ class Run:
             targets = read_targets_csv(paths[0])
             candidates = read_candidates_csv(paths[1], catalog)
             grid = VisibilityGrid.load(paths[2])
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(EXIT_INPUT, str(exc)) from exc
         if grid.rows != len(candidates) or grid.cols != len(targets):
             raise CliError(
@@ -412,6 +414,8 @@ class Run:
             raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # bad JSON or not UTF-8
             raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -537,11 +541,7 @@ def stage_eval(run: Run) -> list[Path]:
         trials=cfg.trials, seed=cfg.seed, delta=grid.delta,
         intensity_min=cfg.intensity_min,
     )
-    density = sample_density(
-        solution, scene, targets, candidates, grid.delta, cfg.intensity_min
-    )
-    covered_idx = sorted(solution.covered)
-    density_covered = density[covered_idx] if covered_idx else np.zeros(0, dtype=np.int64)
+    density_covered = np.array(occlusion.density, dtype=np.int64)[sorted(solution.covered)]
     print(
         f"[eval] occlusion proxy over {cfg.trials} trials: mean "
         f"{occlusion.mean_coverage:.4f}, min {occlusion.min_coverage:.4f}, static "
@@ -702,18 +702,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _merge_config(args)
         run = Run(cfg)
-        run.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            run.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(
+                EXIT_INPUT, f"cannot create output directory {run.out_dir}: {exc}"
+            ) from exc
         _STAGES[args.command](run)
         return EXIT_OK
     except CliError as exc:
         print(f"[{getattr(args, 'command', '?')}] error: {exc}", file=sys.stderr)
         return exc.code
-    except (EmptyGridError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except (SceneParseError, SceneValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

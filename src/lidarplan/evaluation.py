@@ -3,9 +3,9 @@ Monte-Carlo moving-occluder robustness proxy, and SVG coverage maps.
 
 The detection-quality proxies here are geometric (sample density, coverage
 under random occluders), not object-detection metrics; reports label them
-as proxies.  Both cast only the ground rays of the selected sensors
-(raycast.GroundReturns), and an occlusion trial clips only its vehicles
-against rays already cast into the static scene.
+as proxies.  Both come from one cast of each selected sensor's ground rays
+into the static scene (raycast.GroundReturns), and an occlusion trial clips
+only its vehicles against those rays.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class GainCurve:
     objectives: tuple[float | None, ...]
     coverages: tuple[float | None, ...]
     methods: tuple[str | None, ...]
-    solutions: tuple[Solution | None, ...]
     errors: tuple[str | None, ...]
 
     def marginal_gains(self) -> list[float | None]:
@@ -75,7 +74,7 @@ def gain_curve(
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
     total_w = float(np.asarray(weights).sum())
-    objectives, coverages, methods, solutions, errors = [], [], [], [], []
+    objectives, coverages, methods, errors = [], [], [], []
     for b in budgets:
         constraint = Cardinality(int(b)) if kind == "count" else Budget(b)
         try:
@@ -85,13 +84,11 @@ def gain_curve(
             objectives.append(None)
             coverages.append(None)
             methods.append(None)
-            solutions.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
             continue
         objectives.append(sol.objective)
         coverages.append(sol.objective / total_w if total_w > 0 else None)
         methods.append(sol.method)
-        solutions.append(sol)
         errors.append(None)
     return GainCurve(
         kind=kind,
@@ -99,7 +96,6 @@ def gain_curve(
         objectives=tuple(objectives),
         coverages=tuple(coverages),
         methods=tuple(methods),
-        solutions=tuple(solutions),
         errors=tuple(errors),
     )
 
@@ -192,6 +188,7 @@ class OcclusionReport:
     seed: int
     per_trial: tuple[float, ...]
     vehicle: VehicleModel
+    density: tuple[int, ...]  # sample_density per target, static scene, summed over sensors
 
 
 def _sample_vehicles(scene: Scene, vehicle: VehicleModel,
@@ -246,15 +243,15 @@ def occlusion_monte_carlo(
     intensity_min: float | None = None,
 ) -> OcclusionReport:
     """Coverage of the chosen deployment under randomly placed vehicle
-    boxes.
+    boxes, and the static scene's sample density.
 
     Vehicles only remove visibility bits, so each selected sensor is cast
-    once against the static scene and each trial clips only its vehicles
-    against that sensor's ground rays; the result equals recasting the
-    sensor into the scene with the vehicles added.  The scene's and each
-    trial's prisms are prepared once, before the sensor loop.  Each trial
-    uses the substream (seed, trial), so reports are pure functions of the
-    inputs and the seed.
+    once against the static scene; its density is counted from that cast,
+    and each trial clips only its vehicles against the sensor's ground
+    rays, which equals recasting the sensor into the scene with the
+    vehicles added.  The scene's and each trial's prisms are prepared once,
+    before the sensor loop.  Each trial uses the substream (seed, trial),
+    so reports are pure functions of the inputs and the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -270,14 +267,13 @@ def occlusion_monte_carlo(
         for t in range(trials)
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)
+    density = np.zeros(len(targets), dtype=np.int64)
     index = TargetIndex(targets.points, delta)
     for i in solution.selected:  # one sensor's static returns alive at a time
         sensor = GroundReturns(candidates[i], scene, prisms=static)
+        density += sample_density(sensor.cloud(intensity_min), index)
         for t, vehicles in enumerate(trial_prisms):
-            covered[t] |= visibility_row(
-                sensor.cloud(intensity_min, vehicles), targets, delta, intensity_min,
-                ground_z, index,
-            )
+            covered[t] |= visibility_row(sensor.cloud(intensity_min, vehicles), index)
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         trials=trials,
@@ -287,29 +283,18 @@ def occlusion_monte_carlo(
         seed=seed,
         per_trial=tuple(coverages),
         vehicle=vehicle,
+        density=tuple(density.tolist()),
     )
 
 
-def sample_density(
-    solution: Solution,
-    scene: Scene,
-    targets: TargetGrid,
-    candidates: CandidateSet,
-    delta: float,
-    intensity_min: float | None = None,
-) -> np.ndarray:
-    """Eligible samples within delta of each target, summed over the
-    selected sensors.  A density proxy for how strongly each cell is
-    observed; a sample counts at np.hypot(dx, dy) <= delta, a closed radius
-    unlike the strict visibility test.  The targets are bucketed once
-    (raycast.TargetIndex) for every sensor."""
-    counts = np.zeros(len(targets), dtype=np.int64)
-    index = TargetIndex(targets.points, delta)
-    static = _prisms(scene.obstacles, scene.ground_elevation)
-    for i in solution.selected:
-        good = GroundReturns(candidates[i], scene, prisms=static).cloud(intensity_min).samples
-        for ids, dist in index.distances(good[:, :2]):
-            np.add.at(counts, ids[dist <= delta], 1)
+def sample_density(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
+    """Samples of xy (eligible returns, GroundReturns.cloud) within
+    index.delta of each indexed target: a proxy for how strongly each cell
+    is observed.  A sample counts at np.hypot(dx, dy) <= delta, the closed
+    counterpart of raycast.visibility_row's strict radius."""
+    counts = np.zeros(len(index.order), dtype=np.int64)
+    for ids, dist in index.distances(xy):
+        counts += np.bincount(ids[dist <= index.delta], minlength=len(counts))
     return counts
 
 
@@ -379,14 +364,13 @@ def render_coverage_map(
     for seg in scene.road_segments:
         lines.append(poly(seg.polygon, _SVG_COLORS["road"], _SVG_COLORS["road_edge"]))
     half = targets.spacing / 2.0
-    r_dot = _fmt(targets.spacing * 0.15 * scale)
-    for k in range(len(targets)):
-        x, y = targets.points[k]
-        lines.append(
-            f'<rect x="{sx(x - half)}" y="{sy(y + half)}" '
-            f'width="{_fmt(targets.spacing * scale)}" height="{_fmt(targets.spacing * scale)}" '
-            f'fill="none" stroke="{_SVG_COLORS["cell"]}" stroke-width="0.5"/>'
-        )
+    points = targets.points.tolist()
+    cell = (
+        f'width="{_fmt(targets.spacing * scale)}" height="{_fmt(targets.spacing * scale)}" '
+        f'fill="none" stroke="{_SVG_COLORS["cell"]}" stroke-width="0.5"/>'
+    )
+    for x, y in points:
+        lines.append(f'<rect x="{sx(x - half)}" y="{sy(y + half)}" {cell}')
     for obstacle in scene.obstacles:
         lines.append(
             poly(
@@ -396,18 +380,16 @@ def render_coverage_map(
                 opacity=0.9,
             )
         )
-    for k in range(len(targets)):
-        x, y = targets.points[k]
-        if k in solution.covered:
-            lines.append(
-                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{r_dot}" '
-                f'fill="{_SVG_COLORS["covered"]}"/>'
-            )
-        else:
-            lines.append(
-                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{r_dot}" fill="#ffffff" '
-                f'stroke="{_SVG_COLORS["uncovered_edge"]}" stroke-width="0.8"/>'
-            )
+    r_dot = _fmt(targets.spacing * 0.15 * scale)
+    dot = {  # by whether the target is covered
+        True: f'r="{r_dot}" fill="{_SVG_COLORS["covered"]}"/>',
+        False: f'r="{r_dot}" fill="#ffffff" '
+               f'stroke="{_SVG_COLORS["uncovered_edge"]}" stroke-width="0.8"/>',
+    }
+    covered = np.zeros(len(points), dtype=bool)
+    covered[list(solution.covered)] = True
+    for (x, y), hit in zip(points, covered.tolist()):
+        lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" {dot[hit]}')
     r_sensor = _fmt(targets.spacing * 0.3 * scale)
     font = _fmt(targets.spacing * 0.55 * scale)
     for i in solution.selected:

@@ -24,8 +24,9 @@ A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
 which samples may vouch for a target.  Only ground returns can, and from a
 mount above the ground only downward beams end there, so the visibility
-grid and the evaluation proxies cast just those (GroundReturns);
-simulate_sensor and cast_ray give the full cloud.
+grid and the evaluation proxies cast just those (GroundReturns), whose
+cloud() hands the eligible xy straight to the target index;
+simulate_sensor gives the full cloud.
 
 Sample-to-target distances are found through a TargetIndex: a uniform
 bucket grid over the target points with cells at least delta wide, so every
@@ -57,13 +58,6 @@ PAIR_CHUNK = 1 << 20  # sample-target pairs measured at once by TargetIndex.dist
 
 VGRID_MAGIC = b"VGRD"
 VGRID_HEADER = struct.Struct("<4sIId")  # magic, rows, cols, delta
-
-
-class PointSample(NamedTuple):
-    x: float
-    y: float
-    z: float
-    intensity: float
 
 
 @dataclass(frozen=True)
@@ -332,21 +326,6 @@ def _mount(candidate: Candidate, scene: Scene) -> np.ndarray:
     return np.array([candidate.x, candidate.y, scene.ground_elevation + candidate.height])
 
 
-def cast_ray(
-    origin: tuple[float, float, float],
-    direction: tuple[float, float, float],
-    scene: Scene,
-    max_range: float,
-) -> PointSample | None:
-    """Nearest intersection of one unit-direction ray, or None on a miss."""
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)[None, :]
-    hit, pos, intensity = _cast_scene(o, d, scene, max_range)
-    if not hit[0]:
-        return None
-    return PointSample(pos[0, 0], pos[0, 1], pos[0, 2], float(intensity[0]))
-
-
 def simulate_sensor(candidate: Candidate, scene: Scene) -> PointCloud:
     """Cast every beam of the candidate's sensor from its mount position."""
     dirs = generate_beams(candidate.sensor)
@@ -362,8 +341,9 @@ class GroundReturns:
 
     Only ground returns are eligible (eligible_samples), and from a mount
     above the ground only a downward beam can end there, so only those
-    beams are cast.  cloud() gives the same eligible samples, in the same
-    order, as eligible_samples(simulate_sensor(...).samples, ...).
+    beams are cast.  cloud() gives the planar xy of the same eligible
+    samples, in the same order, as eligible_samples(simulate_sensor(...)
+    .samples, ...).
     Obstacles added to the scene can only lower a beam's nearest hit, so
     cloud(extra=...) clips just them, continuing from the static cast.
     """
@@ -387,9 +367,9 @@ class GroundReturns:
         self.t_ground = _ground_t(self.origin, self.rays.dirs, self.ground_z)
         self.t_static = _cast_all(self.origin, self.rays, prisms, self.max_range, self.t_ground)
 
-    def cloud(self, intensity_min: float | None, extra: _PrismSet | None = None) -> PointCloud:
-        """Eligible returns in beam order, with the `extra` prisms (made by
-        _prisms) added to the scene's obstacles."""
+    def cloud(self, intensity_min: float | None, extra: _PrismSet | None = None) -> np.ndarray:
+        """(N, 2) xy of the eligible returns in beam order, with the `extra`
+        prisms (made by _prisms) added to the scene's obstacles."""
         t_best = self.t_static
         if extra is not None:
             t_best = _cast_all(self.origin, self.rays, extra, self.max_range, t_best)
@@ -397,7 +377,7 @@ class GroundReturns:
             self.origin, self.rays.dirs, t_best, self.t_ground, self.ground_z, self.max_range
         )
         samples = np.column_stack([pos[hit], intensity[hit]])
-        return PointCloud(samples=eligible_samples(samples, self.ground_z, intensity_min))
+        return eligible_samples(samples, self.ground_z, intensity_min)[:, :2]
 
 
 def eligible_samples(
@@ -493,27 +473,13 @@ class TargetIndex:
             i = j
 
 
-def visibility_row(
-    cloud: PointCloud,
-    targets: TargetGrid,
-    delta: float,
-    intensity_min: float | None,
-    ground_z: float,
-    index: TargetIndex | None = None,
-) -> np.ndarray:
-    """Boolean row: target j is visible iff some eligible sample lies at
-    planar distance np.hypot(dx, dy) < delta from it (a strict radius).
-
-    index, a TargetIndex of targets.points for at least this delta, lets
-    a caller filling many rows bucket the targets once."""
-    if index is None:
-        index = TargetIndex(targets.points, delta)
-    elif index.delta < delta:
-        raise ValueError(f"target index built for delta {index.delta}, not {delta}")
-    good = eligible_samples(cloud.samples, ground_z, intensity_min)
-    row = np.zeros(len(targets), dtype=bool)
-    for ids, dist in index.distances(good[:, :2]):
-        row[ids[dist < delta]] = True
+def visibility_row(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
+    """Boolean row over the indexed targets: target j is visible iff some
+    eligible sample of xy (GroundReturns.cloud) lies at planar distance
+    np.hypot(dx, dy) < index.delta from it (a strict radius)."""
+    row = np.zeros(len(index.order), dtype=bool)
+    for ids, dist in index.distances(xy):
+        row[ids[dist < index.delta]] = True
     return row
 
 
@@ -575,16 +541,14 @@ def build_visibility_grid(
         raise ValueError("delta must be > 0")
     n_s, n_t = len(candidates), len(targets)
     bits = np.zeros((n_s, n_t), dtype=bool)
-    ground_z = scene.ground_elevation
-    prisms = _prisms(scene.obstacles, ground_z)
+    prisms = _prisms(scene.obstacles, scene.ground_elevation)
     specs = {candidates[i].sensor for i in range(n_s)}
     down = {spec: _rays(_downward_beams(spec)) for spec in specs}
     index = TargetIndex(targets.points, delta)
 
     def fill(i: int) -> None:
         returns = GroundReturns(candidates[i], scene, down[candidates[i].sensor], prisms)
-        cloud = returns.cloud(intensity_min)
-        bits[i, :] = visibility_row(cloud, targets, delta, intensity_min, ground_z, index)
+        bits[i, :] = visibility_row(returns.cloud(intensity_min), index)
 
     if jobs is not None and jobs > 1 and n_s > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

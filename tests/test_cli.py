@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lidarplan import cli, demo_scene_path, discretization
+from lidarplan import cli, demo_scene_path, discretization, raycast
 from lidarplan.cli import (
     _OPTIONS, RunConfig, StageOutputs, _build_parser, _flag, _merge_config, main,
 )
@@ -129,6 +129,42 @@ def test_pipeline_evaluates_its_own_solution(pipeline_dir, tmp_path):
                 "--out", str(out)]) == 0
     assert len(read_json(out / "solution_greedy.json")["selected"]) == 2
     assert "sensors: 2," in (out / "report.txt").read_text()
+
+
+def test_pipeline_casts_and_filters_once(monkeypatch, tmp_path):
+    # The flags of the exact-small benchmark: 24 candidates, 6 selected.
+    # The grid stage filters each candidate's returns once, and the eval
+    # stage casts each selected sensor into the static scene once, for
+    # both the occlusion trials and the sample density.
+    calls = {}
+    stage = [None]
+
+    def tagged(name, fn):
+        def staged(run):
+            stage[0] = name
+            return fn(run)
+        return staged
+
+    def counted(name, fn):
+        def counting(*args, **kwargs):
+            calls[stage[0], name] = calls.get((stage[0], name), 0) + 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in ("stage_grid", "stage_solve", "stage_eval", "stage_render"):
+        monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
+    monkeypatch.setattr(raycast.GroundReturns, "__init__",
+                        counted("GroundReturns", raycast.GroundReturns.__init__))
+    monkeypatch.setattr(raycast, "eligible_samples",
+                        counted("eligible_samples", raycast.eligible_samples))
+    assert run(["pipeline", "--types", "type-1", "--spacing", "3", "--candidate-spacing", "6",
+                "--count", "6", "--gain-budgets", "2", "--trials", "4", "--vehicles", "4",
+                "--jobs", "1", "--out", str(tmp_path)]) == 0
+    selected = len(read_json(tmp_path / "solution.json")["selected"])
+    rows = len((tmp_path / "candidates.csv").read_text().splitlines()) - 1
+    assert (selected, rows) == (6, 24)
+    assert calls["stage_eval", "GroundReturns"] == selected
+    assert calls["stage_grid", "eligible_samples"] == rows
 
 
 def test_missing_scene_exit_2_names_path(tmp_path, capsys):
@@ -512,22 +548,49 @@ def _nan_first_x(text):
     ("solution.json", _extra_covered(10**6), "eval"),
     ("targets.csv", _nan_first_x, "eval"),
     ("candidates.csv", _nan_first_x, "eval"),
+    ("targets.csv", None, "solve"),
+    ("solution.json", None, "eval"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
-        "solution-covered-past-end", "targets-nan", "candidates-nan"])
+        "solution-covered-past-end", "targets-nan", "candidates-nan", "targets-directory",
+        "solution-directory"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"
     out.mkdir()
     for artifact in ("targets.csv", "candidates.csv", "grid.vgrd", "solution.json"):
         (out / artifact).write_bytes((pipeline_dir / artifact).read_bytes())
-    (out / name).write_text(damage((out / name).read_text()))
+    if damage is None:  # a directory where the artifact should be
+        (out / name).unlink()
+        (out / name).mkdir()
+    else:
+        (out / name).write_text(damage((out / name).read_text()))
     code = run([stage, *FAST, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert str(out / name) in err
+
+
+@pytest.mark.parametrize("out_name,directory", [
+    ("file", None),  # --out names an existing file
+    ("file/sub", None),  # --out lies under a file
+    ("o", "targets.csv"),  # a directory where the grid stage writes an artifact
+])
+def test_bad_out_exit_2(tmp_path, capsys, out_name, directory):
+    (tmp_path / "file").write_text("not a directory")
+    out = tmp_path / out_name
+    if directory is not None:
+        (out / directory).mkdir(parents=True)
+    code = run(["grid", *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert str(out / directory if directory else out) in err
+    if out.is_dir():
+        assert not list(out.glob("*.partial"))
 
 
 def test_stage_outputs_partial_retention(tmp_path):

@@ -23,7 +23,6 @@ from lidarplan import (
     gain_curve,
     occlusion_monte_carlo,
     render_coverage_map,
-    sample_density,
     simulate_sensor,
     solve_exact,
     solve_greedy,
@@ -353,9 +352,17 @@ def test_occlusion_validates_inputs():
 # sample density
 
 
+def static_density(solution, scene, targets, cands, delta, intensity_min=None):
+    """Per-target density as the eval stage reads it: counted by
+    occlusion_monte_carlo from its one static cast of each selected sensor."""
+    report = occlusion_monte_carlo(solution, scene, targets, cands, VehicleModel(count=0),
+                                   trials=1, seed=0, delta=delta, intensity_min=intensity_min)
+    return np.array(report.density, dtype=np.int64)
+
+
 def test_sample_density_nonzero_exactly_where_useful():
     scene, targets, cands, solution = micro_setup()
-    density = sample_density(solution, scene, targets, cands, delta=2.5)
+    density = static_density(solution, scene, targets, cands, delta=2.5)
     assert density.shape == (len(targets),)
     covered = np.zeros(len(targets), dtype=bool)
     covered[list(solution.covered)] = True
@@ -370,7 +377,7 @@ def test_sample_density_matches_closed_radius_oracle_on_demo(
         demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(3)
     )
     solution = solve_greedy(problem)
-    density = sample_density(
+    density = static_density(
         solution, demo_scene, demo_targets, demo_candidates_t1, 1.5, intensity_min
     )
     clouds = [simulate_sensor(demo_candidates_t1[i], demo_scene) for i in solution.selected]
@@ -390,7 +397,7 @@ def test_sample_density_matches_closed_radius_oracle_on_scattered_targets(rng):
         targets = scattered_targets(rng, n, -25.0, 25.0, duplicates)
         delta = float(rng.uniform(0.3, 3.0))
         for intensity_min in (None, 0.5):
-            density = sample_density(solution, scene, targets, cands, delta, intensity_min)
+            density = static_density(solution, scene, targets, cands, delta, intensity_min)
             want = brute_force_density(clouds, [tuple(p) for p in targets.points], delta,
                                        scene.ground_elevation, intensity_min)
             assert np.array_equal(density, want)
@@ -414,7 +421,7 @@ def test_sample_density_counts_a_sample_at_exactly_delta():
     targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
     solution = Solution(selected=(0,), covered=frozenset(), objective=0.0, total_cost=1.0,
                         method="exact", optimality_bound=0.0)
-    density = sample_density(solution, scene, targets, cands, delta)
+    density = static_density(solution, scene, targets, cands, delta)
     assert density.tolist() == [1, 0]
     assert np.array_equal(density, brute_force_density(
         [simulate_sensor(cands[0], scene)], [tuple(p) for p in points], delta, 0.0))

@@ -26,7 +26,6 @@ from lidarplan import (
     TargetGrid,
     VisibilityGrid,
     build_visibility_grid,
-    cast_ray,
     discretize_roi,
     enumerate_candidates,
     generate_beams,
@@ -135,27 +134,35 @@ def test_beams_partial_horizontal_fov():
 # single-ray casting
 
 
+def cast_one(origin, direction, scene, max_range):
+    """Position of one ray's nearest hit, cast by _cast_scene with a one-row
+    dirs, or None on a miss."""
+    hit, pos, _ = _cast_scene(np.asarray(origin, dtype=np.float64),
+                              np.asarray([direction], dtype=np.float64), scene, max_range)
+    return pos[0] if hit[0] else None
+
+
 def test_cast_ray_ground_distance_trig():
     # downward 15 degrees from 5 m up: planar distance 5 / tan(15 deg)
     e = math.radians(-15.0)
     d = (math.cos(e), 0.0, math.sin(e))
-    sample = cast_ray((0.0, 0.0, 5.0), d, open_scene(), 100.0)
+    sample = cast_one((0.0, 0.0, 5.0), d, open_scene(), 100.0)
     expected = 5.0 / math.tan(abs(e))
     assert sample is not None
-    assert math.isclose(sample.x, expected, rel_tol=1e-9)
-    assert sample.y == 0.0
-    assert sample.z == 0.0  # stamped exactly onto the ground plane
+    assert math.isclose(sample[0], expected, rel_tol=1e-9)
+    assert sample[1] == 0.0
+    assert sample[2] == 0.0  # stamped exactly onto the ground plane
     assert math.isclose(expected, 18.6602540378, rel_tol=1e-9)
 
 
 def test_cast_ray_horizontal_misses():
-    assert cast_ray((0, 0, 5), (1.0, 0.0, 0.0), open_scene(), 100.0) is None
+    assert cast_one((0, 0, 5), (1.0, 0.0, 0.0), open_scene(), 100.0) is None
 
 
 def test_cast_ray_beyond_range_misses():
     e = math.radians(-15.0)
     d = (math.cos(e), 0.0, math.sin(e))
-    assert cast_ray((0, 0, 5), d, open_scene(), 10.0) is None
+    assert cast_one((0, 0, 5), d, open_scene(), 10.0) is None
 
 
 def test_cast_ray_wall_blocks_ground():
@@ -165,13 +172,13 @@ def test_cast_ray_wall_blocks_ground():
     raw = (3.0, 0.0, -1.2)
     n = math.hypot(3.0, 1.2)
     d = (raw[0] / n, raw[1] / n, raw[2] / n)
-    sample = cast_ray(origin, d, open_scene(wall), 100.0)
+    sample = cast_one(origin, d, open_scene(wall), 100.0)
     # independent ray-plane oracle: front face x = 1
     t_face = 1.0 / d[0]
     assert sample is not None
-    assert math.isclose(sample.x, 1.0, abs_tol=1e-9)
-    assert math.isclose(sample.z, origin[2] + t_face * d[2], rel_tol=1e-9)
-    assert sample.z > 0.0
+    assert math.isclose(sample[0], 1.0, abs_tol=1e-9)
+    assert math.isclose(sample[2], origin[2] + t_face * d[2], rel_tol=1e-9)
+    assert sample[2] > 0.0
     assert t_face < n  # hit strictly before the would-be ground hit
 
 
@@ -189,16 +196,16 @@ def test_cast_ray_matches_reference_on_random_rays(rng):
         origin = (rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0.5, 10))
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        mine = cast_ray(origin, tuple(v), scene, 80.0)
+        mine = cast_one(origin, tuple(v), scene, 80.0)
         ref = cast_ray_ref(origin, tuple(v), scene, 80.0)
         if ref is None:
             assert mine is None
         else:
             assert mine is not None
             _, rx, ry, rz, _ = ref
-            assert math.isclose(mine.x, rx, abs_tol=1e-6)
-            assert math.isclose(mine.y, ry, abs_tol=1e-6)
-            assert math.isclose(mine.z, rz, abs_tol=1e-6)
+            assert math.isclose(mine[0], rx, abs_tol=1e-6)
+            assert math.isclose(mine[1], ry, abs_tol=1e-6)
+            assert math.isclose(mine[2], rz, abs_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +225,14 @@ def cast_unculled(origin, dirs, scene, max_range):
 
 
 def assert_culling_exact(origin, dirs, scene, max_range, one_by_one=True):
-    """The batch cast equals the unculled one, and (one_by_one) cast_ray per ray."""
+    """The batch cast equals the unculled one, and (one_by_one) cast_one per ray."""
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     culled = _cast_scene(origin, dirs, scene, max_range)
     for got, want in zip(culled, cast_unculled(origin, dirs, scene, max_range)):
         assert np.array_equal(got, want)
     for d, hit, pos in zip(dirs, culled[0], culled[1]) if one_by_one else ():
-        sample = cast_ray(tuple(origin), tuple(d), scene, max_range)
+        sample = cast_one(tuple(origin), tuple(d), scene, max_range)
         assert (sample is not None) == hit
         if hit:
             assert tuple(sample[:3]) == tuple(pos)
@@ -326,7 +333,7 @@ def test_culling_needle_corners_and_dense_scenes(rng):
     for _ in range(200):
         origin = (rng.uniform(-25, 25), rng.uniform(-25, 25), rng.uniform(0.5, 8))
         d = tuple(unit(*rng.normal(size=3)))
-        mine, ref = cast_ray(origin, d, scene, 45.0), cast_ray_ref(origin, d, scene, 45.0)
+        mine, ref = cast_one(origin, d, scene, 45.0), cast_ray_ref(origin, d, scene, 45.0)
         assert (mine is None) == (ref is None)
         if ref is not None:
             ref_hits += 1
@@ -465,7 +472,7 @@ def test_cast_raises_no_warning(rng):
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = GroundReturns(cand, open_scene(*obstacles[2:]))
-        assert len(returns.cloud(None, _prisms([NEEDLE], 0.0)).samples) > 0
+        assert len(returns.cloud(None, _prisms([NEEDLE], 0.0))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +720,13 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
         (s.type_id, h) for s in demo_scene.catalog for h in (3.5, 5.4, 8.0)
     }
     grid = build_visibility_grid(cands, demo_targets, demo_scene, 1.5, intensity_min)
+    index = TargetIndex(demo_targets.points, 1.5)
     for i, cand in enumerate(cands):
         full = simulate_sensor(cand, demo_scene)
-        want = eligible_samples(full.samples, demo_scene.ground_elevation, intensity_min)
-        got = GroundReturns(cand, demo_scene).cloud(intensity_min).samples
+        want = eligible_samples(full.samples, demo_scene.ground_elevation, intensity_min)[:, :2]
+        got = GroundReturns(cand, demo_scene).cloud(intensity_min)
         assert np.array_equal(got, want)
-        row = visibility_row(full, demo_targets, 1.5, intensity_min, demo_scene.ground_elevation)
+        row = visibility_row(want, index)
         assert np.array_equal(grid.bits[i], row)
     assert grid.bits.any()
 
@@ -731,7 +739,7 @@ def test_ground_returns_from_mounts_at_or_below_ground():
         cand = make_candidate(0.0, 0.0, height, s)
         want = eligible_samples(simulate_sensor(cand, open_scene(box)).samples, 0.0, None)
         assert len(want) > 0
-        assert np.array_equal(GroundReturns(cand, open_scene(box)).cloud(None).samples, want)
+        assert np.array_equal(GroundReturns(cand, open_scene(box)).cloud(None), want[:, :2])
 
 
 def test_visibility_row_empty_targets():
@@ -743,7 +751,7 @@ def test_visibility_row_empty_targets():
     )
     s = spec()
     cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene())
-    row = visibility_row(cloud, empty, 2.0, None, 0.0)
+    row = visibility_row(eligible_xy(cloud, None), TargetIndex(empty.points, 2.0))
     assert row.shape == (0,)
 
 
@@ -760,6 +768,11 @@ def cloud_around(rng, points, n, reach, lo, hi):
     return PointCloud(samples=np.column_stack([xy, z, rng.random(n)]))
 
 
+def eligible_xy(cloud, intensity_min):
+    """The xy that GroundReturns.cloud would give for this cloud (ground at z = 0)."""
+    return eligible_samples(cloud.samples, 0.0, intensity_min)[:, :2]
+
+
 def closed_counts(index, cloud, delta):
     """Per-target count of ground samples at distance <= delta, from the index."""
     counts = np.zeros(len(index.order), dtype=np.int64)
@@ -774,10 +787,7 @@ def assert_index_matches_oracles(targets, cloud, delta):
     index = TargetIndex(targets.points, delta)
     for intensity_min in (None, 0.5):
         want = brute_force_visibility([cloud], xy, delta, 0.0, intensity_min)[0]
-        assert np.array_equal(visibility_row(cloud, targets, delta, intensity_min, 0.0), want)
-        assert np.array_equal(
-            visibility_row(cloud, targets, delta, intensity_min, 0.0, index), want
-        )
+        assert np.array_equal(visibility_row(eligible_xy(cloud, intensity_min), index), want)
     assert np.array_equal(closed_counts(index, cloud, delta),
                           brute_force_density([cloud], xy, delta, 0.0))
 
@@ -811,7 +821,7 @@ def test_index_pairs_at_exactly_delta(rng, unit):
         [samples, np.zeros(len(samples)), np.ones(len(samples))]
     ))
     assert_index_matches_oracles(targets, cloud, delta)
-    row = visibility_row(cloud, targets, delta, None, 0.0)
+    row = visibility_row(eligible_xy(cloud, None), TargetIndex(targets.points, delta))
     assert np.array_equal(row[:60], np.arange(60) % 2 == 0)
     assert np.all(closed_counts(TargetIndex(targets.points, delta), cloud, delta)[:60] >= 8)
 
@@ -824,14 +834,11 @@ def test_index_wide_extent_tiny_delta_caps_buckets(rng):
     assert index.nx * index.ny <= BUCKETS_PER_TARGET * len(targets)
     cloud = cloud_around(rng, targets.points, 2000, 2 * delta, -2e4, 2e4)
     assert_index_matches_oracles(targets, cloud, delta)
-    assert visibility_row(cloud, targets, delta, None, 0.0).any()
+    assert visibility_row(eligible_xy(cloud, None), index).any()
 
 
 def test_index_rejects_a_smaller_reach(rng):
     targets = scattered_targets(rng, 10, 0.0, 5.0)
-    cloud = cloud_around(rng, targets.points, 20, 1.0, 0.0, 5.0)
-    with pytest.raises(ValueError, match="delta"):
-        visibility_row(cloud, targets, 2.0, None, 0.0, TargetIndex(targets.points, 1.0))
     with pytest.raises(ValueError, match="delta"):
         TargetIndex(targets.points, 0.0)
 
