@@ -281,7 +281,7 @@ def _sha256(path: Path) -> str:
 class StageOutputs:
     """Write-to-partial, rename-on-commit artifact collector.  Used as a
     context manager, it deletes its uncommitted partials when the block
-    raises."""
+    raises; a commit that fails part way deletes what it renamed as well."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -306,6 +306,8 @@ class StageOutputs:
             try:
                 os.replace(partial, final)
             except OSError as exc:  # e.g. a directory where the artifact goes
+                for path in done + [partial for partial, _ in self.pending]:
+                    path.unlink(missing_ok=True)
                 raise CliError(EXIT_INPUT, f"cannot write {final}: {exc}") from exc
             done.append(final)
         self.pending.clear()

@@ -4,8 +4,8 @@ Monte-Carlo moving-occluder robustness proxy, and SVG coverage maps.
 The detection-quality proxies here are geometric (sample density, coverage
 under random occluders), not object-detection metrics; reports label them
 as proxies.  Both come from one cast of each selected sensor's ground rays
-into the static scene (raycast.GroundReturns), and an occlusion trial clips
-only its vehicles against those rays.
+into the static scene (raycast.GroundReturns): an occlusion trial clips
+only its vehicles against those rays and recounts only the rays they block.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
-from .raycast import GroundReturns, TargetIndex, VisibilityGrid, _prisms, visibility_row
+from .raycast import GroundReturns, TargetIndex, VisibilityGrid, _patterns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
     EXACT_LIMIT_DEFAULT,
@@ -245,13 +245,13 @@ def occlusion_monte_carlo(
     """Coverage of the chosen deployment under randomly placed vehicle
     boxes, and the static scene's sample density.
 
-    Vehicles only remove visibility bits, so each selected sensor is cast
-    once against the static scene; its density is counted from that cast,
-    and each trial clips only its vehicles against the sensor's ground
-    rays, which equals recasting the sensor into the scene with the
-    vehicles added.  The scene's and each trial's prisms are prepared once,
-    before the sensor loop.  Each trial uses the substream (seed, trial),
-    so reports are pure functions of the inputs and the seed.
+    Vehicles can only bring a beam's hit nearer, so each selected sensor is
+    cast once against the static scene, whose samples give each target its
+    density and strict count (sample_density).  A trial clips its vehicles
+    against the sensor's rays; the rays they block trade their static
+    sample for their new hit if still eligible, and a target is covered
+    while its strict count is above 0, as in a recast with the vehicles.
+    Prisms are made once; each trial uses the substream (seed, trial).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -269,11 +269,18 @@ def occlusion_monte_carlo(
     covered = np.zeros((trials, len(targets)), dtype=bool)
     density = np.zeros(len(targets), dtype=np.int64)
     index = TargetIndex(targets.points, delta)
-    for i in solution.selected:  # one sensor's static returns alive at a time
-        sensor = GroundReturns(candidates[i], scene, prisms=static)
-        density += sample_density(sensor.cloud(intensity_min), index)
-        for t, vehicles in enumerate(trial_prisms):
-            covered[t] |= visibility_row(sensor.cloud(intensity_min, vehicles), index)
+    for pattern, rows in _patterns(candidates, solution.selected, ground_z):
+        for i in rows:  # one sensor's static returns alive at a time
+            sensor = GroundReturns(candidates[i], scene, pattern, static, index)
+            ray, xy, key = sensor.eligible(intensity_min)
+            closed, strict = sample_density(xy, index, key)
+            density += closed
+            for t, vehicles in enumerate(trial_prisms):
+                blocked, t_best = sensor.clip(vehicles)
+                lost = (t_best < sensor.t_static)[ray]  # the blocked rays' static samples
+                _, new_xy, new_key = sensor.eligible(intensity_min, t_best, blocked)
+                lost_count = sample_density(xy[lost], index, key[lost])[1]
+                covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         trials=trials,
@@ -287,15 +294,17 @@ def occlusion_monte_carlo(
     )
 
 
-def sample_density(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
-    """Samples of xy (eligible returns, GroundReturns.cloud) within
-    index.delta of each indexed target: a proxy for how strongly each cell
-    is observed.  A sample counts at np.hypot(dx, dy) <= delta, the closed
-    counterpart of raycast.visibility_row's strict radius."""
-    counts = np.zeros(len(index.order), dtype=np.int64)
-    for ids, dist in index.distances(xy):
-        counts += np.bincount(ids[dist <= index.delta], minlength=len(counts))
-    return counts
+def sample_density(xy: np.ndarray, index: TargetIndex,
+                   key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(closed, strict): per indexed target, the samples of xy (eligible
+    returns, GroundReturns.eligible) at np.hypot(dx, dy) <= index.delta, a
+    proxy for how strongly each cell is observed, and those < index.delta,
+    raycast.visibility_row's strict radius."""
+    closed, strict = np.zeros((2, index.size), dtype=np.int64)
+    for ids, dist in index.distances(xy, key):
+        closed += np.bincount(ids[dist <= index.delta], minlength=index.size)
+        strict += np.bincount(ids[dist < index.delta], minlength=index.size)
+    return closed, strict
 
 
 _SVG_COLORS = {
@@ -404,4 +413,5 @@ def render_coverage_map(
             f'fill="{_SVG_COLORS["label"]}">{c.sensor.type_id}@{c.height:g}m</text>'
         )
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:  # line by line: no copy of the whole map
+        fh.writelines(line + "\n" for line in lines)

@@ -16,23 +16,22 @@ can reach an obstacle, not with rays times obstacles.  On those (ray,
 prism) pairs an exact test keeps the rays whose planar path crosses the
 box before the ray's starting hit (the ground, or an earlier cast) or its
 max range, and one pass clips every kept pair; each ray takes its nearest
-hit.  Every other ray would keep its
-result, so the output is the same as clipping every ray against every
-prism.
+hit.  Every other ray would keep its result, so the output is the same as
+clipping every ray against every prism.
 
 A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
-which samples may vouch for a target.  Only ground returns can, and from a
-mount above the ground only downward beams end there, so the visibility
-grid and the evaluation proxies cast just those (GroundReturns), whose
-cloud() hands the eligible xy straight to the target index;
-simulate_sensor gives the full cloud.
+which samples may vouch for a target.  Only ground returns can, so the grid
+and the evaluation proxies cast only the beams of a ground pattern
+(_pattern), and with a target index only those that land near a target
+(GroundReturns); simulate_sensor gives the full cloud.
 
 Sample-to-target distances are found through a TargetIndex: a uniform
 bucket grid over the target points with cells at least delta wide, so every
-target within delta of a sample lies in the 3x3 cells around it.  Only
-those pairs are measured, with np.hypot; visibility is the strict test
-(distance < delta), sample density counts the closed one (<= delta).
+target within delta of a sample lies in the 3x3 block of cells around it,
+stored as one list.  Only those pairs are measured, with np.hypot;
+visibility is the strict test (distance < delta), sample density counts
+the closed one (<= delta).
 """
 
 from __future__ import annotations
@@ -67,9 +66,6 @@ class PointCloud:
 
     samples: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 def generate_beams(spec: SensorSpec) -> np.ndarray:
     """Unit direction vectors of one full revolution, channel-major.
@@ -92,12 +88,6 @@ def generate_beams(spec: SensorSpec) -> np.ndarray:
     dy = np.cos(el) * np.sin(az)
     dz = np.sin(el) * np.ones_like(az)
     return np.stack([dx.ravel(), dy.ravel(), dz.ravel()], axis=1)
-
-
-def _downward_beams(spec: SensorSpec) -> np.ndarray:
-    """The rows of generate_beams(spec) that point below the horizon, in beam order."""
-    beams = generate_beams(spec)
-    return beams[beams[:, 2] < 0]
 
 
 def _ccw_footprint(obstacle: Obstacle) -> np.ndarray:
@@ -151,11 +141,12 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
 class _Rays(NamedTuple):
     """Ray directions with their azimuth order: phi[k] is the azimuth
     np.arctan2(dy, dx) of dirs[order[k]], ascending.  Every cast of the
-    same directions shares one."""
+    same directions shares one.  A _pattern adds each ray's t_ground."""
 
     dirs: np.ndarray
     order: np.ndarray
     phi: np.ndarray
+    t_ground: np.ndarray | None = None
 
 
 def _rays(dirs: np.ndarray) -> _Rays:
@@ -335,55 +326,97 @@ def simulate_sensor(candidate: Candidate, scene: Scene) -> PointCloud:
     return PointCloud(samples=np.column_stack([pos[hit], intensity[hit]]))
 
 
+def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
+    """The beams of one spec at one mount z that can give an eligible sample,
+    in beam order: from above the ground, the downward ones that reach it in
+    range or whose z at full range, oz + range*dz as _returns rounds it, is
+    at most ground_z (an obstacle hit counts where that z equals ground_z,
+    and it never falls as t shrinks); else all."""
+    dirs = generate_beams(spec)
+    t_ground = _ground_t(np.array([0.0, 0.0, mount_z]), dirs, ground_z)
+    if mount_z > ground_z:
+        r = spec.range_m
+        keep = (dirs[:, 2] < 0) & ((t_ground <= r) | (mount_z + r * dirs[:, 2] <= ground_z))
+        dirs, t_ground = dirs[keep], t_ground[keep]
+    return _rays(dirs)._replace(t_ground=t_ground)
+
+
+def _patterns(candidates: Sequence[Candidate], rows: Sequence[int], ground_z: float):
+    """Yield (pattern, rows) for the candidates at `rows`, grouped by spec
+    and mount z in order of first use, one pattern alive at a time."""
+    groups: dict[tuple[SensorSpec, float], list[int]] = {}
+    for i in rows:
+        groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
+    return ((_pattern(spec, z, ground_z), members) for (spec, z), members in groups.items())
+
+
 class GroundReturns:
     """The beams of one mounted sensor that can vouch for a target, cast
-    once against a scene.
-
-    Only ground returns are eligible (eligible_samples), and from a mount
-    above the ground only a downward beam can end there, so only those
-    beams are cast.  cloud() gives the planar xy of the same eligible
-    samples, in the same order, as eligible_samples(simulate_sensor(...)
-    .samples, ...).
-    Obstacles added to the scene can only lower a beam's nearest hit, so
-    cloud(extra=...) clips just them, continuing from the static cast.
-    """
+    once against a scene: its _pattern, or with a TargetIndex, where `stray`
+    allows, only those whose ground point's bucket has a target in its 3x3
+    block, their samples looked up by those buckets.  That is exact: a
+    ground return lies on its ground point, and an eligible obstacle hit at
+    t (oz + t*dz rounds to gz = ground_z) from h = oz - gz > HIT_EPS, with
+    u = 2^-53 and u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h,
+    plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
+    that fits in half the cells' slack over delta (the rest covers the cell
+    arithmetic), any target within delta of the hit is in the block."""
 
     def __init__(
-        self, candidate: Candidate, scene: Scene,
-        down: _Rays | None = None, prisms: _PrismSet | None = None,
+        self, candidate: Candidate, scene: Scene, pattern: _Rays | None = None,
+        prisms: _PrismSet | None = None, index: "TargetIndex | None" = None,
     ):
-        """down (the sensor's downward beams, _rays(_downward_beams(spec)))
-        and prisms (the scene's obstacles, _prisms) let a caller casting
-        many sensors make them once."""
+        """pattern (_pattern of the spec and mount z) and prisms (the scene's
+        obstacles, _prisms) let a caller casting many sensors make them once."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
-        if self.origin[2] <= self.ground_z:  # such a mount sees the ground along other beams
-            self.rays = _rays(generate_beams(candidate.sensor))
-        else:
-            self.rays = _rays(_downward_beams(candidate.sensor)) if down is None else down
+        self.index, self.key = index, None
+        self.rays = pattern or _pattern(candidate.sensor, self.origin[2], self.ground_z)
+        ox, oy = np.abs(self.origin[:2])
+        gz, r, h = abs(self.ground_z), self.max_range, self.origin[2] - self.ground_z
+        stray = 2.0**-49 * (r * (gz + h) / h + ox + oy + r) if h > HIT_EPS else np.inf
+        if index is not None and 2.0**-52 * gz <= h and stray <= (index.cell - index.delta) / 2:
+            ground = self.origin[:2] + self.rays.t_ground[:, None] * self.rays.dirs[:, :2]
+            key = index._keys(ground)  # rounded as _returns rounds the ground returns
+            keep = index.start[key + 1] > index.start[key]
+            in_order = keep[self.rays.order]
+            rank = np.cumsum(keep) - 1  # each kept ray's place among the kept
+            self.rays = _Rays(self.rays.dirs[keep], rank[self.rays.order[in_order]],
+                              self.rays.phi[in_order], self.rays.t_ground[keep])
+            self.key = key[keep]
         if prisms is None:
             prisms = _prisms(scene.obstacles, self.ground_z)
-        self.t_ground = _ground_t(self.origin, self.rays.dirs, self.ground_z)
-        self.t_static = _cast_all(self.origin, self.rays, prisms, self.max_range, self.t_ground)
+        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground)
 
-    def cloud(self, intensity_min: float | None, extra: _PrismSet | None = None) -> np.ndarray:
-        """(N, 2) xy of the eligible returns in beam order, with the `extra`
-        prisms (made by _prisms) added to the scene's obstacles."""
-        t_best = self.t_static
-        if extra is not None:
-            t_best = _cast_all(self.origin, self.rays, extra, self.max_range, t_best)
-        hit, pos, intensity = _returns(
-            self.origin, self.rays.dirs, t_best, self.t_ground, self.ground_z, self.max_range
+    def clip(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
+        """(rays, t): the rays that the `extra` prisms (_prisms) block
+        nearer than the static cast, and every ray's nearest hit with them."""
+        t = _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
+        return np.flatnonzero(t < self.t_static), t
+
+    def eligible(self, intensity_min: float | None, t: np.ndarray | None = None,
+                 rays: np.ndarray | slice = slice(None)):
+        """(rays, xy, key) of the eligible returns in ray order: their rays,
+        planar xy (N, 2) and index buckets to look them up by (None without
+        an index), with t (default t_static) read at `rays` (default all)."""
+        t = self.t_static if t is None else t
+        hit, pos, intensity = _returns(self.origin, self.rays.dirs[rays], t[rays],
+                                       self.rays.t_ground[rays], self.ground_z, self.max_range)
+        ray = np.arange(len(t), dtype=np.float64)[rays][hit]
+        samples = eligible_samples(  # the ray rides along as a fifth column
+            np.column_stack([pos[hit], intensity[hit], ray]), self.ground_z, intensity_min
         )
-        samples = np.column_stack([pos[hit], intensity[hit]])
-        return eligible_samples(samples, self.ground_z, intensity_min)[:, :2]
+        ray, xy = samples[:, 4].astype(np.intp), samples[:, :2]
+        if self.index is None:  # xy as eligible_samples(simulate_sensor(...).samples) has it
+            return ray, xy, None
+        return ray, xy, self.index._keys(xy) if self.key is None else self.key[ray]
 
 
 def eligible_samples(
     samples: np.ndarray, ground_z: float, intensity_min: float | None
 ) -> np.ndarray:
-    """Samples allowed to vouch for target visibility.
+    """Samples (rows x, y, z, intensity, ...) allowed to vouch for targets.
 
     Only ground-surface returns count: a return off an obstacle face proves
     the obstacle blocks the view there, not that the road cell behind it is
@@ -402,10 +435,11 @@ class TargetIndex:
     within `delta` of many samples.
 
     The cell side starts a hair above delta, so every target within delta
-    of a sample lies in the 3x3 cells around the sample's cell, and doubles
-    while there would be more than BUCKETS_PER_TARGET cells per target, so
-    a wide extent with a tiny delta still takes little memory.  Any point
-    set works: a lattice, targets read back from CSV, scattered or
+    of a sample lies in the 3x3 block of cells around the sample's cell,
+    and doubles while there would be more than BUCKETS_PER_TARGET cells per
+    target, so a wide extent with a tiny delta still takes little memory.
+    Each cell's block is stored as one list, so a sample looks up one list.
+    Any point set works: a lattice, targets read back from CSV, scattered or
     duplicate points, or none at all.
     """
 
@@ -414,6 +448,7 @@ class TargetIndex:
             raise ValueError("delta must be > 0")
         self.delta = delta
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        self.size = len(points)  # targets
         self.lo = points.min(axis=0) if len(points) else np.zeros(2)
         extent = points.max(axis=0) - self.lo if len(points) else np.zeros(2)
         # The slack keeps rounding in the cell arithmetic from putting a
@@ -425,60 +460,56 @@ class TargetIndex:
                 break
             self.cell *= 2.0
         # Buckets are numbered over the grid padded by two empty cells on
-        # each side, so a cell next to the grid has all its neighbours.
+        # each side.  A target is listed in the 3x3 block of each cell around
+        # its own: bucket b's block holds the targets ids[start[b]:start[b+1]].
         self.width = self.nx + 4
-        key = self._keys(points)
-        self.order = np.argsort(key, kind="stable")  # target ids, bucket by bucket
-        self.xs, self.ys = points[self.order, 0], points[self.order, 1]
-        # Bucket b holds the targets order[start[b]:start[b + 1]].
-        self.start = np.searchsorted(key[self.order], np.arange(self.width * (self.ny + 4) + 1))
-        self.offsets = (np.arange(-1, 2)[:, None] * self.width + np.arange(-1, 2)).ravel()
-        counts = np.diff(self.start)
-        self.around = np.zeros_like(counts)  # targets in the 3x3 cells around each cell
-        inner = slice(self.width + 1, len(counts) - self.width - 1)
-        for off in self.offsets:
-            self.around[inner] += counts[inner.start + off:inner.stop + off]
+        offsets = (np.arange(-1, 2)[:, None] * self.width + np.arange(-1, 2)).ravel()
+        block = (self._keys(points)[:, None] + offsets).ravel()
+        buckets = self.width * (self.ny + 4)
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=buckets))))
+        self.ids = np.repeat(np.arange(len(points)), 9)[np.argsort(block, kind="stable")]
+        self.xs, self.ys = points[self.ids, 0], points[self.ids, 1]
 
     def _keys(self, xy: np.ndarray) -> np.ndarray:
-        """Padded bucket of each point's cell; -1 for a point two or more
-        cells off the grid, which has no target within delta."""
+        """Padded bucket of each point's cell; 0, a padding cell whose block
+        is empty, for a point two or more cells off the grid, which has no
+        target within delta."""
         cx = np.floor((xy[:, 0] - self.lo[0]) / self.cell)
         cy = np.floor((xy[:, 1] - self.lo[1]) / self.cell)
         near = (cx >= -1) & (cx <= self.nx) & (cy >= -1) & (cy <= self.ny)
-        return np.where(near, (cy + 2) * self.width + (cx + 2), -1).astype(np.intp)
+        return np.where(near, (cy + 2) * self.width + (cx + 2), 0).astype(np.intp)
 
-    def distances(self, xy: np.ndarray):
+    def distances(self, xy: np.ndarray, key: np.ndarray | None = None):
         """Yield (target ids, distances) chunks that cover every (sample,
-        target) pair in neighbouring cells, so every pair within delta.
-        A target appears once for each sample near it."""
-        key = self._keys(xy)
-        sample = np.flatnonzero(key >= 0)
-        per_sample = self.around[key[sample]]
-        sample, per_sample = sample[per_sample > 0], per_sample[per_sample > 0]
-        groups = (key[sample, None] + self.offsets).ravel()  # 9 per sample
-        first = self.start[groups]
-        count = self.start[groups + 1] - first
-        ends = np.cumsum(per_sample)
+        target) pair in a sample's block, so every pair within delta, each
+        once.  key (_keys(xy)) may be given when the caller has it."""
+        key = self._keys(xy) if key is None else key
+        first = self.start[key]
+        count = self.start[key + 1] - first
+        sample = np.flatnonzero(count)
+        first, count = first[sample], count[sample]
+        ends = np.cumsum(count)
         i = 0
         while i < len(sample):  # about PAIR_CHUNK pairs at a time, at least one sample
-            done = ends[i] - per_sample[i]
+            done = ends[i] - count[i]
             j = max(i + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
-            c = count[9 * i:9 * j]
-            # Each pair's place in bucket order: the first target of its
-            # group plus a running index that restarts with every group.
-            pos = np.repeat(first[9 * i:9 * j] - np.cumsum(c) + c, c)
+            c = count[i:j]
+            # Each pair's place in the block lists: the first target of its
+            # sample's block plus a running index that restarts per sample.
+            pos = np.repeat(first[i:j] - np.cumsum(c) + c, c)
             pos += np.arange(len(pos))
-            at = np.repeat(sample[i:j], per_sample[i:j])
-            yield self.order[pos], np.hypot(xy[at, 0] - self.xs[pos], xy[at, 1] - self.ys[pos])
+            at = np.repeat(sample[i:j], c)
+            yield self.ids[pos], np.hypot(xy[at, 0] - self.xs[pos], xy[at, 1] - self.ys[pos])
             i = j
 
 
-def visibility_row(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
+def visibility_row(xy: np.ndarray, index: TargetIndex,
+                   key: np.ndarray | None = None) -> np.ndarray:
     """Boolean row over the indexed targets: target j is visible iff some
-    eligible sample of xy (GroundReturns.cloud) lies at planar distance
+    eligible sample of xy (GroundReturns.eligible) lies at planar distance
     np.hypot(dx, dy) < index.delta from it (a strict radius)."""
-    row = np.zeros(len(index.order), dtype=bool)
-    for ids, dist in index.distances(xy):
+    row = np.zeros(index.size, dtype=bool)
+    for ids, dist in index.distances(xy, key):
         row[ids[dist < index.delta]] = True
     return row
 
@@ -542,19 +573,15 @@ def build_visibility_grid(
     n_s, n_t = len(candidates), len(targets)
     bits = np.zeros((n_s, n_t), dtype=bool)
     prisms = _prisms(scene.obstacles, scene.ground_elevation)
-    specs = {candidates[i].sensor for i in range(n_s)}
-    down = {spec: _rays(_downward_beams(spec)) for spec in specs}
     index = TargetIndex(targets.points, delta)
+    serial = jobs is None or jobs <= 1
 
-    def fill(i: int) -> None:
-        returns = GroundReturns(candidates[i], scene, down[candidates[i].sensor], prisms)
-        bits[i, :] = visibility_row(returns.cloud(intensity_min), index)
+    def fill(i: int, pattern: _Rays) -> None:
+        returns = GroundReturns(candidates[i], scene, pattern, prisms, index)
+        _, xy, key = returns.eligible(intensity_min)
+        bits[i, :] = visibility_row(xy, index, key)
 
-    if jobs is not None and jobs > 1 and n_s > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, range(n_s)))
-    else:
-        for i in range(n_s):
-            fill(i)
+    with ThreadPoolExecutor(max_workers=1 if serial else jobs) as pool:  # no thread if serial
+        for pattern, rows in _patterns(candidates, range(n_s), scene.ground_elevation):
+            list((map if serial else pool.map)(lambda i: fill(i, pattern), rows))
     return VisibilityGrid(bits=bits, delta=delta)
-

@@ -593,6 +593,24 @@ def test_bad_out_exit_2(tmp_path, capsys, out_name, directory):
         assert not list(out.glob("*.partial"))
 
 
+def test_failed_commit_leaves_no_mixed_artifacts(tmp_path, capsys):
+    # A finished --spacing 3 grid and solve, then a --spacing 2 grid whose
+    # second rename fails: the targets it renamed first must not stay next
+    # to the old grid, and the solve that follows finds no grid artifacts.
+    out = tmp_path / "o"
+    assert run(["grid", *FAST, "--spacing", "3", "--out", str(out)]) == 0
+    assert run(["solve", *FAST, "--spacing", "3", "--out", str(out)]) == 0
+    (out / "candidates.csv").unlink()
+    (out / "candidates.csv").mkdir()
+    capsys.readouterr()
+    assert run(["grid", *FAST, "--spacing", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "candidates.csv") in err
+    assert not (out / "targets.csv").exists()
+    assert not list(out.glob("*.partial"))
+    assert run(["solve", *FAST, "--spacing", "2", "--out", str(out)]) == 2
+
+
 def test_stage_outputs_partial_retention(tmp_path):
     outputs = StageOutputs(tmp_path)
     partial = outputs.path_for("data.txt")
@@ -668,12 +686,14 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_console_entry_point():
+    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "lidarplan.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "lidarplan" in proc.stdout
 
 

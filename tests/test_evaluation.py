@@ -1,9 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_density, exhaustive_best, random_instance, scattered_targets
+from helpers import (
+    brute_force_density,
+    brute_force_visibility,
+    exhaustive_best,
+    random_instance,
+    scattered_targets,
+)
 from lidarplan import (
     Budget,
     Candidate,
@@ -30,6 +39,7 @@ from lidarplan import (
 from lidarplan import evaluation
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, write_gain_curve_csv
 from lidarplan.raycast import _prisms
+from test_raycast import culling_case, ground_level_wall
 
 
 def rect(x0, y0, x1, y1):
@@ -318,6 +328,50 @@ def test_occlusion_trials_match_full_recast(
             assert got == float(demo_targets.weights[covered].sum()) / total_w
             occluded += int(np.any(static & ~covered))
     assert occluded > 0  # the vehicles did remove bits
+
+
+def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity_min,
+                                         vehicle, seed):
+    """Each trial's coverage with every candidate selected against the
+    quadratic oracle on simulate_sensor's clouds with the trial's vehicles
+    added, drawn from the same substreams.  Returns the coverages."""
+    xy, w, gz = [tuple(p) for p in targets.points], targets.weights, scene.ground_elevation
+    everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
+                          total_cost=0.0, method="all", optimality_bound=0.0)
+    report = occlusion_monte_carlo(everything, scene, targets, ListCandidates(cands), vehicle,
+                                   trials=3, seed=seed, delta=delta, intensity_min=intensity_min)
+    for t, got in enumerate(report.per_trial):
+        boxes = evaluation._sample_vehicles(scene, vehicle, np.random.default_rng([seed, t]))
+        clouds = [simulate_sensor(c, scene.with_extra_obstacles(boxes)) for c in cands]
+        covered = brute_force_visibility(clouds, xy, delta, gz, intensity_min).any(axis=0)
+        assert got == float(w[covered].sum()) / float(w.sum())
+    return report.per_trial
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_occlusion_trials_match_simulated_recast(seed):
+    # vehicles dropped over the small scene's targets and obstacles
+    scene, targets, cands, delta, intensity_min = culling_case(np.random.default_rng(seed))
+    road = RoadSegment(id="r", polygon=rect(-12, -12, 12, 12))
+    scene = replace(scene, road_segments=(road,))
+    vehicle = VehicleModel(length=3.0, width=1.5, height=2.0, count=6)
+    assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity_min, vehicle,
+                                         seed)
+
+
+def test_trial_keeps_a_target_seen_at_ground_level_through_a_vehicle(monkeypatch):
+    # The vehicle is a wall just short of a beam's ground point: the beam
+    # now ends on the wall at a z that rounds to the ground's, which still
+    # vouches for the target next to it.
+    cand, scene, wall, hit = ground_level_wall(short_range=False)
+    delta = 1e-3
+    targets = TargetGrid(spacing=1.0, points=np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]]),
+                         weights=np.ones(2), segment_of=("r", "r"))
+    monkeypatch.setattr(evaluation, "_sample_vehicles", lambda scene, vehicle, rng: [wall])
+    assert assert_trials_match_simulated_recast(
+        scene, targets, [cand], delta, None, VehicleModel(count=1), 0
+    ) == (0.5,) * 3
 
 
 def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):

@@ -23,14 +23,18 @@ from lidarplan import (
     RoadSegment,
     Scene,
     SensorSpec,
+    Solution,
     TargetGrid,
+    VehicleModel,
     VisibilityGrid,
     build_visibility_grid,
     discretize_roi,
     enumerate_candidates,
     generate_beams,
+    occlusion_monte_carlo,
     simulate_sensor,
 )
+from lidarplan import raycast
 from lidarplan.raycast import (
     CULL_MARGIN,
     VGRID_MAGIC,
@@ -404,7 +408,7 @@ def cast_cases(draw):
 @given(case=cast_cases())
 def test_cast_all_equals_per_prism_reference(case):
     # a static cast, then one continued from it with more obstacles (as
-    # GroundReturns.cloud adds vehicles), bit for bit, inf included
+    # GroundReturns.clip adds vehicles), bit for bit, inf included
     origin, dirs, obstacles, split, max_range = case
     rays = _rays(dirs)
     got = want = _ground_t(origin, dirs, 0.0)
@@ -472,7 +476,7 @@ def test_cast_raises_no_warning(rng):
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = GroundReturns(cand, open_scene(*obstacles[2:]))
-        assert len(returns.cloud(None, _prisms([NEEDLE], 0.0))) > 0
+        assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0))[1])[1]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +728,7 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     for i, cand in enumerate(cands):
         full = simulate_sensor(cand, demo_scene)
         want = eligible_samples(full.samples, demo_scene.ground_elevation, intensity_min)[:, :2]
-        got = GroundReturns(cand, demo_scene).cloud(intensity_min)
+        got = GroundReturns(cand, demo_scene).eligible(intensity_min)[1]
         assert np.array_equal(got, want)
         row = visibility_row(want, index)
         assert np.array_equal(grid.bits[i], row)
@@ -739,7 +743,7 @@ def test_ground_returns_from_mounts_at_or_below_ground():
         cand = make_candidate(0.0, 0.0, height, s)
         want = eligible_samples(simulate_sensor(cand, open_scene(box)).samples, 0.0, None)
         assert len(want) > 0
-        assert np.array_equal(GroundReturns(cand, open_scene(box)).cloud(None), want[:, :2])
+        assert np.array_equal(GroundReturns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
 
 
 def test_visibility_row_empty_targets():
@@ -769,13 +773,13 @@ def cloud_around(rng, points, n, reach, lo, hi):
 
 
 def eligible_xy(cloud, intensity_min):
-    """The xy that GroundReturns.cloud would give for this cloud (ground at z = 0)."""
+    """The xy that GroundReturns.eligible would give for this cloud (ground at z = 0)."""
     return eligible_samples(cloud.samples, 0.0, intensity_min)[:, :2]
 
 
 def closed_counts(index, cloud, delta):
     """Per-target count of ground samples at distance <= delta, from the index."""
-    counts = np.zeros(len(index.order), dtype=np.int64)
+    counts = np.zeros(index.size, dtype=np.int64)
     ground = cloud.samples[cloud.samples[:, 2] == 0.0]
     for ids, dist in index.distances(ground[:, :2]):
         np.add.at(counts, ids[dist <= delta], 1)
@@ -841,6 +845,139 @@ def test_index_rejects_a_smaller_reach(rng):
     targets = scattered_targets(rng, 10, 0.0, 5.0)
     with pytest.raises(ValueError, match="delta"):
         TargetIndex(targets.points, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 7, 1 << 20]))
+def test_block_lists_hold_each_pair_within_delta_once(seed, chunk):
+    # a target within delta of a sample comes out once for that sample, in
+    # chunks of any size
+    rng = np.random.default_rng(seed)
+    targets = scattered_targets(rng, int(rng.integers(1, 60)), -5.0, 5.0, int(rng.integers(0, 10)))
+    delta = float(rng.choice([1e-3, 0.3, 1.0, 4.0]))
+    xy = np.vstack([
+        targets.points[rng.integers(0, len(targets), 30)]
+        + rng.uniform(-2 * delta, 2 * delta, (30, 2)),
+        rng.uniform(-8.0, 8.0, (30, 2)),
+    ])
+    index = TargetIndex(targets.points, delta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(raycast, "PAIR_CHUNK", chunk)
+        chunks = list(index.distances(xy))
+    ids = np.concatenate([np.zeros(0, dtype=int)] + [ids for ids, _ in chunks])
+    dist = np.concatenate([np.zeros(0)] + [dist for _, dist in chunks])
+    every = np.hypot(xy[:, None, 0] - targets.points[None, :, 0],
+                     xy[:, None, 1] - targets.points[None, :, 1])
+    assert np.array_equal(np.sort(ids[dist <= delta]), np.sort(np.nonzero(every <= delta)[1]))
+
+
+# ---------------------------------------------------------------------------
+# culled casts (ground patterns, the target cull) against the full cloud
+
+
+def culling_case(rng):
+    """(scene, targets, candidates, delta, intensity_min) for checking the
+    culled casts: the ground at one of three elevations, obstacles touching
+    the ground next to targets, ranges shorter than some beams' ground
+    distance, mounts sharing a ground pattern, scattered and duplicate
+    targets, and targets within delta of eligible returns, so that a tiny
+    delta still sets bits."""
+    gz = float(rng.choice([0.0, 100.0, -7.25]))
+    delta = float(rng.choice([1e-3, 0.05, 0.6, 2.5]))
+    specs = [
+        replace(spec(channels=int(rng.integers(1, 6)), vmin=float(rng.uniform(-70.0, -10.0)),
+                     vmax=float(rng.uniform(-8.0, 15.0)), hfov=float(rng.choice([360.0, 200.0])),
+                     step=float(rng.choice([5.0, 9.0, 17.0])),
+                     range_m=float(rng.uniform(3.0, 25.0))), type_id=f"s{k}")
+        for k in range(2)
+    ]
+    cands = [
+        make_candidate(float(rng.uniform(-10.0, 10.0)), float(rng.uniform(-10.0, 10.0)),
+                       float(rng.choice([0.5, 2.0, 6.5])), specs[int(rng.integers(2))])
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    scattered = scattered_targets(rng, int(rng.integers(1, 25)), -12.0, 12.0,
+                                  int(rng.integers(0, 4)))
+    obstacles = [
+        Obstacle(id=f"o{k}", height=float(rng.uniform(0.3, 5.0)), footprint=convex_polygon(
+            rng, x + rng.uniform(-1.0, 1.0), y + rng.uniform(-1.0, 1.0), 0.2, 1.5))
+        for k, (x, y) in enumerate(scattered.points[:int(rng.integers(0, 4))])
+    ]
+    scene = replace(open_scene(*obstacles), ground_elevation=gz)
+    ground = np.vstack([np.zeros((0, 2))] + [
+        eligible_samples(simulate_sensor(c, scene).samples, gz, None)[:, :2] for c in cands
+    ])
+    n = 8 if len(ground) else 0
+    near = ground[rng.integers(0, max(1, len(ground)), n)] + rng.uniform(-0.7, 0.7, (n, 2)) * delta
+    points = np.vstack([scattered.points, near])
+    targets = TargetGrid(spacing=1.0, points=points, weights=rng.uniform(0.5, 2.0, len(points)),
+                         segment_of=("r",) * len(points))
+    return scene, targets, cands, delta, [None, 0.3, 0.7][int(rng.integers(3))]
+
+
+def assert_culled_casts_match_oracles(scene, targets, cands, delta, intensity_min):
+    """Grid rows, and the density and coverage the eval stage reports over
+    every candidate, against the quadratic oracles on simulate_sensor."""
+    gz, xy, w = scene.ground_elevation, [tuple(p) for p in targets.points], targets.weights
+    clouds = [simulate_sensor(c, scene) for c in cands]
+    grid = build_visibility_grid(ListCandidates(cands), targets, scene, delta, intensity_min)
+    bits = brute_force_visibility(clouds, xy, delta, gz, intensity_min)
+    assert np.array_equal(grid.bits, bits)
+    everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
+                          total_cost=0.0, method="all", optimality_bound=0.0)
+    report = occlusion_monte_carlo(
+        everything, scene, targets, ListCandidates(cands), VehicleModel(count=0),
+        trials=1, seed=0, delta=delta, intensity_min=intensity_min,
+    )
+    density = brute_force_density(clouds, xy, delta, gz, intensity_min)
+    assert np.array_equal(np.array(report.density), density)
+    assert report.per_trial == (float(w[bits.any(axis=0)].sum()) / float(w.sum()),)
+    return bits, density
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_culled_casts_match_full_cloud_oracles(seed):
+    assert_culled_casts_match_oracles(*culling_case(np.random.default_rng(seed)))
+
+
+def ground_level_wall(short_range):
+    """(candidate, scene, wall, hit): a one-channel sensor 5 m above the
+    ground at z = 100, and a wall 3 floats short of where its first beam
+    (azimuth 0, 30 degrees down) meets the ground.  The beam hits the wall
+    at a z that rounds to the ground's, at xy `hit`: an obstacle hit that
+    eligible_samples takes as a ground return.  With short_range, the range
+    is the float just below the beam's ground distance, so that hit is the
+    beam's only return."""
+    origin = np.array([0.0, 0.0, 105.0])
+    beam = generate_beams(spec(channels=1, vmin=-30.0, vmax=-30.0, step=90.0))[:1]
+    t_ground = float(_ground_t(origin, beam, 100.0)[0])
+    range_m = float(np.nextafter(t_ground, 0.0)) if short_range else 50.0
+    sensor = spec(channels=1, vmin=-30.0, vmax=-30.0, step=90.0, range_m=range_m)
+    cand = make_candidate(0.0, 0.0, 5.0, sensor)
+    x_wall = t_ground * beam[0, 0]
+    for _ in range(3):
+        x_wall = float(np.nextafter(x_wall, -np.inf))
+    wall = Obstacle(id="w", footprint=rect(x_wall, -1.0, x_wall + 2.0, 1.0), height=3.0)
+    scene = replace(open_scene(), ground_elevation=100.0)
+    samples = simulate_sensor(cand, scene.with_extra_obstacles([wall])).samples
+    (hit,) = samples[np.abs(samples[:, 0] - x_wall) < 1e-9]
+    assert hit[2] == 100.0 and hit[0] < t_ground * beam[0, 0]  # eligible, off the wall
+    assert (t_ground > range_m) == short_range
+    return cand, scene, wall, hit[:2]
+
+
+@pytest.mark.parametrize("short_range", [False, True])
+def test_obstacle_hit_at_ground_level_vouches_for_a_target(short_range):
+    cand, scene, wall, hit = ground_level_wall(short_range)
+    delta = 1e-3
+    points = np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]])
+    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
+    bits, density = assert_culled_casts_match_oracles(
+        scene.with_extra_obstacles([wall]), targets, [cand], delta, None
+    )
+    assert bits[0].tolist() == [True, False]
+    assert density.tolist() == [1, 0]
 
 
 # ---------------------------------------------------------------------------
