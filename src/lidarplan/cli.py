@@ -6,7 +6,8 @@ stage to stage in memory, and writes a manifest of config and artifact
 checksums.  Every stage writes its outputs under `--out`, first as
 `<name>.partial`, renamed only when the stage finishes, so interrupted runs
 leave no half-written final artifacts.  Identical config and seed give
-byte-identical artifacts regardless of `--jobs`.
+byte-identical artifacts.  `--jobs` is kept for compatibility (old command
+lines and config files) and has no effect: the grid is built in one thread.
 
 Exit codes: 0 success, 1 infeasible stage or solver refusal, 2 input error,
 3 internal error (an invariant breach or any other exception), each with one
@@ -153,7 +154,7 @@ _OPTIONS = {
     "count": ("count", int, "unit limit (exclusive with --budget)"),
     "weights": ("weights", _parse_weights, "segment weight overrides, e.g. central=10"),
     "seed": ("seed", int, "RNG seed for stochastic evaluation"),
-    "jobs": ("jobs", int, "worker threads (default: all cores)"),
+    "jobs": ("jobs", int, "kept for compatibility; no effect"),
     "out": ("out", str, "output directory (default: out)"),
     "exact_limit": ("exact_limit", int, "max candidates for the exact solver"),
     "method": ("methods", _parse_methods,
@@ -450,6 +451,17 @@ class Run:
                     raise CliError(
                         EXIT_INPUT, f"{path}: {key} index {i!r} is not one of the {n} {what}"
                     )
+        mask = np.zeros(len(targets), dtype=bool)
+        mask[list(solution.covered)] = True
+        weight = float(targets.weights[mask].sum())  # as the solver sums it
+        if solution.objective != weight:
+            raise CliError(
+                EXIT_INPUT, f"{path}: objective {solution.objective} is not the weight "
+                f"{weight} of the covered targets"
+            )
+        for key in ("total_cost", "optimality_bound"):
+            if not math.isfinite(getattr(solution, key)):
+                raise CliError(EXIT_INPUT, f"{path}: {key} must be finite")
         return solution
 
 
@@ -476,9 +488,7 @@ def stage_grid(run: Run) -> list[Path]:
         targets = targets.reweighted(cfg.weights)
     t0 = time.perf_counter()
     grid = build_visibility_grid(
-        candidates, targets, scene, cfg.resolved_delta,
-        intensity_min=cfg.intensity_min,
-        jobs=cfg.jobs if cfg.jobs is not None else os.cpu_count(),
+        candidates, targets, scene, cfg.resolved_delta, intensity_min=cfg.intensity_min
     )
     print(
         f"[grid] {len(targets)} targets, {len(candidates)} candidates, "

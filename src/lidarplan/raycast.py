@@ -37,7 +37,6 @@ the closed one (<= delta).
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -545,6 +544,8 @@ class VisibilityGrid:
             raise ValueError(
                 f"{path}: bad grid file magic {magic!r}, expected {VGRID_MAGIC!r}"
             )
+        if not 0 < delta < np.inf:  # NaN fails this too
+            raise ValueError(f"{path}: grid delta must be finite and > 0, got {delta}")
         row_bytes = (cols + 7) // 8
         body = np.frombuffer(raw, dtype=np.uint8, offset=VGRID_HEADER.size)
         if len(body) != rows * row_bytes:
@@ -561,27 +562,18 @@ def build_visibility_grid(
     scene: Scene,
     delta: float,
     intensity_min: float | None = None,
-    jobs: int | None = None,
 ) -> VisibilityGrid:
-    """Simulate every candidate and assemble the visibility matrix.
-
-    Rows are filled by candidate index, so the result is identical for any
-    worker count.
-    """
+    """Simulate every candidate and assemble the visibility matrix, one row
+    per candidate in one thread (the CLI's --jobs is kept for compatibility
+    and has no effect)."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    n_s, n_t = len(candidates), len(targets)
-    bits = np.zeros((n_s, n_t), dtype=bool)
+    bits = np.zeros((len(candidates), len(targets)), dtype=bool)
     prisms = _prisms(scene.obstacles, scene.ground_elevation)
     index = TargetIndex(targets.points, delta)
-    serial = jobs is None or jobs <= 1
-
-    def fill(i: int, pattern: _Rays) -> None:
-        returns = GroundReturns(candidates[i], scene, pattern, prisms, index)
-        _, xy, key = returns.eligible(intensity_min)
-        bits[i, :] = visibility_row(xy, index, key)
-
-    with ThreadPoolExecutor(max_workers=1 if serial else jobs) as pool:  # no thread if serial
-        for pattern, rows in _patterns(candidates, range(n_s), scene.ground_elevation):
-            list((map if serial else pool.map)(lambda i: fill(i, pattern), rows))
+    for pattern, rows in _patterns(candidates, range(len(candidates)), scene.ground_elevation):
+        for i in rows:
+            returns = GroundReturns(candidates[i], scene, pattern, prisms, index)
+            _, xy, key = returns.eligible(intensity_min)
+            bits[i, :] = visibility_row(xy, index, key)
     return VisibilityGrid(bits=bits, delta=delta)

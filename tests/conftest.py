@@ -51,14 +51,14 @@ def demo_candidates_t1(demo_scene):
 @pytest.fixture(scope="session")
 def demo_grid_t3(demo_candidates_t3, demo_targets, demo_scene):
     return build_visibility_grid(
-        demo_candidates_t3, demo_targets, demo_scene, delta=1.5, jobs=4
+        demo_candidates_t3, demo_targets, demo_scene, delta=1.5
     )
 
 
 @pytest.fixture(scope="session")
 def demo_grid_t1(demo_candidates_t1, demo_targets, demo_scene):
     return build_visibility_grid(
-        demo_candidates_t1, demo_targets, demo_scene, delta=1.5, jobs=4
+        demo_candidates_t1, demo_targets, demo_scene, delta=1.5
     )
 
 

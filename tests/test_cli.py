@@ -110,6 +110,11 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
     # A stand-alone render infers the spacing from targets.csv, where 0.7
     # reads back as 0.6999999999999886; the pipeline hands it the exact 0.7.
     assert_staged_matches_pipeline(tmp_path / "spacing", [*FAST, "--spacing", "0.7"])
+    # A stand-alone eval re-sums the covered weights read from targets.csv,
+    # fractional ones too, and must get solution.json's objective exactly.
+    assert_staged_matches_pipeline(
+        tmp_path / "weighted", [*FAST, "--weights", "central=0.3,ew=2.7"]
+    )
 
 
 def test_stages_evaluate_the_first_method(tmp_path):
@@ -226,6 +231,23 @@ def test_solve_without_grid_artifacts_exit_2(tmp_path, capsys):
     code = run(["solve", "--out", str(tmp_path / "empty")])
     assert code == 2
     assert "run the grid stage first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_grid_delta_exit_2(pipeline_dir, tmp_path, capsys, delta):
+    out = tmp_path / "bad-delta"
+    out.mkdir()
+    for name in ("targets.csv", "candidates.csv", "solution.json"):
+        (out / name).write_bytes((pipeline_dir / name).read_bytes())
+    raw = bytearray((pipeline_dir / "grid.vgrd").read_bytes())
+    magic, rows, cols, _ = raycast.VGRID_HEADER.unpack_from(raw)
+    raycast.VGRID_HEADER.pack_into(raw, 0, magic, rows, cols, delta)
+    (out / "grid.vgrd").write_bytes(bytes(raw))
+    code = run(["eval", *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert str(out / "grid.vgrd") in err and "delta" in err
 
 
 def test_corrupt_grid_header_exit_2(pipeline_dir, tmp_path, capsys):
@@ -530,6 +552,14 @@ def _extra_covered(idx):
     return damage
 
 
+def _set_field(key, value):
+    def damage(text):
+        payload = json.loads(text)
+        payload[key] = value
+        return json.dumps(payload)
+    return damage
+
+
 def _nan_first_x(text):
     header, first, rest = text.split("\n", 2)
     fields = first.split(",")
@@ -546,14 +576,24 @@ def _nan_first_x(text):
     ("solution.json", _first_selected_idx(-1), "eval"),
     ("solution.json", _first_selected_idx(1.0), "render"),
     ("solution.json", _extra_covered(10**6), "eval"),
+    ("solution.json", _set_field("objective", math.nan), "eval"),
+    ("solution.json", _set_field("objective", math.inf), "eval"),
+    ("solution.json", _set_field("objective", 1e308), "eval"),
+    ("solution.json", _set_field("objective", 0.5), "render"),  # sums of unit weights
+    ("solution.json", _set_field("total_cost", math.nan), "eval"),
+    ("solution.json", _set_field("total_cost", -math.inf), "eval"),
+    ("solution.json", _set_field("optimality_bound", math.nan), "eval"),
+    ("solution.json", _set_field("optimality_bound", math.inf), "render"),
     ("targets.csv", _nan_first_x, "eval"),
     ("candidates.csv", _nan_first_x, "eval"),
     ("targets.csv", None, "solve"),
     ("solution.json", None, "eval"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
-        "solution-covered-past-end", "targets-nan", "candidates-nan", "targets-directory",
-        "solution-directory"])
+        "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
+        "solution-objective-huge", "solution-objective-wrong", "solution-cost-nan",
+        "solution-cost-inf", "solution-bound-nan", "solution-bound-inf", "targets-nan",
+        "candidates-nan", "targets-directory", "solution-directory"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"
@@ -672,11 +712,12 @@ def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):
     assert err.strip().splitlines() == ["internal error: RuntimeError: stage blew up"]
 
 
-def test_cli_import_leaves_scipy_out():
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+def test_cli_import_leaves_scipy_out(module):
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, lidarplan.cli; print('scipy' in sys.modules)"],
+         f"import sys, lidarplan.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},

@@ -696,18 +696,6 @@ def test_obstacle_never_adds_bits(rng):
         assert np.all(after.bits <= before.bits)
 
 
-def test_grid_deterministic_across_workers(rng):
-    scene, targets = micro_scene_and_targets(rng)
-    cands = ListCandidates(micro_candidates(rng, 5))
-    grids = [
-        build_visibility_grid(cands, targets, scene, delta=2.5, jobs=j)
-        for j in (None, 1, 2, 5)
-    ]
-    for g in grids[1:]:
-        assert np.array_equal(g.bits, grids[0].bits)
-        assert g.delta == grids[0].delta
-
-
 def test_grid_rejects_bad_delta(rng):
     scene, targets = micro_scene_and_targets(rng)
     cands = ListCandidates(micro_candidates(rng, 1))
@@ -1016,4 +1004,3 @@ def test_vgrid_rejects_truncation(tmp_path, rng):
     path.write_bytes(data[:10])
     with pytest.raises(ValueError):
         VisibilityGrid.load(path)
-
