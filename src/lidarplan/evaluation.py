@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretization import Candidate, CandidateSet, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
-from .raycast import GroundReturns, TargetIndex, VisibilityGrid, _patterns, _prisms
+from .raycast import TargetIndex, VisibilityGrid, _ground_returns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import (
     EXACT_LIMIT_DEFAULT,
@@ -269,18 +269,16 @@ def occlusion_monte_carlo(
     covered = np.zeros((trials, len(targets)), dtype=bool)
     density = np.zeros(len(targets), dtype=np.int64)
     index = TargetIndex(targets.points, delta)
-    for pattern, rows in _patterns(candidates, solution.selected, ground_z):
-        for i in rows:  # one sensor's static returns alive at a time
-            sensor = GroundReturns(candidates[i], scene, pattern, static, index)
-            ray, xy, key = sensor.eligible(intensity_min)
-            closed, strict = sample_density(xy, index, key)
-            density += closed
-            for t, vehicles in enumerate(trial_prisms):
-                blocked, t_best = sensor.clip(vehicles)
-                lost = (t_best < sensor.t_static)[ray]  # the blocked rays' static samples
-                _, new_xy, new_key = sensor.eligible(intensity_min, t_best, blocked)
-                lost_count = sample_density(xy[lost], index, key[lost])[1]
-                covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
+    for i, sensor in _ground_returns(candidates, solution.selected, scene, static, index):
+        ray, xy, key = sensor.eligible(intensity_min)
+        closed, strict = sample_density(xy, index, key)
+        density += closed
+        for t, vehicles in enumerate(trial_prisms):
+            blocked, t_best = sensor.clip(vehicles)
+            lost = (t_best < sensor.t_static)[ray]  # the blocked rays' static samples
+            _, new_xy, new_key = sensor.eligible(intensity_min, t_best, blocked)
+            lost_count = sample_density(xy[lost], index, key[lost])[1]
+            covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         trials=trials,
@@ -301,9 +299,9 @@ def sample_density(xy: np.ndarray, index: TargetIndex,
     proxy for how strongly each cell is observed, and those < index.delta,
     raycast.visibility_row's strict radius."""
     closed, strict = np.zeros((2, index.size), dtype=np.int64)
-    for ids, dist in index.distances(xy, key):
-        closed += np.bincount(ids[dist <= index.delta], minlength=index.size)
-        strict += np.bincount(ids[dist < index.delta], minlength=index.size)
+    for ids, near, inside in index.within(xy, key):
+        closed += np.bincount(ids.compress(near), minlength=index.size)
+        strict += np.bincount(ids.compress(inside), minlength=index.size)
     return closed, strict
 
 

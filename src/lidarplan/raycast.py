@@ -10,28 +10,32 @@ hit within range becomes one point sample with a synthetic intensity of
 A cast handles all its prisms at once, in a fixed number of numpy calls.
 Its rays are kept sorted by azimuth (_Rays).  Each prism's cull box (its
 footprint's bounding box, grown by a margin far above the clipping
-tolerance) spans an azimuth window from the origin; one searchsorted finds
-the rays in every window (_windows), so the work grows with the rays that
-can reach an obstacle, not with rays times obstacles.  On those (ray,
-prism) pairs an exact test keeps the rays whose planar path crosses the
-box before the ray's starting hit (the ground, or an earlier cast) or its
-max range, and one pass clips every kept pair; each ray takes its nearest
-hit.  Every other ray would keep its result, so the output is the same as
-clipping every ray against every prism.
+tolerance) spans an azimuth window from the origin, cut by one
+searchsorted (_windows; none for a box out of range), so the work grows
+with the rays that can reach an obstacle, not with rays times obstacles.
+On those (ray, prism) pairs an exact test keeps the rays whose planar path
+crosses the box before the ray's starting hit (the ground, or an earlier
+cast) or its max range, and one pass clips every kept pair; each ray takes
+its nearest hit.  Every other ray would keep its result, so the output is
+the same as clipping every ray against every prism.
 
 A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
 which samples may vouch for a target.  Only ground returns can, so the grid
 and the evaluation proxies cast only the beams of a ground pattern
-(_pattern), and with a target index only those that land near a target
-(GroundReturns); simulate_sensor gives the full cloud.
+(_pattern, with each beam's ground offset from the mount), with a target
+index only those whose ground point lands near a target, in place
+(GroundReturns); the windows of all mounts of a pattern are cut at once.
+An unblocked ray returns its ground point as is.  simulate_sensor gives
+the full cloud.
 
-Sample-to-target distances are found through a TargetIndex: a uniform
-bucket grid over the target points with cells at least delta wide, so every
+Sample-to-target pairs are found through a TargetIndex: a uniform bucket
+grid over the target points with cells at least delta wide, so every
 target within delta of a sample lies in the 3x3 block of cells around it,
-stored as one list.  Only those pairs are measured, with np.hypot;
-visibility is the strict test (distance < delta), sample density counts
-the closed one (<= delta).
+stored as one list.  Each pair is decided on dx*dx + dy*dy, and by np.hypot
+only within a band around delta^2 that rounding cannot cross, so both
+tests match np.hypot: visibility is the strict one (distance < delta),
+sample density counts the closed one (<= delta).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ WINDOW_SLACK_M = 1e-3  # meters a cull box is grown by before its azimuth window
 WINDOW_SLACK_RAD = 1e-9  # radians an azimuth window is widened by on each side
 
 BUCKETS_PER_TARGET = 16  # a TargetIndex has at most this many cells per target (or one)
-PAIR_CHUNK = 1 << 20  # sample-target pairs measured at once by TargetIndex.distances
+PAIR_CHUNK = 1 << 20  # sample-target pairs decided at once by TargetIndex.within
 
 VGRID_MAGIC = b"VGRD"
 VGRID_HEADER = struct.Struct("<4sIId")  # magic, rows, cols, delta
@@ -138,14 +142,18 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
 
 
 class _Rays(NamedTuple):
-    """Ray directions with their azimuth order: phi[k] is the azimuth
-    np.arctan2(dy, dx) of dirs[order[k]], ascending.  Every cast of the
-    same directions shares one.  A _pattern adds each ray's t_ground."""
+    """Ray directions with their azimuth order: phi[k] is the k-th smallest
+    azimuth np.arctan2(dy, dx), of ray order[k].  Every cast of the same
+    directions shares one.  A _pattern adds t_ground and, as rows (2, N), the
+    ground offsets t_ground * (dx, dy), 0 where t_ground is inf.  A cast of
+    some rays lists only those in order, rank[k] of them at positions < k."""
 
     dirs: np.ndarray
     order: np.ndarray
     phi: np.ndarray
     t_ground: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+    rank: np.ndarray | None = None
 
 
 def _rays(dirs: np.ndarray) -> _Rays:
@@ -189,49 +197,56 @@ def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarr
     return np.where((dirs[:, 2] != 0) & (t_ground > HIT_EPS), t_ground, np.inf)
 
 
-def _windows(origin: np.ndarray, rays: _Rays, prisms: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
-    """(ray, prism) index pairs holding every ray that can reach each prism's
-    cull box: the rays whose azimuth lies in the interval the box, grown by
+def _windows(origin: np.ndarray, phi: np.ndarray, prisms: _PrismSet,
+             max_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """(start, stop), each (..., P, 2) for mounts at origin (..., 3): per
+    prism, two ranges of positions in phi holding every ray that can reach
+    its cull box, those whose azimuth lies in the interval the box, grown by
     WINDOW_SLACK_M, spans from the origin, widened by WINDOW_SLACK_RAD each
     side.  A prism without a box, or whose grown box holds the origin, gets
-    every ray.  Pairs come grouped by prism, in prism order."""
-    ox, oy = origin[0], origin[1]
+    every ray; one whose grown box is farther than max_range + WINDOW_SLACK_M
+    gets none."""
+    ox, oy = origin[..., 0, None], origin[..., 1, None]
     cx, cy, hx, hy = prisms.boxes.T
     hx, hy = hx + WINDOW_SLACK_M, hy + WINDOW_SLACK_M
     vx, vy = cx - ox, cy - oy
     every = prisms.boxless | ((np.abs(vx) <= hx) & (np.abs(vy) <= hy))
+    gap = np.hypot(np.maximum(np.abs(vx) - hx, 0.0), np.maximum(np.abs(vy) - hy, 0.0))
+    far = ~prisms.boxless & (gap > max_range + WINDOW_SLACK_M)
     # A box clear of the origin lies in an open half-plane through it, so
     # each corner is less than pi from the centre's direction.
-    ux = vx[:, None] + hx[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
-    uy = vy[:, None] + hy[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
-    turn = np.arctan2(vx[:, None] * uy - vy[:, None] * ux, vx[:, None] * ux + vy[:, None] * uy)
-    centre = np.arctan2(vy, vx)
-    lo = centre + turn.min(axis=1) - WINDOW_SLACK_RAD
-    hi = centre + turn.max(axis=1) + WINDOW_SLACK_RAD
+    vx, vy = vx[..., None], vy[..., None]
+    ux = vx + hx[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
+    uy = vy + hy[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+    turn = np.arctan2(vx * uy - vy * ux, vx * ux + vy * uy)
+    centre = np.arctan2(vy[..., 0], vx[..., 0])
+    lo = centre + turn.min(axis=-1) - WINDOW_SLACK_RAD
+    hi = centre + turn.max(axis=-1) + WINDOW_SLACK_RAD
     # An interval past -pi or pi wraps: [lo, pi] plus [-pi, hi] on the
     # other side, which also takes in both azimuths (+pi and -pi) of a
     # ray pointing along -x.
     low, high = lo < -np.pi, hi > np.pi
-    n, p = len(rays.phi), len(lo)
-    cut = np.searchsorted(rays.phi, np.concatenate((
-        np.where(low, lo + 2.0 * np.pi, lo), np.where(high, hi - 2.0 * np.pi, hi),
-    )))
-    first, last = cut[:p], cut[p:]
+    first = np.searchsorted(phi, np.where(low, lo + 2.0 * np.pi, lo))
+    last = np.searchsorted(phi, np.where(high, hi - 2.0 * np.pi, hi))
     wrap = low | high
-    # Each window is two ranges [start, stop) of the sorted rays (the second
-    # empty unless it wraps), a prism's two side by side.
-    start = np.column_stack((np.where(every, 0, first), np.zeros(p, dtype=np.intp)))
-    stop = np.column_stack((np.where(every | wrap, n, last), np.where(wrap & ~every, last, 0)))
+    # The second range is empty unless the window wraps.
+    start = np.stack((np.where(every, 0, first), np.zeros_like(first)), axis=-1)
+    stop = np.stack((np.where(every | wrap, len(phi), last), np.where(wrap & ~every, last, 0)), -1)
+    return start, np.where(far[..., None], start, stop)
+
+
+def _pairs(start: np.ndarray, stop: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, prism) pairs of the rays order[start:stop] in each prism's ranges, by prism."""
     count = (stop - start).ravel()
     pos = np.repeat(start.ravel() - np.cumsum(count) + count, count) + np.arange(count.sum())
-    return rays.order[pos], np.repeat(np.arange(p), (stop - start).sum(axis=1))
+    return order[pos], np.repeat(np.arange(len(start)), (stop - start).sum(axis=1))
 
 
-def _cast_all(
-    origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float, t_start: np.ndarray
-) -> np.ndarray:
-    """Nearest hit distance per ray once the prisms are clipped, starting
-    from t_start (the ground, or an earlier cast of the same rays).
+def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float,
+              t_start: np.ndarray, cuts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Nearest hit distance per ray once the prisms are clipped against the
+    rays in rays.order, starting from t_start (the ground, or an earlier
+    cast of the same rays).  cuts: the prisms' _windows, if already cut.
 
     A prism is clipped only against the rays of its window (_windows) whose
     planar path from the origin to min(t_start, max_range) meets its box.
@@ -243,7 +258,10 @@ def _cast_all(
     """
     t_best = t_start.copy()
     ox, oy, oz = origin
-    ray, prism = _windows(origin, rays, prisms)
+    start, stop = _windows(origin, rays.phi, prisms, max_range) if cuts is None else cuts
+    if rays.rank is not None:  # the windows' places among the rays cast
+        start, stop = rays.rank[start], rays.rank[stop]
+    ray, prism = _pairs(start, stop, rays.order)
     dx, dy, dz = (d[ray] for d in rays.dirs.T)
     reach = np.minimum(t_start[ray], max_range)
 
@@ -256,31 +274,29 @@ def _cast_all(
     near &= np.where(ox < cx - hx, end_x >= cx - hx, (ox <= cx + hx) | (end_x <= cx + hx))
     near &= np.where(oy < cy - hy, end_y >= cy - hy, (oy <= cy + hy) | (end_y <= cy + hy))
     near |= prisms.boxless[prism]
-    ray, prism, dx, dy, dz = (a[near] for a in (ray, prism, dx, dy, dz))
+    ray, prism, dx, dy, dz = (a.compress(near) for a in (ray, prism, dx, dy, dz))
 
     # Slab clipping of every pair against its prism's planes, one plane
-    # slot at a time.  The pairs come grouped by prism, so np.repeat lays
-    # each prism's coefficients out along them.
+    # slot at a time.
     nx, ny, nz, bound = prisms.planes
     coef = np.stack((nx, ny, nz, nx * ox + ny * oy + nz * oz - bound), axis=1)  # (K, 4, P)
-    per_prism = np.bincount(prism, minlength=len(prisms.boxless))
     t_enter = np.zeros(len(ray))
     t_exit = np.full(len(ray), np.inf)
     ok = np.ones(len(ray), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for nx, ny, nz, f0 in (np.repeat(c, per_prism, axis=1) for c in coef):
-            slope = nx * dx + ny * dy + nz * dz
+        for nx, ny, nz, f0 in (c.take(prism, axis=1) for c in coef):
+            slope = nx * dx
+            slope += ny * dy
+            slope += nz * dz
             t_cross = -f0 / slope
-            entering = slope < 0
-            exiting = slope > 0
-            t_enter = np.where(entering, np.maximum(t_enter, t_cross), t_enter)
-            t_exit = np.where(exiting, np.minimum(t_exit, t_cross), t_exit)
+            np.maximum(t_enter, t_cross, out=t_enter, where=slope < 0)
+            np.minimum(t_exit, t_cross, out=t_exit, where=slope > 0)
             ok &= ~((slope == 0) & (f0 > 0))
     ok &= t_enter <= t_exit + HIT_EPS
     t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
     ok &= t_hit > HIT_EPS
     ok &= np.isfinite(t_hit)
-    np.minimum.at(t_best, ray[ok], t_hit[ok])
+    np.minimum.at(t_best, ray.compress(ok), t_hit.compress(ok))
     return t_best
 
 
@@ -337,16 +353,9 @@ def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
         r = spec.range_m
         keep = (dirs[:, 2] < 0) & ((t_ground <= r) | (mount_z + r * dirs[:, 2] <= ground_z))
         dirs, t_ground = dirs[keep], t_ground[keep]
-    return _rays(dirs)._replace(t_ground=t_ground)
-
-
-def _patterns(candidates: Sequence[Candidate], rows: Sequence[int], ground_z: float):
-    """Yield (pattern, rows) for the candidates at `rows`, grouped by spec
-    and mount z in order of first use, one pattern alive at a time."""
-    groups: dict[tuple[SensorSpec, float], list[int]] = {}
-    for i in rows:
-        groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
-    return ((_pattern(spec, z, ground_z), members) for (spec, z), members in groups.items())
+    offsets = np.multiply(t_ground, dirs[:, :2].T, out=np.zeros((2, len(dirs))),
+                          where=np.isfinite(t_ground))  # no inf * 0
+    return _rays(dirs)._replace(t_ground=t_ground, offsets=offsets)
 
 
 class GroundReturns:
@@ -359,34 +368,34 @@ class GroundReturns:
     u = 2^-53 and u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h,
     plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
     that fits in half the cells' slack over delta (the rest covers the cell
-    arithmetic), any target within delta of the hit is in the block."""
+    arithmetic), any target within delta of the hit is in the block.  The
+    rays kept are cast in place: per-ray arrays keep the pattern's numbering."""
 
-    def __init__(
-        self, candidate: Candidate, scene: Scene, pattern: _Rays | None = None,
-        prisms: _PrismSet | None = None, index: "TargetIndex | None" = None,
-    ):
-        """pattern (_pattern of the spec and mount z) and prisms (the scene's
-        obstacles, _prisms) let a caller casting many sensors make them once."""
+    def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays | None = None,
+                 prisms: _PrismSet | None = None, index: "TargetIndex | None" = None,
+                 cuts: tuple[np.ndarray, np.ndarray] | None = None):
+        """pattern (_pattern of the spec and mount z), prisms (the scene's
+        obstacles, _prisms) and cuts (their _windows on pattern.phi from this
+        mount) let a caller casting many sensors make them once."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
         self.index, self.key = index, None
         self.rays = pattern or _pattern(candidate.sensor, self.origin[2], self.ground_z)
+        self.live = np.arange(len(self.rays.dirs))  # the rays cast, in beam order
         ox, oy = np.abs(self.origin[:2])
         gz, r, h = abs(self.ground_z), self.max_range, self.origin[2] - self.ground_z
         stray = 2.0**-49 * (r * (gz + h) / h + ox + oy + r) if h > HIT_EPS else np.inf
         if index is not None and 2.0**-52 * gz <= h and stray <= (index.cell - index.delta) / 2:
-            ground = self.origin[:2] + self.rays.t_ground[:, None] * self.rays.dirs[:, :2]
-            key = index._keys(ground)  # rounded as _returns rounds the ground returns
-            keep = index.start[key + 1] > index.start[key]
-            in_order = keep[self.rays.order]
-            rank = np.cumsum(keep) - 1  # each kept ray's place among the kept
-            self.rays = _Rays(self.rays.dirs[keep], rank[self.rays.order[in_order]],
-                              self.rays.phi[in_order], self.rays.t_ground[keep])
-            self.key = key[keep]
-        if prisms is None:
-            prisms = _prisms(scene.obstacles, self.ground_z)
-        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground)
+            # The ground points, rounded as _returns rounds ground returns.
+            self.key = index._keys((self.origin[:2, None] + self.rays.offsets).T)
+            keep = index.occupied[self.key]
+            self.live = np.flatnonzero(keep)
+            keep = keep[self.rays.order]
+            rank = np.concatenate(([0], np.cumsum(keep)))
+            self.rays = self.rays._replace(order=self.rays.order.compress(keep), rank=rank)
+        prisms = _prisms(scene.obstacles, self.ground_z) if prisms is None else prisms
+        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground, cuts)
 
     def clip(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
         """(rays, t): the rays that the `extra` prisms (_prisms) block
@@ -395,21 +404,42 @@ class GroundReturns:
         return np.flatnonzero(t < self.t_static), t
 
     def eligible(self, intensity_min: float | None, t: np.ndarray | None = None,
-                 rays: np.ndarray | slice = slice(None)):
-        """(rays, xy, key) of the eligible returns in ray order: their rays,
-        planar xy (N, 2) and index buckets to look them up by (None without
-        an index), with t (default t_static) read at `rays` (default all)."""
-        t = self.t_static if t is None else t
-        hit, pos, intensity = _returns(self.origin, self.rays.dirs[rays], t[rays],
-                                       self.rays.t_ground[rays], self.ground_z, self.max_range)
-        ray = np.arange(len(t), dtype=np.float64)[rays][hit]
-        samples = eligible_samples(  # the ray rides along as a fifth column
-            np.column_stack([pos[hit], intensity[hit], ray]), self.ground_z, intensity_min
-        )
-        ray, xy = samples[:, 4].astype(np.intp), samples[:, :2]
+                 rays: np.ndarray | None = None):
+        """(rays, xy, key) of the returns of `rays` (default: all cast) that
+        eligible_samples keeps, in ray order, with t (default t_static) read
+        at them: their rays, planar xy (N, 2) and index buckets (None without
+        an index).  A return at t_ground is its ray's ground point; only the
+        rays an obstacle stops short are computed, as _returns does."""
+        rays = self.live if rays is None else rays
+        t = (self.t_static if t is None else t)[rays]
+        keep = t <= self.max_range
+        if intensity_min is not None:
+            keep &= 1.0 - t / self.max_range >= intensity_min
+        short = np.flatnonzero(keep & (t != self.rays.t_ground[rays]))
+        pos = self.origin[:, None] + t[short] * self.rays.dirs.take(rays[short], axis=0).T
+        keep[short] = pos[2] == self.ground_z
+        xy = self.origin[:2, None] + self.rays.offsets.take(rays, axis=1)  # the ground points
+        xy[:, short] = pos[:2]
+        ray, xy = rays.compress(keep), xy.compress(keep, axis=1).T
         if self.index is None:  # xy as eligible_samples(simulate_sensor(...).samples) has it
             return ray, xy, None
         return ray, xy, self.index._keys(xy) if self.key is None else self.key[ray]
+
+
+def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene: Scene,
+                    prisms: _PrismSet, index: "TargetIndex"):
+    """Yield (row, GroundReturns) for the candidates at `rows`, grouped by
+    spec and mount z in order of first use, one pattern alive at a time; the
+    windows from all mounts of a pattern are cut in one pass."""
+    ground_z = scene.ground_elevation
+    groups: dict[tuple[SensorSpec, float], list[int]] = {}
+    for i in rows:
+        groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
+    for (spec, z), members in groups.items():
+        pattern = _pattern(spec, z, ground_z)
+        origins = np.array([_mount(candidates[i], scene) for i in members])
+        for i, *cuts in zip(members, *_windows(origins, pattern.phi, prisms, spec.range_m)):
+            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index, cuts)
 
 
 def eligible_samples(
@@ -468,37 +498,49 @@ class TargetIndex:
         self.start = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=buckets))))
         self.ids = np.repeat(np.arange(len(points)), 9)[np.argsort(block, kind="stable")]
         self.xs, self.ys = points[self.ids, 0], points[self.ids, 1]
+        self.occupied = self.start[1:] > self.start[:-1]  # buckets whose block holds a target
+        # dx*dx + dy*dy decides a pair outside this band around delta^2, which rounding
+        # cannot cross; np.hypot inside it, and everywhere if delta^2 may not be normal.
+        d2 = delta * delta
+        self.band = ((d2 * (1 - 2.0**-40), d2 * (1 + 2.0**-40)) if 2.0**-400 < delta < 2.0**400
+                     else (-np.inf, np.inf))
 
     def _keys(self, xy: np.ndarray) -> np.ndarray:
-        """Padded bucket of each point's cell; 0, a padding cell whose block
-        is empty, for a point two or more cells off the grid, which has no
-        target within delta."""
-        cx = np.floor((xy[:, 0] - self.lo[0]) / self.cell)
-        cy = np.floor((xy[:, 1] - self.lo[1]) / self.cell)
-        near = (cx >= -1) & (cx <= self.nx) & (cy >= -1) & (cy <= self.ny)
-        return np.where(near, (cy + 2) * self.width + (cx + 2), 0).astype(np.intp)
+        """Padded bucket of each point's cell; for a point two or more cells
+        off the grid (or NaN), a padding bucket whose block is empty."""
+        cx = np.fmin(np.fmax(np.floor((xy[:, 0] - self.lo[0]) / self.cell), -2.0), self.nx + 1)
+        cy = np.fmin(np.fmax(np.floor((xy[:, 1] - self.lo[1]) / self.cell), -2.0), self.ny + 1)
+        return ((cy + 2) * self.width + (cx + 2)).astype(np.intp)
 
-    def distances(self, xy: np.ndarray, key: np.ndarray | None = None):
-        """Yield (target ids, distances) chunks that cover every (sample,
-        target) pair in a sample's block, so every pair within delta, each
-        once.  key (_keys(xy)) may be given when the caller has it."""
+    def within(self, xy: np.ndarray, key: np.ndarray | None = None):
+        """Yield (ids, closed, strict) chunks over every (sample, target)
+        pair in a sample's block, so every pair within delta, each once: the
+        target ids, and whether np.hypot(dx, dy) <= delta and < delta (read
+        off dx*dx + dy*dy outside the band).  key (_keys(xy)) may be given."""
         key = self._keys(xy) if key is None else key
-        first = self.start[key]
-        count = self.start[key + 1] - first
+        first = self.start.take(key)
+        count = self.start.take(key + 1) - first
         sample = np.flatnonzero(count)
-        first, count = first[sample], count[sample]
+        count = count.take(sample)
         ends = np.cumsum(count)
+        # A pair's place in the block lists: the first target of its
+        # sample's block plus its running index past the sample's first pair.
+        base = first.take(sample) - ends + count
         i = 0
         while i < len(sample):  # about PAIR_CHUNK pairs at a time, at least one sample
             done = ends[i] - count[i]
             j = max(i + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
             c = count[i:j]
-            # Each pair's place in the block lists: the first target of its
-            # sample's block plus a running index that restarts per sample.
-            pos = np.repeat(first[i:j] - np.cumsum(c) + c, c)
-            pos += np.arange(len(pos))
-            at = np.repeat(sample[i:j], c)
-            yield self.ids[pos], np.hypot(xy[at, 0] - self.xs[pos], xy[at, 1] - self.ys[pos])
+            pos = np.repeat(base[i:j], c)
+            pos += np.arange(done, done + len(pos))
+            dx, dy = (np.repeat(v.take(sample[i:j]), c) - u.take(pos)
+                      for v, u in ((xy[:, 0], self.xs), (xy[:, 1], self.ys)))
+            s = dx * dx + dy * dy
+            closed, strict = s <= self.band[1], s < self.band[0]
+            band = np.flatnonzero(closed ^ strict)
+            dist = np.hypot(dx[band], dy[band])
+            closed[band], strict[band] = dist <= self.delta, dist < self.delta
+            yield self.ids.take(pos), closed, strict
             i = j
 
 
@@ -508,8 +550,8 @@ def visibility_row(xy: np.ndarray, index: TargetIndex,
     eligible sample of xy (GroundReturns.eligible) lies at planar distance
     np.hypot(dx, dy) < index.delta from it (a strict radius)."""
     row = np.zeros(index.size, dtype=bool)
-    for ids, dist in index.distances(xy, key):
-        row[ids[dist < index.delta]] = True
+    for ids, _, strict in index.within(xy, key):
+        row[ids.compress(strict)] = True
     return row
 
 
@@ -571,9 +613,7 @@ def build_visibility_grid(
     bits = np.zeros((len(candidates), len(targets)), dtype=bool)
     prisms = _prisms(scene.obstacles, scene.ground_elevation)
     index = TargetIndex(targets.points, delta)
-    for pattern, rows in _patterns(candidates, range(len(candidates)), scene.ground_elevation):
-        for i in rows:
-            returns = GroundReturns(candidates[i], scene, pattern, prisms, index)
-            _, xy, key = returns.eligible(intensity_min)
-            bits[i, :] = visibility_row(xy, index, key)
+    for i, returns in _ground_returns(candidates, range(len(candidates)), scene, prisms, index):
+        _, xy, key = returns.eligible(intensity_min)
+        bits[i, :] = visibility_row(xy, index, key)
     return VisibilityGrid(bits=bits, delta=delta)

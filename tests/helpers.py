@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from lidarplan import Budget, Cardinality, TargetGrid
+from lidarplan import raycast
 from lidarplan.raycast import HIT_EPS
 
 
@@ -282,6 +283,32 @@ def reference_cast_all(
         end_x[idx] = ox + reach * dx[idx]
         end_y[idx] = oy + reach * dy[idx]
     return t_best
+
+
+def reference_distances(index, xy, key=None):
+    """The target index's pair lookup with np.hypot on every pair, which
+    TargetIndex.within replaced, kept as its oracle: yield (target ids,
+    distances) chunks over every (sample, target) pair in a sample's block,
+    each once, chunked and ordered as within yields them.  key
+    (index._keys(xy)) may be given."""
+    key = index._keys(xy) if key is None else key
+    first = index.start[key]
+    count = index.start[key + 1] - first
+    sample = np.flatnonzero(count)
+    first, count = first[sample], count[sample]
+    ends = np.cumsum(count)
+    i = 0
+    while i < len(sample):  # about PAIR_CHUNK pairs at a time, at least one sample
+        done = ends[i] - count[i]
+        j = max(i + 1, int(np.searchsorted(ends, done + raycast.PAIR_CHUNK, side="right")))
+        c = count[i:j]
+        # Each pair's place in the block lists: the first target of its
+        # sample's block plus a running index that restarts per sample.
+        pos = np.repeat(first[i:j] - np.cumsum(c) + c, c)
+        pos += np.arange(len(pos))
+        at = np.repeat(sample[i:j], c)
+        yield index.ids[pos], np.hypot(xy[at, 0] - index.xs[pos], xy[at, 1] - index.ys[pos])
+        i = j
 
 
 def brute_force_visibility(clouds, targets_xy, delta, ground_z,

@@ -14,6 +14,7 @@ from helpers import (
     convex_polygon,
     reference_cast_all,
     reference_clip_prism,
+    reference_distances,
     scattered_targets,
 )
 from lidarplan import (
@@ -35,6 +36,7 @@ from lidarplan import (
     simulate_sensor,
 )
 from lidarplan import raycast
+from lidarplan.evaluation import sample_density
 from lidarplan.raycast import (
     CULL_MARGIN,
     VGRID_MAGIC,
@@ -46,6 +48,7 @@ from lidarplan.raycast import (
     _cast_all,
     _cast_scene,
     _ground_t,
+    _pairs,
     _prism,
     _prisms,
     _rays,
@@ -441,7 +444,8 @@ def reaches_box(origin, dirs, box, reach):
 def test_windows_hold_every_ray_that_reaches_a_box(case):
     # at full range, the farthest any cast tests a box at
     origin, dirs, obstacles, _, max_range = case
-    ray, prism = _windows(origin, _rays(dirs), _prisms(obstacles, 0.0))
+    rays = _rays(dirs)
+    ray, prism = _pairs(*_windows(origin, rays.phi, _prisms(obstacles, 0.0), max_range), rays.order)
     assert np.all(np.diff(prism) >= 0)  # grouped by prism, as _cast_all lays them out
     for j, obstacle in enumerate(obstacles):
         window = ray[prism == j]
@@ -452,6 +456,33 @@ def test_windows_hold_every_ray_that_reaches_a_box(case):
         else:
             reached = np.flatnonzero(reaches_box(origin, dirs, box, max_range))
             assert np.isin(reached, window).all()
+
+
+def test_cast_all_skips_prisms_out_of_range():
+    # From a mount 1 m up, walls whose nearest face lies just inside
+    # max_range (east), just past it but within the windows' slack (west),
+    # and just past that slack (north): only the last gets an empty window,
+    # and the cast equals reference_cast_all bit for bit, the hits of the
+    # level beam on the near wall included.
+    origin = np.array([0.0, 0.0, 1.0])
+    dirs = generate_beams(spec(channels=3, vmin=-1.0, vmax=1.0, step=4.0))
+    max_range, g = 30.0, WINDOW_SLACK_M
+    walls = [
+        Obstacle(id="in", footprint=rect(max_range - g, -4.0, max_range + 1.0, 4.0), height=3.0),
+        Obstacle(id="slack", footprint=rect(-max_range - 1.0, -4.0, -max_range - g, 4.0),
+                 height=3.0),
+        Obstacle(id="out", footprint=rect(-4.0, max_range + 3 * g, 4.0, max_range + 1.0),
+                 height=3.0),
+    ]
+    rays, prisms = _rays(dirs), _prisms(walls, 0.0)
+    start, stop = _windows(origin, rays.phi, prisms, max_range)
+    assert (stop - start).sum(axis=1).tolist()[2] == 0
+    assert min((stop - start).sum(axis=1).tolist()[:2]) > 0
+    t_ground = _ground_t(origin, dirs, 0.0)
+    got = _cast_all(origin, rays, prisms, max_range, t_ground)
+    want = reference_cast_all(origin, dirs, [_prism(w, 0.0) for w in walls], max_range, t_ground)
+    assert np.array_equal(got, want)
+    assert got.min() == max_range - g  # the level beam east, the only return in range
 
 
 def test_cast_raises_no_warning(rng):
@@ -477,6 +508,13 @@ def test_cast_raises_no_warning(rng):
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = GroundReturns(cand, open_scene(*obstacles[2:]))
         assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0))[1])[1]) > 0
+        # from mounts at and below the ground some beams never reach it,
+        # and the beams at azimuth 0 have dy == 0
+        for height in (0.0, -1.0, 0.5):
+            cand = make_candidate(0.0, 0.0, height, spec(channels=9, vmin=-40, vmax=20, step=3.0))
+            returns = GroundReturns(cand, open_scene(*obstacles[2:]))
+            assert np.isinf(returns.rays.t_ground).any() == (height <= 0.0)
+            returns.eligible(None)
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +803,12 @@ def eligible_xy(cloud, intensity_min):
     return eligible_samples(cloud.samples, 0.0, intensity_min)[:, :2]
 
 
-def closed_counts(index, cloud, delta):
+def closed_counts(index, cloud):
     """Per-target count of ground samples at distance <= delta, from the index."""
     counts = np.zeros(index.size, dtype=np.int64)
     ground = cloud.samples[cloud.samples[:, 2] == 0.0]
-    for ids, dist in index.distances(ground[:, :2]):
-        np.add.at(counts, ids[dist <= delta], 1)
+    for ids, closed, _ in index.within(ground[:, :2]):
+        np.add.at(counts, ids[closed], 1)
     return counts
 
 
@@ -780,7 +818,7 @@ def assert_index_matches_oracles(targets, cloud, delta):
     for intensity_min in (None, 0.5):
         want = brute_force_visibility([cloud], xy, delta, 0.0, intensity_min)[0]
         assert np.array_equal(visibility_row(eligible_xy(cloud, intensity_min), index), want)
-    assert np.array_equal(closed_counts(index, cloud, delta),
+    assert np.array_equal(closed_counts(index, cloud),
                           brute_force_density([cloud], xy, delta, 0.0))
 
 
@@ -815,7 +853,7 @@ def test_index_pairs_at_exactly_delta(rng, unit):
     assert_index_matches_oracles(targets, cloud, delta)
     row = visibility_row(eligible_xy(cloud, None), TargetIndex(targets.points, delta))
     assert np.array_equal(row[:60], np.arange(60) % 2 == 0)
-    assert np.all(closed_counts(TargetIndex(targets.points, delta), cloud, delta)[:60] >= 8)
+    assert np.all(closed_counts(TargetIndex(targets.points, delta), cloud)[:60] >= 8)
 
 
 def test_index_wide_extent_tiny_delta_caps_buckets(rng):
@@ -851,12 +889,83 @@ def test_block_lists_hold_each_pair_within_delta_once(seed, chunk):
     index = TargetIndex(targets.points, delta)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(raycast, "PAIR_CHUNK", chunk)
-        chunks = list(index.distances(xy))
-    ids = np.concatenate([np.zeros(0, dtype=int)] + [ids for ids, _ in chunks])
-    dist = np.concatenate([np.zeros(0)] + [dist for _, dist in chunks])
+        chunks = list(index.within(xy))
+    ids = np.concatenate([np.zeros(0, dtype=int)] + [ids for ids, _, _ in chunks])
+    closed = np.concatenate([np.zeros(0, dtype=bool)] + [closed for _, closed, _ in chunks])
     every = np.hypot(xy[:, None, 0] - targets.points[None, :, 0],
                      xy[:, None, 1] - targets.points[None, :, 1])
-    assert np.array_equal(np.sort(ids[dist <= delta]), np.sort(np.nonzero(every <= delta)[1]))
+    assert np.array_equal(np.sort(ids[closed]), np.sort(np.nonzero(every <= delta)[1]))
+
+
+def pairs_around_delta(rng, delta):
+    """(targets, samples): samples at planar distance exactly delta and one
+    ulp to either side of targets on an axis (so the difference is exact),
+    at delta in random directions (up to rounding) from other targets, and
+    scattered around them; coordinates scale with delta."""
+    ulps = [delta, np.nextafter(delta, 0.0), np.nextafter(delta, np.inf)]
+    on_axis = np.column_stack([np.zeros(3), rng.uniform(-5.0, 5.0, 3) * delta])
+    others = rng.uniform(-5.0, 5.0, (6, 2)) * delta
+    angle = rng.uniform(0.0, 2.0 * np.pi, 6)
+    samples = np.vstack([
+        [(sign * u, y) for _, y in on_axis for u in ulps for sign in (1.0, -1.0)],
+        [(y, sign * u) for _, y in on_axis for u in ulps for sign in (1.0, -1.0)],
+        others + delta * np.column_stack([np.cos(angle), np.sin(angle)]),
+        rng.uniform(-6.0, 6.0, (20, 2)) * delta,
+    ])
+    return np.vstack([on_axis, on_axis[:, ::-1], others]), samples
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), delta=st.one_of(
+    st.floats(1e-3, 1e3), st.sampled_from([1e-3, 1.0, 1e3, 2.0**-420, 1e-300])))
+def test_pair_decisions_match_hypot(seed, delta):
+    # within's strict and closed decisions on squared distance against
+    # np.hypot on every pair (reference_distances), for pairs at delta and
+    # one ulp off, and for NaN and inf coordinates looked up in the
+    # buckets of the first targets; a tiny delta takes np.hypot everywhere
+    rng = np.random.default_rng(seed)
+    targets, xy = pairs_around_delta(rng, delta)
+    index = TargetIndex(targets, delta)
+    assert np.isinf(index.band).all() == (delta <= 2.0**-400)
+    bad = np.array([(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan), (np.inf, np.inf)])
+    key = np.concatenate([index._keys(xy), index._keys(targets[:4])])
+    xy = np.vstack([xy, bad])
+    got, want = list(index.within(xy, key)), list(reference_distances(index, xy, key))
+    assert len(got) == len(want) == 1
+    (ids, closed, strict), (want_ids, dist) = got[0], want[0]
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(closed, dist <= delta)
+    assert np.array_equal(strict, dist < delta)
+    assert (dist == delta).any() and (dist < delta).any() and (dist > delta).any()
+    assert np.isnan(dist).any() and np.isinf(dist).any()
+
+
+@pytest.mark.parametrize("ulp", [-1, 0, 1])
+def test_rows_and_density_decide_pairs_at_delta_as_hypot(ulp):
+    # targets 0.7 m west of a sensor's ground returns, each at |dx| from
+    # its return, a few ulps either side of 0.7; delta the median of those
+    # distances or one ulp off it: the grid row and sample_density against
+    # np.hypot on every pair
+    sensor = spec(channels=3, vmin=-30.0, vmax=-10.0, step=20.0)
+    cand, scene = make_candidate(0.3, -0.2, 5.0, sensor), open_scene()
+    xy = eligible_xy(simulate_sensor(cand, scene), None)
+    points = xy[::2] - [0.7, 0.0]
+    delta = float(np.median(np.abs(xy[::2, 0] - points[:, 0])))
+    delta = float(np.nextafter(delta, np.inf if ulp > 0 else 0.0)) if ulp else delta
+    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(len(points)),
+                         segment_of=("r",) * len(points))
+    index = TargetIndex(points, delta)
+    row, closed, strict = np.zeros(len(points), dtype=bool), *np.zeros((2, len(points)), int)
+    for ids, dist in reference_distances(index, xy):
+        row[ids[dist < delta]] = True
+        np.add.at(closed, ids[dist <= delta], 1)
+        np.add.at(strict, ids[dist < delta], 1)
+        assert (np.abs(dist - delta) <= 4 * np.spacing(delta)).sum() >= 2
+    grid = build_visibility_grid(ListCandidates([cand]), targets, scene, delta)
+    assert np.array_equal(grid.bits[0], row)
+    got = sample_density(xy, index)
+    assert np.array_equal(got[0], closed) and np.array_equal(got[1], strict)
+    assert row.any() and not row.all()
 
 
 # ---------------------------------------------------------------------------
