@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .discretization import (
-    CandidateSet,
+    Candidate,
     EmptyGridError,
     LatticeTooLargeError,
     TargetGrid,
@@ -264,6 +264,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
               f"--{name} must be finite and >= 1, got {value}")
     check(all(a < b for a, b in zip(cfg.gain_budgets, cfg.gain_budgets[1:])),
           "--gain-budgets must be strictly increasing")
+    check(cfg.budget is not None or all(b.is_integer() for b in cfg.gain_budgets),
+          "--gain-budgets must be whole numbers under a unit cap (--count)")
     return cfg
 
 
@@ -330,7 +332,7 @@ def _select_types(scene: Scene, cfg: RunConfig):
 
 
 def _solution_payload(
-    cfg: RunConfig, solution: Solution, candidates: CandidateSet,
+    cfg: RunConfig, solution: Solution, candidates: Sequence[Candidate],
     weights: np.ndarray, weighted: bool,
 ) -> dict:
     return {
@@ -386,7 +388,7 @@ class Run:
             raise CliError(EXIT_INPUT, f"invalid scene {path}: {exc}") from exc
 
     @cached_property
-    def artifacts(self) -> tuple[TargetGrid, CandidateSet, VisibilityGrid]:
+    def artifacts(self) -> tuple[TargetGrid, tuple[Candidate, ...], VisibilityGrid]:
         """(targets, candidates, grid) as the grid stage writes them."""
         catalog = self.scene.catalog  # a bad --scene is reported before a missing artifact
         paths = [self.out_dir / name for name in ("targets.csv", "candidates.csv", "grid.vgrd")]
@@ -405,13 +407,15 @@ class Run:
                 f"artifact shape mismatch: grid is {grid.rows}x{grid.cols} but there are "
                 f"{len(candidates)} candidates and {len(targets)} targets",
             )
+        if not targets.weights.sum() > 0:
+            raise CliError(EXIT_INPUT, f"{paths[0]}: total target weight must be > 0")
         return targets, candidates, grid
 
     @cached_property
     def solution(self) -> Solution:
-        """The first --method's solution, which eval and render evaluate; its
-        selected and covered indices address the candidates and targets."""
-        targets, candidates, _ = self.artifacts
+        """The first --method's solution, which eval and render evaluate; it must
+        pass verify_solution under the constraint it records."""
+        targets, candidates, grid = self.artifacts
         path = self.out_dir / _solution_name(self.cfg.methods[0])
         if not path.exists():
             raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
@@ -430,6 +434,8 @@ class Run:
                 f"(expected {SOLUTION_FORMAT})",
             )
         try:
+            constraint = {"count": Cardinality, "budget": Budget}[payload["constraint"]["kind"]]
+            limit = float(payload["constraint"]["value"])
             solution = Solution(
                 selected=tuple(entry["idx"] for entry in payload["selected"]),
                 covered=frozenset(payload["covered"]),
@@ -438,7 +444,7 @@ class Run:
                 method=payload["method"],
                 optimality_bound=float(payload["optimality_bound"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(
                 EXIT_INPUT, f"{path}: malformed solution ({type(exc).__name__}: {exc})"
             ) from exc
@@ -462,6 +468,13 @@ class Run:
         for key in ("total_cost", "optimality_bound"):
             if not math.isfinite(getattr(solution, key)):
                 raise CliError(EXIT_INPUT, f"{path}: {key} must be finite")
+        if not 0 <= limit < math.inf:
+            raise CliError(EXIT_INPUT, f"{path}: constraint value must be finite and >= 0")
+        problem = DeploymentProblem(grid, targets.weights, [c.cost for c in candidates],
+                                    constraint(limit))
+        if violations := verify_solution(problem, solution).violations:
+            raise CliError(EXIT_INPUT, f"{path}: solution fails verification: "
+                           + "; ".join(violations))
         return solution
 
 
@@ -486,6 +499,8 @@ def stage_grid(run: Run) -> list[Path]:
                 EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}"
             )
         targets = targets.reweighted(cfg.weights)
+    if not targets.weights.sum() > 0:
+        raise CliError(EXIT_INPUT, "total target weight must be > 0 (scene and --weights)")
     t0 = time.perf_counter()
     grid = build_visibility_grid(
         candidates, targets, scene, cfg.resolved_delta, intensity_min=cfg.intensity_min
@@ -505,7 +520,7 @@ def stage_grid(run: Run) -> list[Path]:
 def stage_solve(run: Run) -> list[Path]:
     cfg = run.cfg
     targets, candidates, grid = run.artifacts
-    costs = candidates.costs
+    costs = [c.cost for c in candidates]
     weighted = bool(cfg.weights)
     runs = [  # (method, artifact, target weights, weighted flag in the artifact)
         (method, _solution_name(method), targets.weights, weighted) for method in cfg.methods
@@ -545,7 +560,7 @@ def stage_solve(run: Run) -> list[Path]:
 def stage_eval(run: Run) -> list[Path]:
     cfg, scene, solution = run.cfg, run.scene, run.solution
     targets, candidates, grid = run.artifacts
-    costs = candidates.costs
+    costs = [c.cost for c in candidates]
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
     occlusion = occlusion_monte_carlo(
@@ -564,8 +579,8 @@ def stage_eval(run: Run) -> list[Path]:
         "format": 1,
         "note": PROXY_NOTE,
         "occlusion": {
-            "trials": occlusion.trials,
-            "seed": occlusion.seed,
+            "trials": cfg.trials,
+            "seed": cfg.seed,
             "mean_coverage": occlusion.mean_coverage,
             "min_coverage": occlusion.min_coverage,
             "static_coverage": occlusion.static_coverage,
@@ -587,8 +602,8 @@ def stage_eval(run: Run) -> list[Path]:
         f"deployment evaluation ({PROXY_NOTE})",
         f"sensors: {len(solution.selected)}, static coverage "
         f"{occlusion.static_coverage:.6f}",
-        f"occlusion proxy: {occlusion.trials} trials, {vehicle.count} vehicles/trial, "
-        f"seed {occlusion.seed}",
+        f"occlusion proxy: {cfg.trials} trials, {vehicle.count} vehicles/trial, "
+        f"seed {cfg.seed}",
         f"  mean coverage {occlusion.mean_coverage:.6f}",
         f"  min coverage  {occlusion.min_coverage:.6f}",
         f"sample density over covered targets: "
@@ -603,16 +618,14 @@ def stage_eval(run: Run) -> list[Path]:
             grid, targets.weights, costs, kind, cfg.gain_budgets, cfg.exact_limit
         )
         report["gain_curve"] = {
-            "kind": curve.kind,
+            "kind": kind,
             "budgets": list(curve.budgets),
             "objectives": list(curve.objectives),
             "methods": list(curve.methods),
         }
         lines.append(f"gain curve over {kind} budgets {list(cfg.gain_budgets)}:")
         for b, obj, m in zip(curve.budgets, curve.objectives, curve.methods):
-            lines.append(
-                f"  {b:g}: " + (f"objective {obj:g} ({m})" if obj is not None else "failed")
-            )
+            lines.append(f"  {b:g}: objective {obj:g} ({m})")
 
     if cfg.weights and not (targets.weights > 1).any():
         lines.append("weighted comparison skipped: no target weight exceeds 1")
@@ -648,7 +661,7 @@ def stage_render(run: Run) -> list[Path]:
     targets, candidates, grid = run.artifacts
     with StageOutputs(run.out_dir) as outputs:
         render_coverage_map(
-            run.scene, targets, grid, solution, candidates.candidates,
+            run.scene, targets, grid, solution, candidates,
             outputs.path_for("coverage.svg"),
         )
         print(f"[render] coverage map for {len(solution.selected)} sensors")

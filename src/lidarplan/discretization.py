@@ -54,10 +54,6 @@ class TargetGrid:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def reweighted(self, segment_weights: dict[str, float]) -> "TargetGrid":
         """Copy with per-segment weight overrides applied."""
         new = self.weights.copy()
@@ -77,21 +73,6 @@ class Candidate:
     height: float
     sensor: SensorSpec
     cost: float
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    candidates: tuple[Candidate, ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __getitem__(self, i: int) -> Candidate:
-        return self.candidates[i]
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([c.cost for c in self.candidates], dtype=np.float64)
 
 
 def lattice_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -185,7 +166,7 @@ def _zone_contains(zone: MountZone, xs: np.ndarray, ys: np.ndarray,
 
 def enumerate_candidates(
     scene: Scene, spacing: float, types: Sequence[SensorSpec]
-) -> CandidateSet:
+) -> tuple[Candidate, ...]:
     """Cartesian product of mount-lattice positions, allowed heights, and
     sensor types.
 
@@ -229,7 +210,7 @@ def enumerate_candidates(
         raise EmptyGridError(
             f"no lattice point at spacing {spacing} falls inside any mount zone"
         )
-    return CandidateSet(candidates=tuple(out))
+    return tuple(out)
 
 
 def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
@@ -264,19 +245,25 @@ def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
     return rows
 
 
+def _numbers(row: list[str], cols: Sequence[int], what: str) -> list[float]:
+    """The fields of row at cols as finite floats, the last of them, a
+    weight or a cost (`what`), >= 0; ValueError otherwise."""
+    values = [float(row[k]) for k in cols]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite number")
+    if values[-1] < 0:
+        raise ValueError(f"{what} {values[-1]} must be >= 0")
+    return values
+
+
 def read_targets_csv(path: str | Path) -> TargetGrid:
-    rows = _read_csv(path, TARGETS_CSV_HEADER,
-                     lambda r: (float(r[1]), float(r[2]), float(r[3]), r[4]))
+    rows = _read_csv(path, TARGETS_CSV_HEADER, lambda r: (*_numbers(r, (1, 2, 3), "weight"), r[4]))
     xs, ys, ws, segs = zip(*rows) if rows else ((), (), (), ())
     points = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
-    weights = np.asarray(ws, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1) | ~np.isfinite(weights))
-    if len(bad):
-        raise ValueError(f"{path}: target {bad[0]} has a non-finite coordinate or weight")
     return TargetGrid(
         spacing=_infer_spacing(points),
         points=points,
-        weights=weights,
+        weights=np.asarray(ws, dtype=np.float64),
         segment_of=tuple(segs),
     )
 
@@ -291,17 +278,17 @@ def _infer_spacing(points: np.ndarray) -> float:
     return min(gaps) if gaps else 1.0
 
 
-def write_candidates_csv(cands: CandidateSet, path: str | Path) -> None:
+def write_candidates_csv(cands: Sequence[Candidate], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANDIDATES_CSV_HEADER)
-        for k, c in enumerate(cands.candidates):
+        for k, c in enumerate(cands):
             writer.writerow([k, c.x, c.y, c.height, c.sensor.type_id, c.cost])
 
 
 def read_candidates_csv(
     path: str | Path, catalog: Sequence[SensorSpec] | None = None
-) -> CandidateSet:
+) -> tuple[Candidate, ...]:
     """Candidates as written by write_candidates_csv, each row's type id
     resolved against `catalog` (default: the bundled demo scene's, like the
     CLI's default --scene).  Costs are kept as stored, because the zone
@@ -313,9 +300,7 @@ def read_candidates_csv(
     def parse_row(r: list[str]) -> Candidate:
         if r[4] not in by_id:
             raise ValueError(f"candidate type {r[4]!r} not in the scene catalog")
-        x, y, height, cost = (float(r[k]) for k in (1, 2, 3, 5))
-        if not all(map(math.isfinite, (x, y, height, cost))):
-            raise ValueError("non-finite number")
+        x, y, height, cost = _numbers(r, (1, 2, 3, 5), "cost")
         return Candidate(x, y, height, by_id[r[4]], cost)
 
-    return CandidateSet(candidates=tuple(_read_csv(path, CANDIDATES_CSV_HEADER, parse_row)))
+    return tuple(_read_csv(path, CANDIDATES_CSV_HEADER, parse_row))

@@ -11,13 +11,14 @@ only its vehicles against those rays and recounts only the rays they block.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .discretization import Candidate, CandidateSet, TargetGrid
+from .discretization import Candidate, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
 from .raycast import TargetIndex, VisibilityGrid, _ground_returns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
@@ -39,64 +40,48 @@ PROXY_NOTE = (
 
 @dataclass(frozen=True)
 class GainCurve:
-    """Objective as a function of budget; failed points carry an error
-    string and None entries instead of aborting the sweep."""
+    """Objective as a function of budget, one solve per budget."""
 
-    kind: str  # "count" or "budget"
     budgets: tuple[float, ...]
-    objectives: tuple[float | None, ...]
-    coverages: tuple[float | None, ...]
-    methods: tuple[str | None, ...]
-    errors: tuple[str | None, ...]
-
-    def marginal_gains(self) -> list[float | None]:
-        """Objective increase per step; None where either endpoint failed."""
-        out: list[float | None] = []
-        prev: float | None = 0.0
-        for obj in self.objectives:
-            out.append(obj - prev if obj is not None and prev is not None else None)
-            prev = obj
-        return out
+    objectives: tuple[float, ...]
+    coverages: tuple[float, ...]
+    methods: tuple[str, ...]
 
 
 def gain_curve(
     grid: VisibilityGrid,
     weights: np.ndarray,
-    costs: np.ndarray,
+    costs: Sequence[float],
     kind: str,
     budgets: Sequence[float],
     exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> GainCurve:
-    """Solve the same instance at each budget in an increasing sweep."""
+    """Solve the same instance at each budget in an increasing sweep.  Budgets
+    must be finite, >= 0, strictly increasing and whole for kind "count", and
+    the total weight > 0, or ValueError is raised before anything is solved."""
     if kind not in ("count", "budget"):
         raise ValueError(f"kind must be 'count' or 'budget', not {kind!r}")
     budgets = [float(b) for b in budgets]
+    if not all(math.isfinite(b) and b >= 0 for b in budgets):
+        raise ValueError("budgets must be finite and >= 0")
+    if kind == "count" and not all(b.is_integer() for b in budgets):
+        raise ValueError("count budgets must be whole numbers")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
     total_w = float(np.asarray(weights).sum())
-    objectives, coverages, methods, errors = [], [], [], []
+    if not total_w > 0:
+        raise ValueError("total target weight must be > 0")
+    objectives, methods = [], []
     for b in budgets:
         constraint = Cardinality(int(b)) if kind == "count" else Budget(b)
-        try:
-            problem = DeploymentProblem(grid, weights, costs, constraint)
-            sol = solve(problem, "auto", exact_limit)
-        except Exception as exc:  # keep sweeping; mark this point failed
-            objectives.append(None)
-            coverages.append(None)
-            methods.append(None)
-            errors.append(f"{type(exc).__name__}: {exc}")
-            continue
+        sol = solve(DeploymentProblem(grid, weights, costs, constraint), "auto", exact_limit)
         objectives.append(sol.objective)
-        coverages.append(sol.objective / total_w if total_w > 0 else None)
         methods.append(sol.method)
-        errors.append(None)
     return GainCurve(
-        kind=kind,
         budgets=tuple(budgets),
         objectives=tuple(objectives),
-        coverages=tuple(coverages),
+        coverages=tuple(obj / total_w for obj in objectives),
         methods=tuple(methods),
-        errors=tuple(errors),
     )
 
 
@@ -104,10 +89,7 @@ def write_gain_curve_csv(curve: GainCurve, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["budget", "objective", "coverage", "method"])
-        for b, obj, cov, method in zip(
-            curve.budgets, curve.objectives, curve.coverages, curve.methods
-        ):
-            writer.writerow([b, obj, cov, method if method else "failed"])
+        writer.writerows(zip(curve.budgets, curve.objectives, curve.coverages, curve.methods))
 
 
 @dataclass(frozen=True)
@@ -130,7 +112,7 @@ class WeightedComparison:
 def compare_weighted(
     grid: VisibilityGrid,
     weights: np.ndarray,
-    costs: np.ndarray,
+    costs: Sequence[float],
     constraint,
     exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> WeightedComparison:
@@ -181,13 +163,10 @@ class VehicleModel:
 
 @dataclass(frozen=True)
 class OcclusionReport:
-    trials: int
     mean_coverage: float
     min_coverage: float
     static_coverage: float
-    seed: int
     per_trial: tuple[float, ...]
-    vehicle: VehicleModel
     density: tuple[int, ...]  # sample_density per target, static scene, summed over sensors
 
 
@@ -235,7 +214,7 @@ def occlusion_monte_carlo(
     solution: Solution,
     scene: Scene,
     targets: TargetGrid,
-    candidates: CandidateSet,
+    candidates: Sequence[Candidate],
     vehicle: VehicleModel,
     trials: int,
     seed: int,
@@ -281,13 +260,10 @@ def occlusion_monte_carlo(
             covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
-        trials=trials,
         mean_coverage=float(np.mean(coverages)),
         min_coverage=float(np.min(coverages)),
         static_coverage=static_cov,
-        seed=seed,
         per_trial=tuple(coverages),
-        vehicle=vehicle,
         density=tuple(density.tolist()),
     )
 

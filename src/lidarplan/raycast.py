@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discretization import Candidate, CandidateSet, TargetGrid
+from .discretization import Candidate, TargetGrid
 from .scene import Obstacle, Scene, SensorSpec
 
 HIT_EPS = 1e-9  # surface-grazing tolerance, meters
@@ -60,14 +60,6 @@ PAIR_CHUNK = 1 << 20  # sample-target pairs decided at once by TargetIndex.withi
 
 VGRID_MAGIC = b"VGRD"
 VGRID_HEADER = struct.Struct("<4sIId")  # magic, rows, cols, delta
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Simulated returns for one candidate; samples is an (N, 4) array of
-    x, y, z, intensity rows in beam order."""
-
-    samples: np.ndarray
 
 
 def generate_beams(spec: SensorSpec) -> np.ndarray:
@@ -332,13 +324,14 @@ def _mount(candidate: Candidate, scene: Scene) -> np.ndarray:
     return np.array([candidate.x, candidate.y, scene.ground_elevation + candidate.height])
 
 
-def simulate_sensor(candidate: Candidate, scene: Scene) -> PointCloud:
-    """Cast every beam of the candidate's sensor from its mount position."""
+def simulate_sensor(candidate: Candidate, scene: Scene) -> np.ndarray:
+    """Cast every beam of the candidate's sensor from its mount position:
+    the returns as an (N, 4) array of x, y, z, intensity rows in beam order."""
     dirs = generate_beams(candidate.sensor)
     hit, pos, intensity = _cast_scene(
         _mount(candidate, scene), dirs, scene, candidate.sensor.range_m
     )
-    return PointCloud(samples=np.column_stack([pos[hit], intensity[hit]]))
+    return np.column_stack([pos[hit], intensity[hit]])
 
 
 def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
@@ -421,7 +414,7 @@ class GroundReturns:
         xy = self.origin[:2, None] + self.rays.offsets.take(rays, axis=1)  # the ground points
         xy[:, short] = pos[:2]
         ray, xy = rays.compress(keep), xy.compress(keep, axis=1).T
-        if self.index is None:  # xy as eligible_samples(simulate_sensor(...).samples) has it
+        if self.index is None:  # xy as eligible_samples(simulate_sensor(...)) has it
             return ray, xy, None
         return ray, xy, self.index._keys(xy) if self.key is None else self.key[ray]
 
@@ -599,7 +592,7 @@ class VisibilityGrid:
 
 
 def build_visibility_grid(
-    candidates: CandidateSet,
+    candidates: Sequence[Candidate],
     targets: TargetGrid,
     scene: Scene,
     delta: float,
@@ -607,9 +600,7 @@ def build_visibility_grid(
 ) -> VisibilityGrid:
     """Simulate every candidate and assemble the visibility matrix, one row
     per candidate in one thread (the CLI's --jobs is kept for compatibility
-    and has no effect)."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    and has no effect).  TargetIndex rejects a delta that is not > 0."""
     bits = np.zeros((len(candidates), len(targets)), dtype=bool)
     prisms = _prisms(scene.obstacles, scene.ground_elevation)
     index = TargetIndex(targets.points, delta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -122,10 +122,6 @@ class Scene:
             if spec.type_id == type_id:
                 return spec
         raise KeyError(f"unknown sensor type {type_id!r}")
-
-    def with_extra_obstacles(self, extra: Sequence[Obstacle]) -> "Scene":
-        """Copy of this scene with obstacles appended (e.g. sampled vehicles)."""
-        return replace(self, obstacles=self.obstacles + tuple(extra))
 
 
 def validate_scene(scene: Scene) -> list[str]:
@@ -244,9 +240,9 @@ def _records(cls: type, value: Any, where: str, key: str) -> tuple:
     return tuple(_record(cls, raw, f"{key}[{k}]") for k, raw in enumerate(entries))
 
 
-# The scene file format: each record's JSON fields in file and dataclass order,
-# with their reader, read(value, where, key) -> model value, and how a file can
-# leave them out for the dataclass default (OPTIONAL: absent; NULLABLE: absent or null).
+# The scene file format: each record's JSON fields in the order _record reads them
+# (dataclass order), with their reader, read(value, where, key) -> model value, and how
+# a file may omit them for the default (OPTIONAL: absent; NULLABLE: absent or null).
 _REQUIRED, _OPTIONAL, _NULLABLE = "required", "optional", "nullable"
 _FORMAT: dict[type, dict[str, tuple[Any, str]]] = {
     Scene: {
@@ -329,26 +325,6 @@ def load_scene(path: str | Path) -> Scene:
     except ValueError as exc:  # e.g. an integer literal past Python's digit limit
         raise SceneParseError(f"{path}: invalid JSON: {exc}") from exc
     return scene_from_dict(data)
-
-
-def _plain(value: Any) -> Any:
-    """JSON form of a record (its non-None _FORMAT fields), a sequence or a scalar."""
-    if type(value) in _FORMAT:
-        fields = ((key, getattr(value, key)) for key in _FORMAT[type(value)])
-        return {key: _plain(field) for key, field in fields if field is not None}
-    return [_plain(item) for item in value] if isinstance(value, (tuple, list)) else value
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    """Plain-JSON form of a scene; inverse of scene_from_dict."""
-    return _plain(scene)
-
-
-def save_scene(scene: Scene, path: str | Path) -> None:
-    """Write a scene back to JSON; load_scene(save_scene(s)) == s."""
-    Path(path).write_text(
-        json.dumps(scene_to_dict(scene), indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def scene_bounds(scene: Scene) -> tuple[float, float, float, float]:

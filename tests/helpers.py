@@ -317,7 +317,7 @@ def brute_force_visibility(clouds, targets_xy, delta, ground_z,
     n_s, n_t = len(clouds), len(targets_xy)
     bits = np.zeros((n_s, n_t), dtype=bool)
     for i, cloud in enumerate(clouds):
-        for sample in cloud.samples:
+        for sample in cloud:
             if sample[2] != ground_z:
                 continue
             if intensity_min is not None and sample[3] < intensity_min:
@@ -334,7 +334,7 @@ def brute_force_density(clouds, targets_xy, delta, ground_z,
     target, summed over the clouds; ground returns only."""
     counts = np.zeros(len(targets_xy), dtype=np.int64)
     for cloud in clouds:
-        for sample in cloud.samples:
+        for sample in cloud:
             if sample[2] != ground_z:
                 continue
             if intensity_min is not None and sample[3] < intensity_min:

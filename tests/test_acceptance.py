@@ -60,18 +60,6 @@ def rect(x0, y0, x1, y1):
     return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
-class ListCandidates:
-    def __init__(self, cands):
-        self.candidates = tuple(cands)
-        self.spacing = 1.0
-
-    def __len__(self):
-        return len(self.candidates)
-
-    def __getitem__(self, i):
-        return self.candidates[i]
-
-
 def micro_scene(rng, n_obstacles):
     scene = Scene(
         road_segments=(RoadSegment(id="r", polygon=rect(-20, -20, 20, 20)),),
@@ -100,17 +88,15 @@ def micro_scene(rng, n_obstacles):
         unit_cost=1.0,
         azimuth_step=20.0,
     )
-    cands = ListCandidates(
-        [
-            Candidate(
-                x=float(rng.uniform(-15, 15)),
-                y=float(rng.uniform(-15, 15)),
-                height=float(rng.uniform(3, 8)),
-                sensor=spec,
-                cost=1.0,
-            )
-            for _ in range(int(rng.integers(1, 6)))
-        ]
+    cands = tuple(
+        Candidate(
+            x=float(rng.uniform(-15, 15)),
+            y=float(rng.uniform(-15, 15)),
+            height=float(rng.uniform(3, 8)),
+            sensor=spec,
+            cost=1.0,
+        )
+        for _ in range(int(rng.integers(1, 6)))
     )
     return scene, targets, cands
 
@@ -168,7 +154,7 @@ def test_criterion_3_visibility_grid_matches_brute_force():
         scene, targets, cands = micro_scene(rng, n_obstacles=int(rng.integers(0, 4)))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene) for c in cands.candidates]
+        clouds = [simulate_sensor(c, scene) for c in cands]
         want = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )
@@ -203,11 +189,11 @@ def test_criterion_4_ground_distance_formula(demo_scene):
             t_ground = np.full(len(dirs), np.inf)
             t_ground[down] = height / np.sin(np.radians(-elev[down]))
             should_hit = t_ground <= spec.range_m
-            if should_hit.sum() != len(cloud.samples):
+            if should_hit.sum() != len(cloud):
                 ok = False
                 continue
             predicted = height / np.tan(np.radians(-elev[should_hit]))
-            radii = np.hypot(cloud.samples[:, 0], cloud.samples[:, 1])
+            radii = np.hypot(cloud[:, 0], cloud[:, 1])
             rel = np.abs(radii - predicted) / predicted
             worst = max(worst, float(rel.max()))
             checked += int(should_hit.sum())
@@ -269,20 +255,17 @@ def test_criterion_6_monotonicity_suite():
         g2 = build_visibility_grid(cands, targets, scene, delta=float(d2))
         violations += int(np.any(g1.bits & ~g2.bits))
 
-        far = ListCandidates(
-            [replace(c, sensor=replace(c.sensor, range_m=c.sensor.range_m * 2))
-             for c in cands.candidates]
-        )
+        far = tuple(replace(c, sensor=replace(c.sensor, range_m=c.sensor.range_m * 2))
+                    for c in cands)
         g3 = build_visibility_grid(far, targets, scene, delta=float(d1))
         violations += int(np.any(g1.bits & ~g3.bits))
 
-        blocked = scene.with_extra_obstacles(
-            [Obstacle(
-                id="extra",
-                footprint=convex_polygon(rng, rng.uniform(-10, 10), rng.uniform(-10, 10), 1, 4),
-                height=float(rng.uniform(1, 8)),
-            )]
+        extra = Obstacle(
+            id="extra",
+            footprint=convex_polygon(rng, rng.uniform(-10, 10), rng.uniform(-10, 10), 1, 4),
+            height=float(rng.uniform(1, 8)),
         )
+        blocked = replace(scene, obstacles=scene.obstacles + (extra,))
         g4 = build_visibility_grid(cands, targets, blocked, delta=float(d1))
         violations += int(np.any(g4.bits & ~g1.bits))
     _check(
@@ -314,13 +297,13 @@ def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t
     for n in (1, 2, 3, 4):
         sol = solve_exact(
             DeploymentProblem(
-                demo_grid_t3, demo_targets.weights, demo_candidates_t3.costs,
+                demo_grid_t3, demo_targets.weights, [c.cost for c in demo_candidates_t3],
                 Cardinality(n),
             )
         )
         objectives[n] = sol.objective
         picks[n] = sol.selected
-    total = demo_targets.total_weight
+    total = float(demo_targets.weights.sum())
     marginal = objectives[4] - objectives[3]
     sat_ok = marginal < 0.01 * total
     golden_ok = objectives == GOLDEN_T3_OBJECTIVES
@@ -331,7 +314,7 @@ def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t
     # (b) central weight 10: the weighted run covers the center at least as well
     weights10 = demo_targets.reweighted({"central": 10.0}).weights
     cmp = compare_weighted(
-        demo_grid_t1, weights10, demo_candidates_t1.costs, Cardinality(4)
+        demo_grid_t1, weights10, [c.cost for c in demo_candidates_t1], Cardinality(4)
     )
     b_ok = (
         cmp.weighted_priority >= cmp.vanilla_priority
@@ -346,12 +329,12 @@ def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t
     # (c) best single Type-1 mounts low, best single Type-3 mounts high
     t1 = solve_exact(
         DeploymentProblem(
-            demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(1)
+            demo_grid_t1, demo_targets.weights, [c.cost for c in demo_candidates_t1], Cardinality(1)
         )
     )
     t3 = solve_exact(
         DeploymentProblem(
-            demo_grid_t3, demo_targets.weights, demo_candidates_t3.costs, Cardinality(1)
+            demo_grid_t3, demo_targets.weights, [c.cost for c in demo_candidates_t3], Cardinality(1)
         )
     )
     c1 = demo_candidates_t1[t1.selected[0]]
@@ -399,7 +382,7 @@ def test_criterion_9_occlusion_proxy_sanity(demo_scene, demo_targets,
                                             demo_grid_t3, demo_candidates_t3):
     solution = solve_exact(
         DeploymentProblem(
-            demo_grid_t3, demo_targets.weights, demo_candidates_t3.costs, Cardinality(3)
+            demo_grid_t3, demo_targets.weights, [c.cost for c in demo_candidates_t3], Cardinality(3)
         )
     )
     means = []

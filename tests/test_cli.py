@@ -221,11 +221,13 @@ def test_nonpositive_spacing_exit_2(tmp_path, capsys):
     "--delta=inf", "--jobs=0", "--budget=-5", "--budget=inf", "--seed=-1",
     "--intensity-min=nan", "--count=three", "--method=bogus", "--weights=central",
     "--gain-budgets=1,x", "--exact-limit=-5",
+    # the default constraint is a unit cap, which takes whole budgets only
+    "--gain-budgets=1.2,1.5", "--count=2 --gain-budgets=2.5",
     # an int beyond the float range would overflow float() in a stage
     pytest.param(f"--count={10**400}", id="--count=10**400"),
 ])
 def test_bad_numeric_flag_exit_2(flag, tmp_path, capsys):
-    code = run(["pipeline", "--types", "type-3", flag, "--out", str(tmp_path / "o")])
+    code = run(["pipeline", "--types", "type-3", *flag.split(), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "usage:" not in err
@@ -435,6 +437,24 @@ def test_huge_lattice_exit_2(monkeypatch, tmp_path, capsys, edit, flags):
     assert "lattice at spacing" in err and "points, more than 4194304" in err
 
 
+def test_zero_total_weight_exit_2_before_the_grid(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "build_visibility_grid", None)  # the grid is never built
+    code = run(["pipeline", "--types", "type-1", "--count", "2", "--trials", "1",
+                "--weights", "central=0,ew=0,ns_north=0,ns_south=0",
+                "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "total target weight must be > 0" in err
+
+
+def test_fractional_gain_budgets_under_a_budget(tmp_path):
+    out = tmp_path / "o"
+    assert run(["pipeline", *FAST[4:], "--types", "type-3", "--budget", "200000",
+                "--gain-budgets", "80000.5,160000.5", "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["gain_curve"]["budgets"] == [80000.5, 160000.5]
+
+
 def test_unknown_weight_segment_exit_2(tmp_path, capsys):
     code = run(["grid", "--weights", "nowhere=4", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -570,6 +590,29 @@ def _set_field(key, value):
     return damage
 
 
+def _set_first_column(col, value):
+    def damage(text):
+        header, first, rest = text.split("\n", 2)
+        fields = first.split(",")
+        fields[col] = value
+        return "\n".join([header, ",".join(fields), rest])
+    return damage
+
+
+def _zero_weights(text):
+    header, *rows = text.strip().split("\n")
+    fields = [row.split(",") for row in rows]
+    return "\n".join([header] + [",".join(f[:3] + ["0.0", f[4]]) for f in fields]) + "\n"
+
+
+def _selected_indices(*indices):
+    def damage(text):
+        payload = json.loads(text)
+        payload["selected"] = [{**payload["selected"][0], "idx": i} for i in indices]
+        return json.dumps(payload)
+    return damage
+
+
 def _nan_first_x(text):
     header, first, rest = text.split("\n", 2)
     fields = first.split(",")
@@ -598,12 +641,22 @@ def _nan_first_x(text):
     ("candidates.csv", _nan_first_x, "eval"),
     ("targets.csv", None, "solve"),
     ("solution.json", None, "eval"),
+    ("targets.csv", _set_first_column(3, "-1.0"), "solve"),
+    ("candidates.csv", _set_first_column(5, "-0.5"), "solve"),
+    ("targets.csv", _zero_weights, "solve"),
+    ("solution.json", _selected_indices(3, 7, 3), "eval"),
+    ("solution.json", _selected_indices(3, 7, 3), "render"),
+    ("solution.json", _set_field("constraint", {"kind": "count", "value": -1}), "eval"),
+    ("solution.json", _set_field("constraint", {"kind": "price", "value": 2}), "render"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
         "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
         "solution-objective-huge", "solution-objective-wrong", "solution-cost-nan",
         "solution-cost-inf", "solution-bound-nan", "solution-bound-inf", "targets-nan",
-        "candidates-nan", "targets-directory", "solution-directory"])
+        "candidates-nan", "targets-directory", "solution-directory", "targets-negative-weight",
+        "candidates-negative-cost", "targets-zero-total", "solution-unverified-eval",
+        "solution-unverified-render", "solution-constraint-negative",
+        "solution-constraint-kind"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"

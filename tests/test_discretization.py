@@ -68,7 +68,7 @@ def test_square_road_81_points():
     assert len(grid) == 81
     assert [tuple(p) for p in grid.points] == expected
     assert grid.segment_of == ("sq",) * 81
-    assert grid.total_weight == 81.0
+    assert grid.weights.sum() == 81.0
 
 
 def test_spacing_too_coarse_raises():
@@ -128,7 +128,7 @@ def test_segment_of_matches_linear_oracle(demo_scene):
 
 def test_demo_grid_shape(demo_targets):
     assert len(demo_targets) == 360
-    assert demo_targets.total_weight == 360.0
+    assert demo_targets.weights.sum() == 360.0
     assert sum(1 for s in demo_targets.segment_of if s == "central") == 36
     # row-major ordering: y ascending, x ascending within a row
     pts = demo_targets.points
@@ -177,15 +177,15 @@ def test_enumerate_candidates_product():
     cands = enumerate_candidates(scene, spacing=4.0, types=[TINY_SPEC])
     # positions 4,8 on each axis -> 4 positions x 2 heights x 1 type
     assert len(cands) == 8
-    assert {(c.x, c.y) for c in cands.candidates} == {
+    assert {(c.x, c.y) for c in cands} == {
         (4.0, 4.0),
         (8.0, 4.0),
         (4.0, 8.0),
         (8.0, 8.0),
     }
-    heights = [c.height for c in cands.candidates if (c.x, c.y) == (4.0, 4.0)]
+    heights = [c.height for c in cands if (c.x, c.y) == (4.0, 4.0)]
     assert heights == [2.0, 4.0]
-    assert all(c.cost == 100.0 for c in cands.candidates)
+    assert all(c.cost == 100.0 for c in cands)
 
 
 def test_enumerate_candidates_demo_matches_brute_force(demo_scene):
@@ -234,8 +234,8 @@ def test_enumerate_candidates_uses_every_given_spec(demo_scene):
     assert len(alone) == 24
     assert len(mixed) == 3 * len(alone)
     # catalog specs first, then the others in the given order; duplicates once
-    assert [c.sensor for c in mixed.candidates[:3]] == [first, foreign, changed]
-    assert [c.sensor for c in enumerate_candidates(demo_scene, 6.0, [changed]).candidates] == (
+    assert [c.sensor for c in mixed[:3]] == [first, foreign, changed]
+    assert [c.sensor for c in enumerate_candidates(demo_scene, 6.0, [changed])] == (
         [changed] * 24
     )
 
@@ -270,7 +270,7 @@ def test_zone_surcharge_added_to_cost():
         mount_zones=zones,
     )
     cands = enumerate_candidates(scene, spacing=5.0, types=[TINY_SPEC])
-    assert all(c.cost == 125.0 for c in cands.candidates)
+    assert all(c.cost == 125.0 for c in cands)
 
 
 def test_polyline_zone_corridor():
@@ -292,9 +292,9 @@ def test_polyline_zone_corridor():
 
     # corridor reaches spacing/2 = 1 m to each side of the polyline
     assert len(cands) > 0
-    assert all(dist((c.x, c.y)) <= 1.0 + 1e-9 for c in cands.candidates)
+    assert all(dist((c.x, c.y)) <= 1.0 + 1e-9 for c in cands)
     # and every lattice point clearly inside the corridor is present
-    got = {(c.x, c.y) for c in cands.candidates}
+    got = {(c.x, c.y) for c in cands}
     for y in (4.0, 6.0):
         for x in np.arange(2.0, 19.0, 2.0):
             if dist((x, y)) <= 1.0 - 1e-9:

@@ -46,18 +46,6 @@ def rect(x0, y0, x1, y1):
     return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
-class ListCandidates:
-    def __init__(self, cands):
-        self.candidates = tuple(cands)
-        self.spacing = 1.0
-
-    def __len__(self):
-        return len(self.candidates)
-
-    def __getitem__(self, i):
-        return self.candidates[i]
-
-
 # ---------------------------------------------------------------------------
 # gain curves
 
@@ -66,7 +54,7 @@ def test_gain_curve_demo_saturates(demo_grid_t3, demo_targets, demo_candidates_t
     curve = gain_curve(
         demo_grid_t3,
         demo_targets.weights,
-        demo_candidates_t3.costs,
+        [c.cost for c in demo_candidates_t3],
         kind="count",
         budgets=[1, 2, 3, 4],
     )
@@ -74,8 +62,6 @@ def test_gain_curve_demo_saturates(demo_grid_t3, demo_targets, demo_candidates_t
     objs = list(curve.objectives)
     assert objs == sorted(objs)
     assert objs[-1] == objs[-2]  # saturated: the 4th unit adds nothing
-    gains = curve.marginal_gains()
-    assert gains[-1] == 0.0
     assert curve.coverages[-1] == 1.0
 
 
@@ -89,7 +75,6 @@ def test_gain_curve_single_candidate_flat():
         budgets=[1, 2, 3],
     )
     assert curve.objectives == (3.0, 3.0, 3.0)
-    assert curve.marginal_gains() == [3.0, 0.0, 0.0]
 
 
 def test_gain_curve_monotone_on_random_instances(rng):
@@ -100,46 +85,42 @@ def test_gain_curve_monotone_on_random_instances(rng):
             grid, weights, costs, kind="count",
             budgets=list(range(1, rows.shape[0] + 1)),
         )
-        objs = [o for o in curve.objectives if o is not None]
-        assert len(objs) == len(curve.objectives)
+        objs = curve.objectives
         assert all(a <= b + 1e-12 for a, b in zip(objs, objs[1:]))
         sweep = np.linspace(costs.min(), costs.sum(), 4)
         curve_b = gain_curve(
             grid, weights, costs, kind="budget", budgets=sorted(set(map(float, sweep)))
         )
-        objs_b = [o for o in curve_b.objectives if o is not None]
+        objs_b = curve_b.objectives
         assert all(a <= b + 1e-12 for a, b in zip(objs_b, objs_b[1:]))
 
 
-def test_gain_curve_marks_failed_points_and_continues():
-    bits = np.array([[1, 0], [0, 1]], dtype=bool)
-    grid = VisibilityGrid(bits=bits, delta=1.0)
-    curve = gain_curve(grid, np.ones(2), np.ones(2), kind="count", budgets=[-5, 1, 2])
-    assert curve.objectives[0] is None
-    assert curve.errors[0] is not None and "ValueError" in curve.errors[0]
-    assert curve.objectives[1] == 1.0
-    assert curve.objectives[2] == 2.0
-    assert curve.marginal_gains()[1] is None  # previous point failed
-
-
-def test_gain_curve_rejects_bad_inputs():
+def test_gain_curve_rejects_bad_inputs(monkeypatch):
+    monkeypatch.setattr(evaluation, "solve", None)  # nothing may be solved first
     grid = VisibilityGrid(bits=np.ones((1, 2), dtype=bool), delta=1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        gain_curve(grid, np.ones(2), np.ones(1), kind="count", budgets=[2, 2])
-    with pytest.raises(ValueError, match="kind"):
-        gain_curve(grid, np.ones(2), np.ones(1), kind="price", budgets=[1])
+    for kind, budgets, weights, match in [
+        ("count", [2, 2], np.ones(2), "increasing"),
+        ("price", [1], np.ones(2), "kind"),
+        ("count", [1, -1], np.ones(2), "finite and >= 0"),
+        ("budget", [-0.5], np.ones(2), "finite and >= 0"),
+        ("count", [1, math.inf], np.ones(2), "finite and >= 0"),
+        ("budget", [math.nan], np.ones(2), "finite and >= 0"),
+        ("count", [1, 1.5], np.ones(2), "whole numbers"),
+        ("count", [1], np.zeros(2), "total target weight"),
+        ("budget", [1.5], np.zeros(2), "total target weight"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            gain_curve(grid, weights, np.ones(1), kind=kind, budgets=budgets)
 
 
 def test_gain_curve_csv(tmp_path):
     bits = np.array([[1, 0], [0, 1]], dtype=bool)
     grid = VisibilityGrid(bits=bits, delta=1.0)
-    curve = gain_curve(grid, np.ones(2), np.ones(2), kind="count", budgets=[-1, 1])
+    curve = gain_curve(grid, np.ones(2), np.ones(2), kind="count", budgets=[1])
     path = tmp_path / "curve.csv"
     write_gain_curve_csv(curve, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "budget,objective,coverage,method"
-    assert lines[1].endswith("failed")
-    assert "exact" in lines[2]
+    assert lines == ["budget,objective,coverage,method", "1.0,1.0,0.5,exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +132,7 @@ def test_compare_weighted_demo_prioritizes_center(
 ):
     weights = demo_targets.reweighted({"central": 10.0}).weights
     cmp = compare_weighted(
-        demo_grid_t1, weights, demo_candidates_t1.costs, Cardinality(4)
+        demo_grid_t1, weights, [c.cost for c in demo_candidates_t1], Cardinality(4)
     )
     assert cmp.n_priority == 36
     assert cmp.weighted_priority >= cmp.vanilla_priority
@@ -220,10 +201,10 @@ def micro_setup():
         unit_cost=10.0,
         azimuth_step=6.0,
     )
-    cands = ListCandidates([
+    cands = (
         Candidate(x=-10.0, y=-10.0, height=6.0, sensor=s, cost=10.0),
         Candidate(x=10.0, y=10.0, height=6.0, sensor=s, cost=10.0),
-    ])
+    )
     grid = build_visibility_grid(cands, targets, scene, delta=2.5)
     problem = DeploymentProblem(grid, targets.weights, np.full(2, 10.0), Cardinality(2))
     solution = solve_exact(problem)
@@ -281,9 +262,7 @@ def test_occlusion_single_blocking_vehicle():
                                allowed_heights=(5.0,)),),
     )
     targets = discretize_roi(scene, spacing=0.3)
-    cands = ListCandidates(
-        [Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0)]
-    )
+    cands = (Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0),)
     grid = build_visibility_grid(cands, targets, scene, delta=0.8)
     assert grid.bits.all()  # statically the lone ground return covers all
     problem = DeploymentProblem(grid, targets.weights, np.ones(1), Cardinality(1))
@@ -304,10 +283,10 @@ def test_occlusion_trials_match_full_recast(
     # Reference: recast the selected sensors into the scene with the trial's
     # vehicles added and OR their rows.  Boxes come from the same substreams.
     problem = DeploymentProblem(
-        demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(4)
+        demo_grid_t1, demo_targets.weights, [c.cost for c in demo_candidates_t1], Cardinality(4)
     )
     solution = solve_greedy(problem)
-    chosen = ListCandidates([demo_candidates_t1[i] for i in solution.selected])
+    chosen = tuple(demo_candidates_t1[i] for i in solution.selected)
     vehicle = VehicleModel(count=12)
     total_w = float(demo_targets.weights.sum())
     static = build_visibility_grid(
@@ -321,7 +300,7 @@ def test_occlusion_trials_match_full_recast(
         )
         for t, got in enumerate(report.per_trial):
             boxes = _sample_vehicles(demo_scene, vehicle, np.random.default_rng([seed, t]))
-            trial_scene = demo_scene.with_extra_obstacles(boxes)
+            trial_scene = replace(demo_scene, obstacles=demo_scene.obstacles + tuple(boxes))
             covered = build_visibility_grid(
                 chosen, demo_targets, trial_scene, delta=1.5, intensity_min=intensity_min
             ).bits.any(axis=0)
@@ -338,11 +317,12 @@ def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity
     xy, w, gz = [tuple(p) for p in targets.points], targets.weights, scene.ground_elevation
     everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
                           total_cost=0.0, method="all", optimality_bound=0.0)
-    report = occlusion_monte_carlo(everything, scene, targets, ListCandidates(cands), vehicle,
+    report = occlusion_monte_carlo(everything, scene, targets, tuple(cands), vehicle,
                                    trials=3, seed=seed, delta=delta, intensity_min=intensity_min)
     for t, got in enumerate(report.per_trial):
         boxes = evaluation._sample_vehicles(scene, vehicle, np.random.default_rng([seed, t]))
-        clouds = [simulate_sensor(c, scene.with_extra_obstacles(boxes)) for c in cands]
+        trial_scene = replace(scene, obstacles=scene.obstacles + tuple(boxes))
+        clouds = [simulate_sensor(c, trial_scene) for c in cands]
         covered = brute_force_visibility(clouds, xy, delta, gz, intensity_min).any(axis=0)
         assert got == float(w[covered].sum()) / float(w.sum())
     return report.per_trial
@@ -428,7 +408,7 @@ def test_sample_density_matches_closed_radius_oracle_on_demo(
     demo_scene, demo_targets, demo_candidates_t1, demo_grid_t1, intensity_min
 ):
     problem = DeploymentProblem(
-        demo_grid_t1, demo_targets.weights, demo_candidates_t1.costs, Cardinality(3)
+        demo_grid_t1, demo_targets.weights, [c.cost for c in demo_candidates_t1], Cardinality(3)
     )
     solution = solve_greedy(problem)
     density = static_density(
@@ -468,8 +448,8 @@ def test_sample_density_counts_a_sample_at_exactly_delta():
         road_segments=(RoadSegment(id="r", polygon=rect(15, -5, 25, 5)),),
         mount_zones=(MountZone(id="z", geometry=rect(-1, -1, 1, 1), allowed_heights=(5.0,)),),
     )
-    cands = ListCandidates([Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0)])
-    (sx, sy, _, _), = simulate_sensor(cands[0], scene).samples
+    cands = (Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0),)
+    (sx, sy, _, _), = simulate_sensor(cands[0], scene)
     points = np.array([[sx + 1.0, sy], [np.nextafter(sx + 1.0, np.inf), sy]])
     delta = abs(sx - points[0, 0])
     targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
@@ -494,7 +474,7 @@ def test_proxy_note_mentions_limits():
 def test_render_byte_identical_across_runs(tmp_path, demo_scene, demo_targets,
                                            demo_grid_t3, demo_candidates_t3):
     problem = DeploymentProblem(
-        demo_grid_t3, demo_targets.weights, demo_candidates_t3.costs, Cardinality(3)
+        demo_grid_t3, demo_targets.weights, [c.cost for c in demo_candidates_t3], Cardinality(3)
     )
     solution = solve_exact(problem)
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -533,7 +513,7 @@ def test_render_golden_demo(tmp_path, demo_scene, demo_targets, demo_grid_t3,
 
     golden = pathlib.Path(__file__).parent / "golden" / "coverage_demo.svg"
     problem = DeploymentProblem(
-        demo_grid_t3, demo_targets.weights, demo_candidates_t3.costs, Cardinality(3)
+        demo_grid_t3, demo_targets.weights, [c.cost for c in demo_candidates_t3], Cardinality(3)
     )
     solution = solve_exact(problem)
     out = tmp_path / "demo.svg"

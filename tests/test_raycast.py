@@ -43,7 +43,6 @@ from lidarplan.raycast import (
     WINDOW_SLACK_M,
     BUCKETS_PER_TARGET,
     GroundReturns,
-    PointCloud,
     TargetIndex,
     _cast_all,
     _cast_scene,
@@ -530,21 +529,21 @@ def test_simulate_downward_rings_upward_nothing():
     cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene())
     # channels at -20, -10, 0, +10: only the two downward ones return
     n_az = 12
-    assert len(cloud.samples) == 2 * n_az
-    radii = np.hypot(cloud.samples[:, 0], cloud.samples[:, 1])
+    assert len(cloud) == 2 * n_az
+    radii = np.hypot(cloud[:, 0], cloud[:, 1])
     expected = {5.0 / math.tan(math.radians(20)), 5.0 / math.tan(math.radians(10))}
     got = set(np.round(np.unique(radii), 6))
     assert got == {round(v, 6) for v in expected}
-    assert np.all(cloud.samples[:, 2] == 0.0)
+    assert np.all(cloud[:, 2] == 0.0)
 
 
 def test_simulate_enclosed_sensor_hits_walls_only():
     box = Obstacle(id="box", footprint=rect(-2, -2, 2, 2), height=10.0)
     s = spec(channels=4, vmin=-25, vmax=15, step=30.0, range_m=100.0)
     cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene(box))
-    assert len(cloud.samples) == len(generate_beams(s))  # every beam lands
-    assert np.all(cloud.samples[:, 2] > 0.0)  # all on faces, none on ground
-    assert np.all(np.max(np.abs(cloud.samples[:, :2]), axis=1) <= 2.0 + 1e-9)
+    assert len(cloud) == len(generate_beams(s))  # every beam lands
+    assert np.all(cloud[:, 2] > 0.0)  # all on faces, none on ground
+    assert np.all(np.max(np.abs(cloud[:, :2]), axis=1) <= 2.0 + 1e-9)
 
 
 def test_simulate_cloud_invariants(demo_scene):
@@ -552,12 +551,12 @@ def test_simulate_cloud_invariants(demo_scene):
     t2 = replace(t2, azimuth_step=5.0)
     cloud = simulate_sensor(make_candidate(14.0, -8.0, 5.4, t2), demo_scene)
     cap = t2.channels * math.ceil(t2.horizontal_fov / t2.azimuth_step)
-    assert 0 < len(cloud.samples) <= cap
+    assert 0 < len(cloud) <= cap
     origin = np.array([14.0, -8.0, 5.4])
-    dist = np.linalg.norm(cloud.samples[:, :3] - origin, axis=1)
+    dist = np.linalg.norm(cloud[:, :3] - origin, axis=1)
     assert np.all(dist <= t2.range_m + 1e-9)
-    assert np.all(cloud.samples[:, 2] >= -1e-9)
-    inten = cloud.samples[:, 3]
+    assert np.all(cloud[:, 2] >= -1e-9)
+    inten = cloud[:, 3]
     assert np.all((0.0 <= inten) & (inten <= 1.0))
     assert np.allclose(inten, 1.0 - dist / t2.range_m, atol=1e-9)
 
@@ -572,8 +571,8 @@ def test_simulate_matches_scalar_reference(demo_scene):
         ref = cast_ray_ref(origin, tuple(d), demo_scene, t3.range_m)
         if ref is not None:
             ref_hits.append(ref[1:4])
-    assert len(cloud.samples) == len(ref_hits)
-    mine = cloud.samples[np.lexsort(cloud.samples[:, :3].T)][:, :3]
+    assert len(cloud) == len(ref_hits)
+    mine = cloud[np.lexsort(cloud[:, :3].T)][:, :3]
     ref_arr = np.array(ref_hits)
     ref_arr = ref_arr[np.lexsort(ref_arr.T)]
     assert np.allclose(mine, ref_arr, atol=1e-6)
@@ -592,7 +591,7 @@ def test_ground_distance_formula_all_demo_types(demo_scene):
                 for e in down
                 if height / math.sin(math.radians(abs(e))) <= s.range_m
             )
-            radii = sorted(np.hypot(cloud.samples[:, 0], cloud.samples[:, 1]))
+            radii = sorted(np.hypot(cloud[:, 0], cloud[:, 1]))
             assert len(radii) == len(expected)
             for got, want in zip(radii, expected):
                 assert math.isclose(got, want, rel_tol=1e-6)
@@ -629,25 +628,13 @@ def micro_candidates(rng, n):
     ]
 
 
-class ListCandidates:
-    def __init__(self, cands):
-        self.candidates = tuple(cands)
-        self.spacing = 1.0
-
-    def __len__(self):
-        return len(self.candidates)
-
-    def __getitem__(self, i):
-        return self.candidates[i]
-
-
 def test_grid_matches_quadratic_brute_force(rng):
     for _ in range(6):
         scene, targets = micro_scene_and_targets(rng)
-        cands = ListCandidates(micro_candidates(rng, 3))
+        cands = tuple(micro_candidates(rng, 3))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene) for c in cands.candidates]
+        clouds = [simulate_sensor(c, scene) for c in cands]
         expected = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )
@@ -656,9 +643,9 @@ def test_grid_matches_quadratic_brute_force(rng):
 
 def test_grid_with_intensity_floor_matches_brute_force(rng):
     scene, targets = micro_scene_and_targets(rng)
-    cands = ListCandidates(micro_candidates(rng, 3))
+    cands = tuple(micro_candidates(rng, 3))
     grid = build_visibility_grid(cands, targets, scene, delta=3.0, intensity_min=0.8)
-    clouds = [simulate_sensor(c, scene) for c in cands.candidates]
+    clouds = [simulate_sensor(c, scene) for c in cands]
     expected = brute_force_visibility(
         clouds, [tuple(p) for p in targets.points], 3.0, 0.0, intensity_min=0.8
     )
@@ -671,7 +658,7 @@ def test_empty_cloud_gives_zero_row(rng):
     scene, targets = micro_scene_and_targets(rng, n_obstacles=0)
     # horizontal-only fan never returns from the ground
     s = spec(channels=1, vmin=0, vmax=0, step=60.0)
-    cands = ListCandidates([make_candidate(0, 0, 5.0, s)])
+    cands = (make_candidate(0, 0, 5.0, s),)
     grid = build_visibility_grid(cands, targets, scene, delta=2.0)
     assert not grid.bits.any()
 
@@ -680,17 +667,17 @@ def test_obstacle_face_returns_do_not_count(rng):
     # enclosed sensor: plenty of returns, none eligible for coverage
     scene, targets = micro_scene_and_targets(rng, n_obstacles=0)
     box = Obstacle(id="box", footprint=rect(-1.5, -1.5, 1.5, 1.5), height=12.0)
-    walled = scene.with_extra_obstacles([box])
+    walled = replace(scene, obstacles=scene.obstacles + (box,))
     s = spec(channels=6, vmin=-25, vmax=0, step=30.0)
     cand = make_candidate(0, 0, 5.0, s)
-    assert len(simulate_sensor(cand, walled).samples) > 0
-    grid = build_visibility_grid(ListCandidates([cand]), targets, walled, delta=4.0)
+    assert len(simulate_sensor(cand, walled)) > 0
+    grid = build_visibility_grid((cand,), targets, walled, delta=4.0)
     assert not grid.bits.any()
 
 
 def test_huge_delta_covers_everything(rng):
     scene, targets = micro_scene_and_targets(rng, n_obstacles=0)
-    cands = ListCandidates(micro_candidates(rng, 2))
+    cands = tuple(micro_candidates(rng, 2))
     grid = build_visibility_grid(cands, targets, scene, delta=1e9)
     assert grid.bits.all()
 
@@ -698,7 +685,7 @@ def test_huge_delta_covers_everything(rng):
 def test_delta_monotonicity(rng):
     for _ in range(4):
         scene, targets = micro_scene_and_targets(rng)
-        cands = ListCandidates(micro_candidates(rng, 3))
+        cands = tuple(micro_candidates(rng, 3))
         d1, d2 = sorted(rng.uniform(0.5, 6.0, 2))
         small = build_visibility_grid(cands, targets, scene, delta=float(d1))
         large = build_visibility_grid(cands, targets, scene, delta=float(d2))
@@ -713,15 +700,15 @@ def test_range_monotonicity(rng):
             replace(c, sensor=replace(c.sensor, range_m=c.sensor.range_m * 2))
             for c in base
         ]
-        g1 = build_visibility_grid(ListCandidates(base), targets, scene, delta=3.0)
-        g2 = build_visibility_grid(ListCandidates(longer), targets, scene, delta=3.0)
+        g1 = build_visibility_grid(tuple(base), targets, scene, delta=3.0)
+        g2 = build_visibility_grid(tuple(longer), targets, scene, delta=3.0)
         assert np.all(g1.bits <= g2.bits)
 
 
 def test_obstacle_never_adds_bits(rng):
     for _ in range(4):
         scene, targets = micro_scene_and_targets(rng, n_obstacles=1)
-        cands = ListCandidates(micro_candidates(rng, 3))
+        cands = tuple(micro_candidates(rng, 3))
         before = build_visibility_grid(cands, targets, scene, delta=3.0)
         extra = Obstacle(
             id="new",
@@ -729,14 +716,14 @@ def test_obstacle_never_adds_bits(rng):
             height=float(rng.uniform(1, 8)),
         )
         after = build_visibility_grid(
-            cands, targets, scene.with_extra_obstacles([extra]), delta=3.0
+            cands, targets, replace(scene, obstacles=scene.obstacles + (extra,)), delta=3.0
         )
         assert np.all(after.bits <= before.bits)
 
 
 def test_grid_rejects_bad_delta(rng):
     scene, targets = micro_scene_and_targets(rng)
-    cands = ListCandidates(micro_candidates(rng, 1))
+    cands = tuple(micro_candidates(rng, 1))
     with pytest.raises(ValueError, match="delta"):
         build_visibility_grid(cands, targets, scene, delta=0.0)
 
@@ -753,7 +740,7 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     index = TargetIndex(demo_targets.points, 1.5)
     for i, cand in enumerate(cands):
         full = simulate_sensor(cand, demo_scene)
-        want = eligible_samples(full.samples, demo_scene.ground_elevation, intensity_min)[:, :2]
+        want = eligible_samples(full, demo_scene.ground_elevation, intensity_min)[:, :2]
         got = GroundReturns(cand, demo_scene).eligible(intensity_min)[1]
         assert np.array_equal(got, want)
         row = visibility_row(want, index)
@@ -767,7 +754,7 @@ def test_ground_returns_from_mounts_at_or_below_ground():
     s = spec(channels=5, vmin=-20, vmax=20, step=30.0)
     for height in (0.0, -1.0, 0.5):
         cand = make_candidate(0.0, 0.0, height, s)
-        want = eligible_samples(simulate_sensor(cand, open_scene(box)).samples, 0.0, None)
+        want = eligible_samples(simulate_sensor(cand, open_scene(box)), 0.0, None)
         assert len(want) > 0
         assert np.array_equal(GroundReturns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
 
@@ -795,18 +782,18 @@ def cloud_around(rng, points, n, reach, lo, hi):
     near = points[rng.integers(0, len(points), n // 2)] + rng.uniform(-reach, reach, (n // 2, 2))
     xy = np.vstack([near, rng.uniform(lo, hi, (n - n // 2, 2))])
     z = np.where(rng.random(n) < 0.25, 1.0, 0.0)
-    return PointCloud(samples=np.column_stack([xy, z, rng.random(n)]))
+    return np.column_stack([xy, z, rng.random(n)])
 
 
 def eligible_xy(cloud, intensity_min):
     """The xy that GroundReturns.eligible would give for this cloud (ground at z = 0)."""
-    return eligible_samples(cloud.samples, 0.0, intensity_min)[:, :2]
+    return eligible_samples(cloud, 0.0, intensity_min)[:, :2]
 
 
 def closed_counts(index, cloud):
     """Per-target count of ground samples at distance <= delta, from the index."""
     counts = np.zeros(index.size, dtype=np.int64)
-    ground = cloud.samples[cloud.samples[:, 2] == 0.0]
+    ground = cloud[cloud[:, 2] == 0.0]
     for ids, closed, _ in index.within(ground[:, :2]):
         np.add.at(counts, ids[closed], 1)
     return counts
@@ -847,9 +834,7 @@ def test_index_pairs_at_exactly_delta(rng, unit):
     xy = (points[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
     inside = points[::2] + 0.5 * offsets[4]  # half the targets also get a sample within delta
     samples = np.vstack([xy, inside])
-    cloud = PointCloud(samples=np.column_stack(
-        [samples, np.zeros(len(samples)), np.ones(len(samples))]
-    ))
+    cloud = np.column_stack([samples, np.zeros(len(samples)), np.ones(len(samples))])
     assert_index_matches_oracles(targets, cloud, delta)
     row = visibility_row(eligible_xy(cloud, None), TargetIndex(targets.points, delta))
     assert np.array_equal(row[:60], np.arange(60) % 2 == 0)
@@ -961,7 +946,7 @@ def test_rows_and_density_decide_pairs_at_delta_as_hypot(ulp):
         np.add.at(closed, ids[dist <= delta], 1)
         np.add.at(strict, ids[dist < delta], 1)
         assert (np.abs(dist - delta) <= 4 * np.spacing(delta)).sum() >= 2
-    grid = build_visibility_grid(ListCandidates([cand]), targets, scene, delta)
+    grid = build_visibility_grid((cand,), targets, scene, delta)
     assert np.array_equal(grid.bits[0], row)
     got = sample_density(xy, index)
     assert np.array_equal(got[0], closed) and np.array_equal(got[1], strict)
@@ -1002,7 +987,7 @@ def culling_case(rng):
     ]
     scene = replace(open_scene(*obstacles), ground_elevation=gz)
     ground = np.vstack([np.zeros((0, 2))] + [
-        eligible_samples(simulate_sensor(c, scene).samples, gz, None)[:, :2] for c in cands
+        eligible_samples(simulate_sensor(c, scene), gz, None)[:, :2] for c in cands
     ])
     n = 8 if len(ground) else 0
     near = ground[rng.integers(0, max(1, len(ground)), n)] + rng.uniform(-0.7, 0.7, (n, 2)) * delta
@@ -1017,13 +1002,13 @@ def assert_culled_casts_match_oracles(scene, targets, cands, delta, intensity_mi
     every candidate, against the quadratic oracles on simulate_sensor."""
     gz, xy, w = scene.ground_elevation, [tuple(p) for p in targets.points], targets.weights
     clouds = [simulate_sensor(c, scene) for c in cands]
-    grid = build_visibility_grid(ListCandidates(cands), targets, scene, delta, intensity_min)
+    grid = build_visibility_grid(tuple(cands), targets, scene, delta, intensity_min)
     bits = brute_force_visibility(clouds, xy, delta, gz, intensity_min)
     assert np.array_equal(grid.bits, bits)
     everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
                           total_cost=0.0, method="all", optimality_bound=0.0)
     report = occlusion_monte_carlo(
-        everything, scene, targets, ListCandidates(cands), VehicleModel(count=0),
+        everything, scene, targets, tuple(cands), VehicleModel(count=0),
         trials=1, seed=0, delta=delta, intensity_min=intensity_min,
     )
     density = brute_force_density(clouds, xy, delta, gz, intensity_min)
@@ -1057,7 +1042,7 @@ def ground_level_wall(short_range):
         x_wall = float(np.nextafter(x_wall, -np.inf))
     wall = Obstacle(id="w", footprint=rect(x_wall, -1.0, x_wall + 2.0, 1.0), height=3.0)
     scene = replace(open_scene(), ground_elevation=100.0)
-    samples = simulate_sensor(cand, scene.with_extra_obstacles([wall])).samples
+    samples = simulate_sensor(cand, replace(scene, obstacles=scene.obstacles + (wall,)))
     (hit,) = samples[np.abs(samples[:, 0] - x_wall) < 1e-9]
     assert hit[2] == 100.0 and hit[0] < t_ground * beam[0, 0]  # eligible, off the wall
     assert (t_ground > range_m) == short_range
@@ -1071,7 +1056,7 @@ def test_obstacle_hit_at_ground_level_vouches_for_a_target(short_range):
     points = np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]])
     targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
     bits, density = assert_culled_casts_match_oracles(
-        scene.with_extra_obstacles([wall]), targets, [cand], delta, None
+        replace(scene, obstacles=scene.obstacles + (wall,)), targets, [cand], delta, None
     )
     assert bits[0].tolist() == [True, False]
     assert density.tolist() == [1, 0]
