@@ -28,6 +28,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+# Before numpy loads: the planner does no BLAS-sized work, so OpenBLAS workers only burn CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -322,6 +325,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _select_types(scene: Scene, cfg: RunConfig):
+    if not scene.catalog:
+        raise CliError(EXIT_INPUT, "scene has no sensor catalog")
     if not cfg.types:
         return list(scene.catalog)
     by_id = {s.type_id: s for s in scene.catalog}

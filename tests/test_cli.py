@@ -204,6 +204,23 @@ def test_unknown_type_exit_2(tmp_path, capsys):
     assert "type-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["grid", "pipeline"])
+@pytest.mark.parametrize("types", [[], ["--types", "type-1"]], ids=["all-types", "type-1"])
+@pytest.mark.parametrize("catalog", ["missing", None, []], ids=["missing", "null", "empty"])
+def test_scene_without_catalog_exit_2(stage, types, catalog, tmp_path, capsys):
+    scene = json.loads(demo_scene_path().read_text())
+    if catalog == "missing":
+        del scene["catalog"]
+    else:
+        scene["catalog"] = catalog
+    path = tmp_path / "road.json"
+    path.write_text(json.dumps(scene))
+    code = run([stage, "--scene", str(path), *types, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [f"[{stage}] error: scene has no sensor catalog"]
+
+
 def test_conflicting_constraints_exit_2(tmp_path, capsys):
     code = run(["solve", "--budget", "100", "--count", "2", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -775,18 +792,59 @@ def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):
     assert err.strip().splitlines() == ["internal error: RuntimeError: stage blew up"]
 
 
+def _fresh_python(code, env_overrides=None, args=()):
+    """Run `code` in a new interpreter on this checkout's sources, with the
+    caller's OPENBLAS_NUM_THREADS unset unless `env_overrides` sets it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_overrides or {}, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
 def test_cli_import_leaves_scipy_out(module):
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, lidarplan.cli; print({module!r} in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    assert _fresh_python(f"import sys, lidarplan.cli; print({module!r} in sys.modules)") == "False"
+
+
+def test_cli_import_pins_one_openblas_thread():
+    pinned, threads = _fresh_python(
+        "import os, lidarplan.cli; print(os.environ['OPENBLAS_NUM_THREADS'],"
+        " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)"
+    ).split()
+    assert pinned == "1"
+    if threads == "0":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == "1"
+
+
+def test_cli_import_keeps_the_callers_openblas_threads():
+    code = "import os, lidarplan.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, {"OPENBLAS_NUM_THREADS": "2"}) == "2"
+
+
+def test_pipeline_artifacts_do_not_depend_on_openblas_threads(tmp_path):
+    outs = []
+    for name, env in [("unset", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})]:
+        out = tmp_path / name
+        _fresh_python("import sys, lidarplan.cli as c; sys.exit(c.main(sys.argv[1:]))", env,
+                      ["pipeline", *FAST, "--out", str(out)])
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_package_import_is_lazy():
+    code = (
+        "import sys, lidarplan; print('numpy' in sys.modules);"
+        "print(set(lidarplan.__all__) <= set(dir(lidarplan)));"
+        "print(lidarplan.raycast.__name__, 'numpy' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code).splitlines() == ["False", "True", "lidarplan.raycast True"]
 
 
 def test_console_entry_point():
