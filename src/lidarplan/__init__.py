@@ -8,7 +8,7 @@ numpy starts."""
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

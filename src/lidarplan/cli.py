@@ -29,7 +29,9 @@ from pathlib import Path
 from typing import Sequence
 
 # Before numpy loads: the planner does no BLAS-sized work, so OpenBLAS workers only burn CPU.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads an empty value as unset, so this does too.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

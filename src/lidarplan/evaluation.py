@@ -10,8 +10,11 @@ only its vehicles against those rays and recounts only the rays they block.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -170,16 +173,23 @@ class OcclusionReport:
     density: tuple[int, ...]  # sample_density per target, static scene, summed over sensors
 
 
+def _trial_rng(seed: int, t: int) -> random.Random:
+    """Trial t's vehicle stream.  A str seed is hashed with SHA-512, so
+    "seed:t" gives each (seed, trial) its own stream on every CPython."""
+    return random.Random(f"{seed}:{t}")
+
+
 def _sample_vehicles(scene: Scene, vehicle: VehicleModel,
-                     rng: np.random.Generator) -> list[Obstacle]:
+                     rng: random.Random) -> list[Obstacle]:
     """Drop vehicle boxes uniformly over the road area, sequentially from
-    one stream so a larger count extends a smaller one's draw."""
+    one stream so a larger count extends a smaller one's draw.  Only
+    random() and uniform() are drawn: Python keeps their output fixed."""
     segments = scene.road_segments
-    areas = np.array([polygon_area(s.polygon) for s in segments])
-    probs = areas / areas.sum()
+    cumulative = list(itertools.accumulate(polygon_area(s.polygon) for s in segments))
     boxes: list[Obstacle] = []
     for k in range(vehicle.count):
-        seg = segments[int(rng.choice(len(segments), p=probs))]
+        # a segment with probability proportional to its area (every area is > 0)
+        seg = segments[bisect.bisect_right(cumulative, rng.random() * cumulative[-1])]
         bx0, by0, bx1, by1 = polygon_bounds(seg.polygon)
         cx = cy = None
         for _ in range(10000):
@@ -230,7 +240,8 @@ def occlusion_monte_carlo(
     against the sensor's rays; the rays they block trade their static
     sample for their new hit if still eligible, and a target is covered
     while its strict count is above 0, as in a recast with the vehicles.
-    Prisms are made once; each trial uses the substream (seed, trial).
+    Prisms are made once.  Each trial draws its vehicles from its own
+    Python random.Random stream, seeded by (seed, trial) (_trial_rng).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -242,7 +253,7 @@ def occlusion_monte_carlo(
     ground_z = scene.ground_elevation
     static = _prisms(scene.obstacles, ground_z)
     trial_prisms = [
-        _prisms(_sample_vehicles(scene, vehicle, np.random.default_rng([seed, t])), ground_z)
+        _prisms(_sample_vehicles(scene, vehicle, _trial_rng(seed, t)), ground_z)
         for t in range(trials)
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)

@@ -564,7 +564,7 @@ class VisibilityGrid:
         return self.bits.shape[1]
 
     def save(self, path: str | Path) -> None:
-        packed = np.packbits(self.bits.astype(np.uint8), axis=1)
+        packed = np.packbits(self.bits, axis=1)  # packs bool as is, no uint8 copy
         with open(path, "wb") as fh:
             fh.write(VGRID_HEADER.pack(VGRID_MAGIC, self.rows, self.cols, self.delta))
             fh.write(packed.tobytes())
@@ -587,7 +587,7 @@ class VisibilityGrid:
             raise ValueError(
                 f"{path}: grid body has {len(body)} bytes, expected {rows * row_bytes}"
             )
-        bits = np.unpackbits(body.reshape(rows, row_bytes), axis=1)[:, :cols].astype(bool)
+        bits = np.unpackbits(body.reshape(rows, row_bytes), axis=1, count=cols).view(bool)
         return cls(bits=bits, delta=delta)
 
 

@@ -810,14 +810,17 @@ def test_cli_import_leaves_scipy_out(module):
 
 
 def test_cli_import_pins_one_openblas_thread():
-    pinned, threads = _fresh_python(
-        "import os, lidarplan.cli; print(os.environ['OPENBLAS_NUM_THREADS'],"
-        " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)"
-    ).split()
-    assert pinned == "1"
-    if threads == "0":
-        pytest.skip("no /proc/self/task to count threads in")
-    assert threads == "1"
+    # an empty value counts as unset: OpenBLAS would start its full pool
+    for env in [{}, {"OPENBLAS_NUM_THREADS": ""}]:
+        pinned, threads = _fresh_python(
+            "import os, lidarplan.cli; print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)",
+            env,
+        ).split()
+        assert pinned == "1", env
+        if threads == "0":
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == "1", env
 
 
 def test_cli_import_keeps_the_callers_openblas_threads():
@@ -836,6 +839,14 @@ def test_pipeline_artifacts_do_not_depend_on_openblas_threads(tmp_path):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_pipeline_leaves_numpy_random_out(tmp_path):
+    # the occlusion trials draw from Python's random, already loaded by numpy
+    code = ("import sys, lidarplan.cli as c; code = c.main(sys.argv[1:]);"
+            "print(code, *(m in sys.modules for m in ('numpy.random', 'secrets', 'hmac')))")
+    out = _fresh_python(code, args=["pipeline", *FAST, "--out", str(tmp_path / "o")])
+    assert out.splitlines()[-1] == "0 False False False"
 
 
 def test_package_import_is_lazy():

@@ -37,7 +37,7 @@ from lidarplan import (
     solve_greedy,
 )
 from lidarplan import evaluation
-from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, write_gain_curve_csv
+from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, _trial_rng, write_gain_curve_csv
 from lidarplan.raycast import _prisms
 from test_raycast import culling_case, ground_level_wall
 
@@ -232,6 +232,39 @@ def test_occlusion_same_seed_identical_and_prefix_stable():
     assert short.per_trial == a.per_trial[:2]  # per-trial substreams
 
 
+def test_trial_vehicles_golden_on_demo(demo_scene):
+    # Trial 1 of seed 7 as (x0, y0, x1, y1) boxes.  random.Random's str
+    # seeding, random() and uniform() are stable across CPython versions,
+    # so these floats must not change with the interpreter or numpy.
+    golden = [
+        (2.516874081611542, -45.70303284927463, 4.516874081611542, -41.20303284927463),
+        (-14.040778796133871, 4.759895358599326, -9.540778796133871, 6.759895358599326),
+        (1.8109498240153066, -47.45913743455962, 3.8109498240153066, -42.95913743455962),
+        (0.3491395267877113, -29.57131480288136, 2.3491395267877113, -25.07131480288136),
+    ]
+    boxes = _sample_vehicles(demo_scene, VehicleModel(count=4), _trial_rng(7, 1))
+    assert [b.footprint for b in boxes] == [rect(*g) for g in golden]
+    assert [b.id for b in boxes] == [f"vehicle_{k}" for k in range(4)]
+    assert {b.height for b in boxes} == {1.6}
+    fewer = _sample_vehicles(demo_scene, VehicleModel(count=2), _trial_rng(7, 1))
+    assert fewer == boxes[:2]  # a larger count extends a smaller one's draw
+    assert _sample_vehicles(demo_scene, VehicleModel(count=4), _trial_rng(7, 2)) != boxes
+
+
+def test_vehicles_pick_segments_in_proportion_to_area(demo_scene):
+    # areas 10, 0.5 and 30 give shares of 10/40.5, 0.5/40.5 and 30/40.5; over
+    # 4000 draws, 3 sigma of a binomial share is < 0.021
+    roads = (RoadSegment(id="a", polygon=rect(0, 0, 10, 1)),
+             RoadSegment(id="thin", polygon=rect(0, 10, 0.5, 11)),
+             RoadSegment(id="b", polygon=rect(0, 20, 10, 23)))
+    scene = replace(demo_scene, road_segments=roads)
+    boxes = _sample_vehicles(scene, VehicleModel(count=4000), _trial_rng(3, 0))
+    assert len(boxes) == 4000
+    cy = np.array([b.footprint[0][1] + b.footprint[2][1] for b in boxes]) / 2
+    for lo, hi, area in [(0, 1, 10), (10, 11, 0.5), (20, 23, 30)]:
+        assert abs(np.mean((cy >= lo) & (cy <= hi)) - area / 40.5) < 0.021
+
+
 def test_occlusion_bounds_and_order():
     scene, targets, cands, solution = micro_setup()
     report = occlusion_monte_carlo(
@@ -299,7 +332,7 @@ def test_occlusion_trials_match_full_recast(
             trials=3, seed=seed, delta=1.5, intensity_min=intensity_min,
         )
         for t, got in enumerate(report.per_trial):
-            boxes = _sample_vehicles(demo_scene, vehicle, np.random.default_rng([seed, t]))
+            boxes = _sample_vehicles(demo_scene, vehicle, _trial_rng(seed, t))
             trial_scene = replace(demo_scene, obstacles=demo_scene.obstacles + tuple(boxes))
             covered = build_visibility_grid(
                 chosen, demo_targets, trial_scene, delta=1.5, intensity_min=intensity_min
@@ -320,7 +353,7 @@ def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity
     report = occlusion_monte_carlo(everything, scene, targets, tuple(cands), vehicle,
                                    trials=3, seed=seed, delta=delta, intensity_min=intensity_min)
     for t, got in enumerate(report.per_trial):
-        boxes = evaluation._sample_vehicles(scene, vehicle, np.random.default_rng([seed, t]))
+        boxes = evaluation._sample_vehicles(scene, vehicle, evaluation._trial_rng(seed, t))
         trial_scene = replace(scene, obstacles=scene.obstacles + tuple(boxes))
         clouds = [simulate_sensor(c, trial_scene) for c in cands]
         covered = brute_force_visibility(clouds, xy, delta, gz, intensity_min).any(axis=0)

@@ -39,6 +39,7 @@ from lidarplan import raycast
 from lidarplan.evaluation import sample_density
 from lidarplan.raycast import (
     CULL_MARGIN,
+    VGRID_HEADER,
     VGRID_MAGIC,
     WINDOW_SLACK_M,
     BUCKETS_PER_TARGET,
@@ -1078,6 +1079,23 @@ def test_vgrid_round_trip(tmp_path, rng):
     assert raw[:4] == VGRID_MAGIC
     # one padded row of ceil(37/8) bytes per candidate after the header
     assert len(raw) == 20 + 13 * 5
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9])
+def test_vgrid_round_trip_pads_each_row(tmp_path, rng, rows, cols):
+    bits = rng.random((rows, cols)) < 0.5
+    path = tmp_path / "g.vgrd"
+    VisibilityGrid(bits=bits, delta=0.5).save(path)
+    # each row msb first, zero-padded to whole bytes
+    body = bytes(
+        sum(1 << (7 - k) for k, bit in enumerate(row[i:i + 8]) if bit)
+        for row in bits.tolist() for i in range(0, cols, 8)
+    )
+    assert path.read_bytes()[VGRID_HEADER.size:] == body
+    back = VisibilityGrid.load(path)
+    assert back.bits.dtype == bool and back.bits.shape == (rows, cols)
+    assert np.array_equal(back.bits, bits)
 
 
 def test_vgrid_rejects_bad_magic(tmp_path):
