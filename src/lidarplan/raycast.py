@@ -564,7 +564,7 @@ class VisibilityGrid:
         return self.bits.shape[1]
 
     def save(self, path: str | Path) -> None:
-        packed = np.packbits(self.bits, axis=1)  # packs bool as is, no uint8 copy
+        packed = np.packbits(self.bits, axis=1)
         with open(path, "wb") as fh:
             fh.write(VGRID_HEADER.pack(VGRID_MAGIC, self.rows, self.cols, self.delta))
             fh.write(packed.tobytes())
