@@ -17,7 +17,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -34,6 +33,14 @@ if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
+
+try:  # CPython's own SHA-256: hashlib's would map OpenSSL into every run
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .discretization import (
@@ -279,7 +286,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
@@ -365,6 +372,31 @@ def _solution_payload(
             for i in solution.selected
         ],
     }
+
+
+def _segment_weights(run: Run) -> dict[str, float]:
+    """Each road segment's target weight, with --weights applied."""
+    weights = {s.id: s.priority_weight for s in run.scene.road_segments}
+    unknown = set(run.cfg.weights) - set(weights)
+    if unknown:
+        raise CliError(EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}")
+    return weights | run.cfg.weights
+
+
+def _check_target_weights(run: Run, targets: TargetGrid) -> None:
+    """Solve and eval weigh targets by targets.csv but take the weighted
+    flag from --weights, so a stand-alone run refuses a grid that was built
+    with other weights."""
+    by_segment = _segment_weights(run)
+    for k, (segment, weight) in enumerate(zip(targets.segment_of, targets.weights.tolist())):
+        expected = by_segment.get(segment, math.nan)
+        if weight != expected:
+            raise CliError(
+                EXIT_INPUT,
+                f"{run.out_dir / 'targets.csv'}: target {k} in segment {segment!r} weighs "
+                f"{weight:g}, not {expected:g} as the scene and --weights give; "
+                "run solve and eval with the grid stage's --weights",
+            )
 
 
 def _solution_name(method: str) -> str:
@@ -499,12 +531,8 @@ def stage_grid(run: Run) -> list[Path]:
         raise CliError(EXIT_STAGE, str(exc)) from exc
     except LatticeTooLargeError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
+    _segment_weights(run)  # refuses overrides for unknown segments
     if cfg.weights:
-        unknown = set(cfg.weights) - {s.id for s in scene.road_segments}
-        if unknown:
-            raise CliError(
-                EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}"
-            )
         targets = targets.reweighted(cfg.weights)
     if not targets.weights.sum() > 0:
         raise CliError(EXIT_INPUT, "total target weight must be > 0 (scene and --weights)")
@@ -527,6 +555,7 @@ def stage_grid(run: Run) -> list[Path]:
 def stage_solve(run: Run) -> list[Path]:
     cfg = run.cfg
     targets, candidates, grid = run.artifacts
+    _check_target_weights(run, targets)
     costs = [c.cost for c in candidates]
     weighted = bool(cfg.weights)
     runs = [  # (method, artifact, target weights, weighted flag in the artifact)
@@ -565,8 +594,10 @@ def stage_solve(run: Run) -> list[Path]:
 
 
 def stage_eval(run: Run) -> list[Path]:
-    cfg, scene, solution = run.cfg, run.scene, run.solution
+    cfg, scene = run.cfg, run.scene
     targets, candidates, grid = run.artifacts
+    _check_target_weights(run, targets)
+    solution = run.solution
     costs = [c.cost for c in candidates]
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
@@ -710,7 +741,7 @@ def stage_pipeline(run: Run) -> list[Path]:
         "tool": "lidarplan",
         "version": __version__,
         "config": config,
-        "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_hash": sha256(config_text.encode()).hexdigest(),
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
     }
     with StageOutputs(run.out_dir) as outputs:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -81,7 +82,11 @@ def test_pipeline_manifest_contents(pipeline_dir):
     assert "out" not in manifest["config"]
     listed = set(manifest["artifacts"])
     assert listed == set(PIPELINE_FILES) - {"manifest.json"}
-    assert all(len(h) == 64 for h in manifest["artifacts"].values())
+    # the CLI hashes with CPython's built-in SHA-256; hashlib's is OpenSSL's
+    for name, digest in manifest["artifacts"].items():
+        assert digest == hashlib.sha256((pipeline_dir / name).read_bytes()).hexdigest(), name
+    config_text = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+    assert manifest["config_hash"] == hashlib.sha256(config_text.encode()).hexdigest()
 
 
 def test_pipeline_reruns_identically(pipeline_dir, tmp_path):
@@ -362,6 +367,26 @@ def test_weights_without_priority_skip_comparison(tmp_path, capsys):
     assert "weighted comparison skipped: no target weight exceeds 1" in (
         out / "report.txt"
     ).read_text()
+
+
+@pytest.mark.parametrize("grid_weights, other_weights", [
+    ([], ["--weights", "central=10"]),
+    (["--weights", "central=10"], []),
+])
+def test_solve_and_eval_refuse_weights_other_than_the_grids(tmp_path, capsys, grid_weights,
+                                                            other_weights):
+    out = tmp_path / "out"
+    assert run(["grid", *FAST, *grid_weights, "--out", str(out)]) == 0
+    for stage in ("solve", "eval"):
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        assert run([stage, *FAST, *other_weights, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "targets.csv: target" in err[0] and "--weights" in err[0]
+        assert sorted(out.iterdir()) == before
+        assert run([stage, *FAST, *grid_weights, "--out", str(out)]) == 0
+    assert run(["render", *FAST, *other_weights, "--out", str(out)]) == 0  # reads no weights
 
 
 def test_non_finite_scene_number_exit_2(tmp_path, capsys):
@@ -843,13 +868,15 @@ def test_pipeline_artifacts_do_not_depend_on_openblas_threads(tmp_path):
 
 
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
-                    reason="numpy<2 imports numpy.random in its own __init__")
+                    reason="numpy<2 imports numpy.random, and through it OpenSSL, in its own __init__")
 def test_pipeline_leaves_numpy_random_out(tmp_path):
-    # the occlusion trials draw from Python's random, already loaded by numpy
+    # the occlusion trials draw from Python's random, already loaded by numpy,
+    # and the manifest hashes with CPython's SHA-256, which maps no OpenSSL
+    modules = ("numpy.random", "secrets", "hmac", "_hashlib", "hashlib")
     code = ("import sys, lidarplan.cli as c; code = c.main(sys.argv[1:]);"
-            "print(code, *(m in sys.modules for m in ('numpy.random', 'secrets', 'hmac')))")
+            f"print(code, *(m in sys.modules for m in {modules!r}))")
     out = _fresh_python(code, args=["pipeline", *FAST, "--out", str(tmp_path / "o")])
-    assert out.splitlines()[-1] == "0 False False False"
+    assert out.splitlines()[-1] == "0" + " False" * len(modules)
 
 
 def test_package_import_is_lazy():
