@@ -121,10 +121,13 @@ class RunConfig:
     def resolved_delta(self) -> float:
         return self.delta if self.delta is not None else self.spacing / 2.0
 
-    def constraint(self):
+    def constraint(self, limit: float | None = None):
+        """The run's constraint, or one of the same kind at `limit` (a gain-curve point)."""
         if self.budget is not None:
-            return Budget(self.budget)
-        return Cardinality(self.count if self.count is not None else 3)
+            return Budget(self.budget if limit is None else limit)
+        if limit is None:
+            limit = self.count if self.count is not None else 3
+        return Cardinality(int(limit))
 
     def constraint_record(self) -> dict:
         """The constraint as solution.json and manifest.json record it."""
@@ -407,14 +410,16 @@ class Run:
     """The inputs of one command, shared by the stages it runs.
 
     A value an earlier stage of this process produced (the grid stage sets
-    `artifacts`, the solve stage `solution`) is used as is, so a pipeline
-    never reads back what it wrote nor evaluates a solution it did not
-    write; anything else is read once, on first use, from --scene or --out.
+    `artifacts`, the solve stage `solution`, and each solve is kept by
+    `solved`) is used as is, so a pipeline never reads back what it wrote,
+    nor evaluates a solution it did not write, nor solves a problem twice;
+    anything else is read once, on first use, from --scene or --out.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out_dir = Path(cfg.out)
+        self._solutions: dict[tuple, Solution] = {}
 
     @cached_property
     def scene(self) -> Scene:
@@ -516,6 +521,28 @@ class Run:
                            + "; ".join(violations))
         return solution
 
+    def solved(self, constraint, method: str = "auto", uniform: bool = False) -> Solution:
+        """The grid's problem under `constraint`, with unit weights if `uniform`
+        and the targets' weights otherwise, solved by `method` once per run
+        and verified."""
+        key = constraint, method, uniform
+        if key not in self._solutions:
+            targets, candidates, grid = self.artifacts
+            weights = np.ones_like(targets.weights) if uniform else targets.weights
+            problem = DeploymentProblem(grid, weights, [c.cost for c in candidates], constraint)
+            try:
+                solution = solve(problem, method, self.cfg.exact_limit)
+            except InstanceTooLargeError as exc:
+                raise CliError(EXIT_STAGE, str(exc)) from exc
+            report = verify_solution(problem, solution)
+            if not report.ok:
+                raise CliError(
+                    EXIT_INTERNAL,
+                    "solver output failed verification: " + "; ".join(report.violations),
+                )
+            self._solutions[key] = solution
+        return self._solutions[key]
+
 
 # ---------------------------------------------------------------------------
 # Stages
@@ -554,39 +581,25 @@ def stage_grid(run: Run) -> list[Path]:
 
 def stage_solve(run: Run) -> list[Path]:
     cfg = run.cfg
-    targets, candidates, grid = run.artifacts
+    targets, candidates, _ = run.artifacts
     _check_target_weights(run, targets)
-    costs = [c.cost for c in candidates]
-    weighted = bool(cfg.weights)
-    runs = [  # (method, artifact, target weights, weighted flag in the artifact)
-        (method, _solution_name(method), targets.weights, weighted) for method in cfg.methods
-    ]
-    if weighted:  # uniform-weight baseline for comparison
-        runs.append(("auto", "solution_uniform.json", np.ones_like(targets.weights), False))
+    runs = [(method, _solution_name(method), False) for method in cfg.methods]
+    if cfg.weights:  # uniform-weight baseline for comparison
+        runs.append(("auto", "solution_uniform.json", True))
     payloads = []
-    for method, name, weights, is_weighted in runs:
-        problem = DeploymentProblem(grid, weights, costs, cfg.constraint())
+    for method, name, uniform in runs:
+        weights = np.ones_like(targets.weights) if uniform else targets.weights
         t0 = time.perf_counter()
-        try:
-            solution = solve(problem, method, cfg.exact_limit)
-        except InstanceTooLargeError as exc:
-            raise CliError(EXIT_STAGE, str(exc)) from exc
-        elapsed = time.perf_counter() - t0
-        report = verify_solution(problem, solution)
-        if not report.ok:
-            raise CliError(
-                EXIT_INTERNAL,
-                "solver output failed verification: " + "; ".join(report.violations),
-            )
+        solution = run.solved(cfg.constraint(), method, uniform)
         print(
             f"[solve] {name}: {method} -> {solution.method}: objective {solution.objective:g}, "
             f"coverage {coverage_fraction(solution, weights):.4f}, "
             f"cost {solution.total_cost:g}, {len(solution.selected)} sensors "
-            f"({elapsed:.2f}s)"
+            f"({time.perf_counter() - t0:.2f}s)"
         )
-        payloads.append((name, _solution_payload(cfg, solution, candidates, weights, is_weighted)))
-        if name == runs[0][1]:  # the first --method's, which eval and render evaluate
-            run.solution = solution
+        payloads.append((name, _solution_payload(cfg, solution, candidates, weights,
+                                                 bool(cfg.weights) and not uniform)))
+    run.solution = run.solved(cfg.constraint(), cfg.methods[0])  # which eval and render evaluate
     with StageOutputs(run.out_dir) as outputs:
         for name, payload in payloads:
             _write_json(outputs.path_for(name), payload)
@@ -598,7 +611,6 @@ def stage_eval(run: Run) -> list[Path]:
     targets, candidates, grid = run.artifacts
     _check_target_weights(run, targets)
     solution = run.solution
-    costs = [c.cost for c in candidates]
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
     occlusion = occlusion_monte_carlo(
@@ -606,7 +618,7 @@ def stage_eval(run: Run) -> list[Path]:
         trials=cfg.trials, seed=cfg.seed, delta=grid.delta,
         intensity_min=cfg.intensity_min,
     )
-    density_covered = np.array(occlusion.density, dtype=np.int64)[sorted(solution.covered)]
+    density_covered = occlusion.density[sorted(solution.covered)]
     print(
         f"[eval] occlusion proxy over {cfg.trials} trials: mean "
         f"{occlusion.mean_coverage:.4f}, min {occlusion.min_coverage:.4f}, static "
@@ -653,7 +665,8 @@ def stage_eval(run: Run) -> list[Path]:
     if cfg.gain_budgets:
         kind = cfg.constraint_record()["kind"]
         curve = gain_curve(
-            grid, targets.weights, costs, kind, cfg.gain_budgets, cfg.exact_limit
+            cfg.gain_budgets, [run.solved(cfg.constraint(b)) for b in cfg.gain_budgets],
+            targets.weights,
         )
         report["gain_curve"] = {
             "kind": kind,
@@ -669,7 +682,8 @@ def stage_eval(run: Run) -> list[Path]:
         lines.append("weighted comparison skipped: no target weight exceeds 1")
     elif cfg.weights:
         comparison = compare_weighted(
-            grid, targets.weights, costs, cfg.constraint(), cfg.exact_limit
+            run.solved(cfg.constraint(), uniform=True), run.solved(cfg.constraint()),
+            targets.weights,
         )
         report["weighted_comparison"] = {
             "vanilla_overall": comparison.vanilla_overall,

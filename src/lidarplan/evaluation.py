@@ -1,11 +1,14 @@
 """Post-solve analysis: budget sweeps, priority-weighting comparisons, a
 Monte-Carlo moving-occluder robustness proxy, and SVG coverage maps.
 
-The detection-quality proxies here are geometric (sample density, coverage
-under random occluders), not object-detection metrics; reports label them
-as proxies.  Both come from one cast of each selected sensor's ground rays
-into the static scene (raycast.GroundReturns): an occlusion trial clips
-only its vehicles against those rays and recounts only the rays they block.
+Nothing here solves: the sweep and the comparison summarize solutions the
+caller solved (the CLI's Run.solved, which solves each distinct problem of
+a run once).  The detection-quality proxies are geometric (sample density,
+coverage under random occluders), not object-detection metrics; reports
+label them as proxies.  Both come from one cast of each selected sensor's
+ground rays into the static scene (raycast.GroundReturns): an occlusion
+trial clips only its vehicles against those rays and recounts only the rays
+they block.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import bisect
 import csv
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,15 +27,7 @@ from .discretization import Candidate, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
 from .raycast import TargetIndex, VisibilityGrid, _ground_returns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
-from .solver import (
-    EXACT_LIMIT_DEFAULT,
-    Budget,
-    Cardinality,
-    DeploymentProblem,
-    Solution,
-    coverage_fraction,
-    solve,
-)
+from .solver import Solution, coverage_fraction
 
 PROXY_NOTE = (
     "geometric proxy metrics (coverage, sample density, occlusion robustness); "
@@ -43,7 +37,7 @@ PROXY_NOTE = (
 
 @dataclass(frozen=True)
 class GainCurve:
-    """Objective as a function of budget, one solve per budget."""
+    """Objective as a function of budget, from one solution per budget."""
 
     budgets: tuple[float, ...]
     objectives: tuple[float, ...]
@@ -51,40 +45,22 @@ class GainCurve:
     methods: tuple[str, ...]
 
 
-def gain_curve(
-    grid: VisibilityGrid,
-    weights: np.ndarray,
-    costs: Sequence[float],
-    kind: str,
-    budgets: Sequence[float],
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> GainCurve:
-    """Solve the same instance at each budget in an increasing sweep.  Budgets
-    must be finite, >= 0, strictly increasing and whole for kind "count", and
-    the total weight > 0, or ValueError is raised before anything is solved."""
-    if kind not in ("count", "budget"):
-        raise ValueError(f"kind must be 'count' or 'budget', not {kind!r}")
-    budgets = [float(b) for b in budgets]
-    if not all(math.isfinite(b) and b >= 0 for b in budgets):
-        raise ValueError("budgets must be finite and >= 0")
-    if kind == "count" and not all(b.is_integer() for b in budgets):
-        raise ValueError("count budgets must be whole numbers")
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ValueError("budgets must be strictly increasing")
+def gain_curve(budgets: Sequence[float], solutions: Sequence[Solution],
+               weights: np.ndarray) -> GainCurve:
+    """The sweep's points: solutions[k] solves the instance at budgets[k],
+    and its coverage is its objective over the total weight, which must be
+    > 0."""
+    if len(budgets) != len(solutions):
+        raise ValueError(f"{len(budgets)} budgets but {len(solutions)} solutions")
     total_w = float(np.asarray(weights).sum())
     if not total_w > 0:
         raise ValueError("total target weight must be > 0")
-    objectives, methods = [], []
-    for b in budgets:
-        constraint = Cardinality(int(b)) if kind == "count" else Budget(b)
-        sol = solve(DeploymentProblem(grid, weights, costs, constraint), "auto", exact_limit)
-        objectives.append(sol.objective)
-        methods.append(sol.method)
+    objectives = tuple(sol.objective for sol in solutions)
     return GainCurve(
-        budgets=tuple(budgets),
-        objectives=tuple(objectives),
+        budgets=tuple(float(b) for b in budgets),
+        objectives=objectives,
         coverages=tuple(obj / total_w for obj in objectives),
-        methods=tuple(methods),
+        methods=tuple(sol.method for sol in solutions),
     )
 
 
@@ -97,14 +73,13 @@ def write_gain_curve_csv(curve: GainCurve, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class WeightedComparison:
-    """Same grid solved with unit weights vs. priority weights.
+    """A deployment solved with unit weights (vanilla) against one solved
+    with priority weights, on the same grid and constraint.
 
     Coverage numbers are unweighted fractions of targets covered, overall
     and restricted to the high-priority region (targets with weight > 1).
     """
 
-    vanilla: Solution
-    weighted: Solution
     vanilla_overall: float
     weighted_overall: float
     vanilla_priority: float
@@ -112,30 +87,19 @@ class WeightedComparison:
     n_priority: int
 
 
-def compare_weighted(
-    grid: VisibilityGrid,
-    weights: np.ndarray,
-    costs: Sequence[float],
-    constraint,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> WeightedComparison:
-    """Solve once with all weights 1 and once with the given weights."""
-    weights = np.asarray(weights, dtype=np.float64)
-    priority = weights > 1
+def compare_weighted(vanilla: Solution, weighted: Solution,
+                     weights: np.ndarray) -> WeightedComparison:
+    """Coverage of both solutions, everywhere and where the weight exceeds 1."""
+    priority = np.asarray(weights, dtype=np.float64) > 1
     if not priority.any():
         raise ValueError("no high-priority targets: every weight is <= 1")
-    unit = np.ones_like(weights)
-    vanilla = solve(DeploymentProblem(grid, unit, costs, constraint), "auto", exact_limit)
-    weighted = solve(DeploymentProblem(grid, weights, costs, constraint), "auto", exact_limit)
 
     def frac(sol: Solution, mask: np.ndarray) -> float:
         hits = sum(1 for j in sol.covered if mask[j])
         return hits / int(mask.sum())
 
-    everywhere = np.ones(grid.cols, dtype=bool)
+    everywhere = np.ones(len(priority), dtype=bool)
     return WeightedComparison(
-        vanilla=vanilla,
-        weighted=weighted,
         vanilla_overall=frac(vanilla, everywhere),
         weighted_overall=frac(weighted, everywhere),
         vanilla_priority=frac(vanilla, priority),
@@ -170,7 +134,7 @@ class OcclusionReport:
     min_coverage: float
     static_coverage: float
     per_trial: tuple[float, ...]
-    density: tuple[int, ...]  # sample_density per target, static scene, summed over sensors
+    density: np.ndarray  # int64 sample_density per target, static scene, summed over sensors
 
 
 def _trial_rng(seed: int, t: int) -> random.Random:
@@ -275,7 +239,7 @@ def occlusion_monte_carlo(
         min_coverage=float(np.min(coverages)),
         static_coverage=static_cov,
         per_trial=tuple(coverages),
-        density=tuple(density.tolist()),
+        density=density,
     )
 
 

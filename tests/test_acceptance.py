@@ -32,6 +32,7 @@ from lidarplan import (
     generate_beams,
     occlusion_monte_carlo,
     simulate_sensor,
+    solve,
     solve_exact,
     solve_greedy,
     VehicleModel,
@@ -313,9 +314,12 @@ def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t
 
     # (b) central weight 10: the weighted run covers the center at least as well
     weights10 = demo_targets.reweighted({"central": 10.0}).weights
-    cmp = compare_weighted(
-        demo_grid_t1, weights10, [c.cost for c in demo_candidates_t1], Cardinality(4)
+    vanilla, weighted = (
+        solve(DeploymentProblem(demo_grid_t1, w, [c.cost for c in demo_candidates_t1],
+                                Cardinality(4)))
+        for w in (np.ones_like(weights10), weights10)
     )
+    cmp = compare_weighted(vanilla, weighted, weights10)
     b_ok = (
         cmp.weighted_priority >= cmp.vanilla_priority
         and cmp.vanilla_priority == GOLDEN_CENTRAL_VANILLA

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lidarplan
 from lidarplan.cli import main
 
@@ -36,14 +38,19 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def test_pipeline_hands_artifacts_over_in_memory(tmp_path):
+@pytest.mark.parametrize("flags", [
+    FAST,
+    # calls gain_curve and compare_weighted, whose traced wrappers read their results
+    [*FAST, "--weights", "central=10", "--gain-budgets", "1,3"],
+], ids=["fast", "weighted-gain-curve"])
+def test_pipeline_hands_artifacts_over_in_memory(tmp_path, flags):
     """A traced pipeline loads the scene once, writes the two CSVs and the
     grid once and reads none of them back, and traced artifacts match an
     untraced run's."""
     traced, plain, trace = tmp_path / "traced", tmp_path / "plain", tmp_path / "trace.json"
     src = Path(lidarplan.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(TRACER), str(trace), "pipeline", *FAST, "--out", str(traced)],
+        [sys.executable, str(TRACER), str(trace), "pipeline", *flags, "--out", str(traced)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -52,7 +59,7 @@ def test_pipeline_hands_artifacts_over_in_memory(tmp_path):
     assert tracer.calls(spans, "scene.load") == 1
     assert tracer.calls(spans, "discretization.csv_io") == 2
     assert tracer.calls(spans, tracer.GRID_IO_SPAN) == 1
-    assert main(["pipeline", *FAST, "--out", str(plain)]) == 0
+    assert main(["pipeline", *flags, "--out", str(plain)]) == 0
     names = sorted(p.name for p in plain.iterdir())
     assert sorted(p.name for p in traced.iterdir()) == names
     for name in names:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lidarplan import cli, demo_scene_path, discretization, raycast
+from lidarplan import cli, demo_scene_path, discretization, raycast, solver
 from lidarplan.cli import (
     _OPTIONS, RunConfig, StageOutputs, _build_parser, _flag, _merge_config, main,
 )
@@ -118,8 +118,11 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
     assert_staged_matches_pipeline(tmp_path / "spacing", [*FAST, "--spacing", "0.7"])
     # A stand-alone eval re-sums the covered weights read from targets.csv,
     # fractional ones too, and must get solution.json's objective exactly.
+    # It also solves the gain curve and the weighted comparison itself, where
+    # a pipeline's eval reuses the solve stage's solutions.
     assert_staged_matches_pipeline(
-        tmp_path / "weighted", [*FAST, "--weights", "central=0.3,ew=2.7"]
+        tmp_path / "weighted",
+        [*FAST, "--weights", "central=0.3,ew=2.7", "--gain-budgets", "1,3"],
     )
 
 
@@ -233,6 +236,27 @@ def test_conflicting_constraints_exit_2(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+def test_pipeline_solves_each_problem_once(monkeypatch, tmp_path):
+    # Three distinct problems: the weighted and the unit-weight count-3
+    # deployments, and the gain curve's count-1 point.  The curve's count-3
+    # point and the weighted comparison reuse the solve stage's two.
+    calls = []
+
+    def counted(fn):
+        def counting(problem, *args):
+            calls.append((problem.constraint, problem.weights.tolist()))
+            return fn(problem, *args)
+        return counting
+
+    for name in ("solve_exact", "solve_greedy"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    assert run(["pipeline", *FAST, "--weights", "central=10", "--gain-budgets", "1,3",
+                "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
+    assert sorted(map(str, calls)) == sorted(set(map(str, calls)))
+    assert "weighted_comparison" in read_json(tmp_path / "report.json")
+
+
 def test_nonpositive_spacing_exit_2(tmp_path, capsys):
     code = run(["grid", "--spacing", "0", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -246,6 +270,9 @@ def test_nonpositive_spacing_exit_2(tmp_path, capsys):
     "--gain-budgets=1,x", "--exact-limit=-5",
     # the default constraint is a unit cap, which takes whole budgets only
     "--gain-budgets=1.2,1.5", "--count=2 --gain-budgets=2.5",
+    # gain-curve budgets are checked here, before any stage
+    "--gain-budgets=1,-1", "--budget=5 --gain-budgets=-0.5", "--gain-budgets=1,inf",
+    "--budget=5 --gain-budgets=nan", "--gain-budgets=2,2",
     # an int beyond the float range would overflow float() in a stage
     pytest.param(f"--count={10**400}", id="--count=10**400"),
 ])
