@@ -135,6 +135,7 @@ class OcclusionReport:
     static_coverage: float
     per_trial: tuple[float, ...]
     density: np.ndarray  # int64 sample_density per target, static scene, summed over sensors
+    static_covered: frozenset[int]  # the targets that some sensor's strict count reaches
 
 
 def _trial_rng(seed: int, t: int) -> random.Random:
@@ -196,7 +197,7 @@ def occlusion_monte_carlo(
     intensity_min: float | None = None,
 ) -> OcclusionReport:
     """Coverage of the chosen deployment under randomly placed vehicle
-    boxes, and the static scene's sample density.
+    boxes, and the static scene's sample density and covered targets.
 
     Vehicles can only bring a beam's hit nearer, so each selected sensor is
     cast once against the static scene, whose samples give each target its
@@ -222,11 +223,13 @@ def occlusion_monte_carlo(
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)
     density = np.zeros(len(targets), dtype=np.int64)
+    static_covered = np.zeros(len(targets), dtype=bool)
     index = TargetIndex(targets.points, delta)
     for i, sensor in _ground_returns(candidates, solution.selected, scene, static, index):
         ray, xy, key = sensor.eligible(intensity_min)
         closed, strict = sample_density(xy, index, key)
         density += closed
+        static_covered |= strict > 0
         for t, vehicles in enumerate(trial_prisms):
             blocked, t_best = sensor.clip(vehicles)
             lost = (t_best < sensor.t_static)[ray]  # the blocked rays' static samples
@@ -240,6 +243,7 @@ def occlusion_monte_carlo(
         static_coverage=static_cov,
         per_trial=tuple(coverages),
         density=density,
+        static_covered=frozenset(np.flatnonzero(static_covered).tolist()),
     )
 
 

@@ -73,8 +73,8 @@ class DeploymentProblem:
             raise ValueError("weights must be >= 0")
         if not (costs >= 0).all():
             raise ValueError("costs must be >= 0")
-        if self.constraint.limit < 0:
-            raise ValueError("constraint limit must be >= 0")
+        if not 0 <= self.constraint.limit < math.inf:  # NaN fails this too
+            raise ValueError("constraint limit must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -303,52 +303,54 @@ class VerificationReport:
 
 def verify_solution(problem: DeploymentProblem, solution: Solution) -> VerificationReport:
     """Recompute everything a Solution claims from the raw matrix and flag
-    every discrepancy.  Pure function; never raises on bad solutions."""
+    each rule it breaks; never raises on bad entries or numbers.  The rules:
+    `selected` and `covered` hold distinct plain ints (a bool is not one)
+    within the candidates and the targets; `covered` is exactly what the
+    selected rows see; `total_cost` is their cost (within 1e-9), which keeps
+    to the budget (plus 1e-9), or their number to the unit cap; `objective`,
+    `total_cost` and `optimality_bound` are finite; `objective` is exactly
+    float(weights[covered mask].sum()), as every solver reports it, and at
+    most `optimality_bound` plus 1e-9.  `covered` may be any collection,
+    such as a solution file's list, where true and 1 are two entries."""
     bad: list[str] = []
-    n, m = problem.grid.rows, problem.grid.cols
-    sel = list(solution.selected)
-    if len(set(sel)) != len(sel):
-        bad.append("selected contains duplicate indices")
-    out_of_range = [i for i in sel if not 0 <= i < n]
-    if out_of_range:
-        bad.append(f"selected indices out of range: {sorted(out_of_range)}")
-        sel = [i for i in sel if 0 <= i < n]
+    valid = {}
+    for key, entries, size in [("selected", solution.selected, problem.grid.rows),
+                               ("covered", solution.covered, problem.grid.cols)]:
+        ok = [i for i in entries if type(i) is int and 0 <= i < size]
+        if len(ok) < len(entries):
+            wrong = [i for i in entries if not (type(i) is int and 0 <= i < size)]
+            bad.append(f"{key} indices out of range or not ints: {wrong!r}")
+        valid[key] = frozenset(ok)
+        if len(valid[key]) < len(ok):
+            bad.append(f"{key} contains duplicate indices")
+    sel, claimed = sorted(valid["selected"]), valid["covered"]
 
     true_mask = _covered_mask(problem.grid, sel)
     true_covered = frozenset(np.flatnonzero(true_mask).tolist())
-    claimed_not_visible = sorted(solution.covered - true_covered)
-    visible_not_claimed = sorted(true_covered - solution.covered)
-    if claimed_not_visible:
-        bad.append(
-            f"targets claimed covered but not visible to any selected candidate: "
-            f"{claimed_not_visible}"
-        )
-    if visible_not_claimed:
+    if claimed_not_visible := sorted(claimed - true_covered):
+        bad.append("targets claimed covered but not visible to any selected candidate: "
+                   f"{claimed_not_visible}")
+    if visible_not_claimed := sorted(true_covered - claimed):
         bad.append(f"targets visible but missing from covered: {visible_not_claimed}")
 
     true_cost = float(problem.costs[sel].sum()) if sel else 0.0
-    if abs(true_cost - solution.total_cost) > 1e-9:
+    if not abs(true_cost - solution.total_cost) <= 1e-9:
         bad.append(f"total_cost {solution.total_cost} != recomputed {true_cost}")
-    if isinstance(problem.constraint, Budget):
-        if true_cost > problem.constraint.limit + 1e-9:
-            bad.append(
-                f"budget exceeded: cost {true_cost} > limit {problem.constraint.limit}"
-            )
-    else:
-        if len(sel) > problem.constraint.limit:
-            bad.append(
-                f"cardinality exceeded: {len(sel)} selected > limit "
-                f"{problem.constraint.limit}"
-            )
+    limit = problem.constraint.limit
+    if isinstance(problem.constraint, Budget) and true_cost > limit + 1e-9:
+        bad.append(f"budget exceeded: cost {true_cost} > limit {limit}")
+    if isinstance(problem.constraint, Cardinality) and len(sel) > limit:
+        bad.append(f"cardinality exceeded: {len(sel)} selected > limit {limit}")
 
+    for key in ("objective", "total_cost", "optimality_bound"):
+        if not math.isfinite(getattr(solution, key)):
+            bad.append(f"{key} {getattr(solution, key)} is not finite")
     true_obj = float(problem.weights[true_mask].sum())
-    if abs(true_obj - solution.objective) > 1e-9:
+    if solution.objective != true_obj:
         bad.append(f"objective {solution.objective} != recomputed {true_obj}")
-    if solution.objective > solution.optimality_bound + 1e-9:
-        bad.append(
-            f"objective {solution.objective} exceeds its own optimality bound "
-            f"{solution.optimality_bound}"
-        )
+    if not solution.objective <= solution.optimality_bound + 1e-9:
+        bad.append(f"objective {solution.objective} exceeds its own optimality bound "
+                   f"{solution.optimality_bound}")
     return VerificationReport(ok=not bad, violations=tuple(bad))
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,33 @@ def test_solve_and_eval_refuse_weights_other_than_the_grids(tmp_path, capsys, gr
     assert run(["render", *FAST, *other_weights, "--out", str(out)]) == 0  # reads no weights
 
 
+@pytest.mark.parametrize("other", ["floor", "scene"])
+def test_eval_refuses_a_floor_or_scene_other_than_the_grids(tmp_path, capsys, other):
+    # The grid counts only returns of intensity >= 0.9.  An eval without that
+    # floor, or in a scene without obstacles, recasts the selected sensors to
+    # other coverage than the solution's, so its trials would score against it.
+    out = tmp_path / "out"
+    floor = ["--intensity-min", "0.9"]
+    assert run(["grid", *FAST, *floor, "--out", str(out)]) == 0
+    assert run(["solve", *FAST, *floor, "--out", str(out)]) == 0
+    if other == "floor":
+        flags = []
+    else:
+        scene = json.loads(demo_scene_path().read_text())
+        scene["obstacles"] = []
+        (tmp_path / "open.json").write_text(json.dumps(scene))
+        flags = [*floor, "--scene", str(tmp_path / "open.json")]
+    before = sorted(out.iterdir())
+    capsys.readouterr()
+    assert run(["eval", *FAST, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(out / "grid.vgrd") in err[0]
+    assert "--scene" in err[0] and "--intensity-min" in err[0]
+    assert sorted(out.iterdir()) == before
+    assert run(["eval", *FAST, *floor, "--out", str(out)]) == 0
+
+
 def test_non_finite_scene_number_exit_2(tmp_path, capsys):
     scene = json.loads(demo_scene_path().read_text())
     scene["obstacles"][0]["height"] = float("nan")
@@ -718,6 +746,10 @@ def _nan_first_x(text):
     ("solution.json", _selected_indices(3, 7, 3), "render"),
     ("solution.json", _set_field("constraint", {"kind": "count", "value": -1}), "eval"),
     ("solution.json", _set_field("constraint", {"kind": "price", "value": 2}), "render"),
+    ("solution.json", _first_selected_idx(True), "eval"),
+    ("solution.json", _extra_covered(1.0), "eval"),
+    ("solution.json", _extra_covered(True), "render"),
+    ("solution.json", _set_field("constraint", {"kind": "budget", "value": math.inf}), "eval"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
         "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
@@ -726,7 +758,8 @@ def _nan_first_x(text):
         "candidates-nan", "targets-directory", "solution-directory", "targets-negative-weight",
         "candidates-negative-cost", "targets-zero-total", "solution-unverified-eval",
         "solution-unverified-render", "solution-constraint-negative",
-        "solution-constraint-kind"])
+        "solution-constraint-kind", "solution-selected-bool", "solution-covered-float",
+        "solution-covered-bool", "solution-constraint-inf"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"
@@ -831,6 +864,24 @@ def test_failed_render_leaves_no_partial(monkeypatch, tmp_path, pipeline_dir):
     assert run(["render", *FAST, "--out", str(out)]) == 3
     assert not list(out.glob("*.partial"))
     assert not (out / "coverage.svg").exists()
+
+
+def test_solver_output_that_fails_verification_exit_3(monkeypatch, tmp_path, capsys):
+    # verify_solution judges the solver's output as it judges solution.json,
+    # but a solver that breaks its own rules is a bug, not bad input.
+    def bragging(problem, method, exact_limit):
+        solution = solver.solve(problem, method, exact_limit)
+        return replace(solution, objective=solution.objective + 1e-10)
+
+    out = tmp_path / "o"
+    assert run(["grid", *FAST, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "solve", bragging)
+    capsys.readouterr()
+    assert run(["solve", *FAST, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "solver output failed verification: objective" in err[0]
+    assert not (out / "solution.json").exists()
 
 
 def test_internal_error_exit_3_one_line(monkeypatch, tmp_path, capsys):

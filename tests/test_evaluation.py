@@ -233,6 +233,14 @@ def test_occlusion_zero_vehicles_equals_static():
     assert report.min_coverage == report.static_coverage
 
 
+def test_occlusion_static_covered_is_the_solutions():
+    scene, targets, cands, solution = micro_setup()
+    report = occlusion_monte_carlo(solution, scene, targets, cands, VehicleModel(count=2),
+                                   trials=2, seed=3, delta=2.5)
+    assert solution.covered
+    assert report.static_covered == solution.covered
+
+
 def test_occlusion_same_seed_identical_and_prefix_stable():
     scene, targets, cands, solution = micro_setup()
     kwargs = dict(vehicle=VehicleModel(count=3), seed=42, delta=2.5)

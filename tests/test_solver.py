@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,6 +394,14 @@ def test_problem_validates_dimensions():
         DeploymentProblem(grid, np.ones(3), np.ones(2), Cardinality(-1))
 
 
+@pytest.mark.parametrize("constraint", [Budget(math.nan), Budget(math.inf),
+                                        Cardinality(math.inf)])
+def test_problem_rejects_non_finite_limits(constraint):
+    grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        DeploymentProblem(grid, np.ones(3), np.ones(2), constraint)
+
+
 def test_problem_rejects_nan_weights_and_costs():
     grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
     with pytest.raises(ValueError, match="weights must be >= 0"):
@@ -491,6 +500,28 @@ def test_verify_flags_duplicates_and_out_of_range():
     bad = verify_solution(prob, sol).violations
     assert any("duplicate" in v for v in bad)
     assert any("out of range" in v and "9" in v for v in bad)
+
+
+# Faults in a solution of THREE under Cardinality(2), which is selected
+# (0, 1), covered {0, 1, 2, 3}, objective 4.0, total_cost 2.0, bound 4.0.
+@pytest.mark.parametrize("fault", [
+    {"objective": math.nan}, {"objective": math.inf},
+    {"total_cost": math.nan}, {"total_cost": math.inf},
+    {"optimality_bound": math.nan}, {"optimality_bound": math.inf},
+    {"selected": (0, True)}, {"selected": (0, 1.0)}, {"selected": (0, "a")},
+    {"selected": (0, -1)}, {"selected": (0, 3)}, {"selected": (0, [1])},
+    {"covered": frozenset({0, 1.0, 2, 3})}, {"covered": frozenset({0, True, 2, 3})},
+    {"covered": frozenset({0, 1, 2, 3, 4})}, {"covered": (0, 1, 2, 3, True)},
+    {"covered": (0, 1, 2, 3, 3)},
+    {"objective": 4.0 + 1e-10},
+], ids=lambda fault: "-".join(f"{k}={v!r}" for k, v in fault.items()))
+def test_verify_flags_every_fault_without_raising(fault):
+    prob = problem(THREE, constraint=Cardinality(2))
+    good = solve_exact(prob)
+    assert (good.selected, good.covered, good.objective, good.total_cost,
+            good.optimality_bound) == ((0, 1), frozenset(range(4)), 4.0, 2.0, 4.0)
+    assert verify_solution(prob, good).ok
+    assert not verify_solution(prob, replace(good, **fault)).ok
 
 
 def test_coverage_fraction():
