@@ -8,7 +8,7 @@ numpy starts."""
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -377,31 +377,6 @@ def _solution_payload(
     }
 
 
-def _segment_weights(run: Run) -> dict[str, float]:
-    """Each road segment's target weight, with --weights applied."""
-    weights = {s.id: s.priority_weight for s in run.scene.road_segments}
-    unknown = set(run.cfg.weights) - set(weights)
-    if unknown:
-        raise CliError(EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}")
-    return weights | run.cfg.weights
-
-
-def _check_target_weights(run: Run, targets: TargetGrid) -> None:
-    """Solve and eval weigh targets by targets.csv but take the weighted
-    flag from --weights, so a stand-alone run refuses a grid that was built
-    with other weights."""
-    by_segment = _segment_weights(run)
-    for k, (segment, weight) in enumerate(zip(targets.segment_of, targets.weights.tolist())):
-        expected = by_segment.get(segment, math.nan)
-        if weight != expected:
-            raise CliError(
-                EXIT_INPUT,
-                f"{run.out_dir / 'targets.csv'}: target {k} in segment {segment!r} weighs "
-                f"{weight:g}, not {expected:g} as the scene and --weights give; "
-                "run solve and eval with the grid stage's --weights",
-            )
-
-
 def _solution_name(method: str) -> str:
     return "solution.json" if method == "auto" else f"solution_{method}.json"
 
@@ -454,6 +429,11 @@ class Run:
         if not targets.weights.sum() > 0:
             raise CliError(EXIT_INPUT, f"{paths[0]}: total target weight must be > 0")
         return targets, candidates, grid
+
+    @property
+    def weighted(self) -> bool:
+        """Whether some target in targets.csv weighs other than 1 (by --weights or the scene)."""
+        return bool((self.artifacts[0].weights != 1).any())
 
     @cached_property
     def solution(self) -> Solution:
@@ -535,7 +515,8 @@ def stage_grid(run: Run) -> list[Path]:
         raise CliError(EXIT_STAGE, str(exc)) from exc
     except LatticeTooLargeError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    _segment_weights(run)  # refuses overrides for unknown segments
+    if unknown := set(cfg.weights) - {seg.id for seg in scene.road_segments}:
+        raise CliError(EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}")
     if cfg.weights:
         targets = targets.reweighted(cfg.weights)
     if not targets.weights.sum() > 0:
@@ -559,9 +540,8 @@ def stage_grid(run: Run) -> list[Path]:
 def stage_solve(run: Run) -> list[Path]:
     cfg = run.cfg
     targets, candidates, _ = run.artifacts
-    _check_target_weights(run, targets)
     runs = [(method, _solution_name(method), False) for method in cfg.methods]
-    if cfg.weights:  # uniform-weight baseline for comparison
+    if run.weighted:  # uniform-weight baseline for comparison
         runs.append(("auto", "solution_uniform.json", True))
     payloads = []
     for method, name, uniform in runs:
@@ -575,7 +555,7 @@ def stage_solve(run: Run) -> list[Path]:
             f"({time.perf_counter() - t0:.2f}s)"
         )
         payloads.append((name, _solution_payload(cfg, solution, candidates, weights,
-                                                 bool(cfg.weights) and not uniform)))
+                                                 run.weighted and not uniform)))
     run.solution = run.solved(cfg.constraint(), cfg.methods[0])  # which eval and render evaluate
     with StageOutputs(run.out_dir) as outputs:
         for name, payload in payloads:
@@ -586,7 +566,6 @@ def stage_solve(run: Run) -> list[Path]:
 def stage_eval(run: Run) -> list[Path]:
     cfg, scene = run.cfg, run.scene
     targets, candidates, grid = run.artifacts
-    _check_target_weights(run, targets)
     solution = run.solution
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
@@ -662,9 +641,9 @@ def stage_eval(run: Run) -> list[Path]:
         for b, obj, m in zip(curve.budgets, curve.objectives, curve.methods):
             lines.append(f"  {b:g}: objective {obj:g} ({m})")
 
-    if cfg.weights and not (targets.weights > 1).any():
+    if run.weighted and not (targets.weights > 1).any():
         lines.append("weighted comparison skipped: no target weight exceeds 1")
-    elif cfg.weights:
+    elif run.weighted:
         comparison = compare_weighted(
             run.solved(cfg.constraint(), uniform=True), run.solved(cfg.constraint()),
             targets.weights,
@@ -705,25 +684,16 @@ def stage_render(run: Run) -> list[Path]:
 
 
 def _manifest_config(cfg: RunConfig) -> dict:
-    """Semantic config only: execution details (jobs, out) are omitted so
+    """The run's settings, with the scene by name and checksum and the delta
+    and constraint resolved.  Execution details (jobs, out) are omitted so
     they cannot perturb the manifest."""
-    scene_path = cfg.scene_path
-    return {
-        "scene_name": scene_path.name,
-        "scene_sha256": _sha256(scene_path),
-        "spacing": cfg.spacing,
-        "candidate_spacing": cfg.candidate_spacing,
+    config = {key: value for key, value in asdict(cfg).items()
+              if key not in ("scene", "jobs", "out", "budget", "count")}
+    return config | {
+        "scene_name": cfg.scene_path.name,
+        "scene_sha256": _sha256(cfg.scene_path),
         "delta": cfg.resolved_delta,
-        "types": list(cfg.types),
         "constraint": cfg.constraint_record(),
-        "weights": dict(sorted(cfg.weights.items())),
-        "seed": cfg.seed,
-        "exact_limit": cfg.exact_limit,
-        "methods": list(cfg.methods),
-        "intensity_min": cfg.intensity_min,
-        "trials": cfg.trials,
-        "vehicles": cfg.vehicles,
-        "gain_budgets": list(cfg.gain_budgets),
         "version": __version__,
     }
 

@@ -41,7 +41,7 @@ class Budget:
 
 @dataclass(frozen=True)
 class Cardinality:
-    """At most `limit` candidates may be selected."""
+    """At most `limit` candidates may be selected; `limit` is a whole number."""
 
     limit: int
 
@@ -75,6 +75,8 @@ class DeploymentProblem:
             raise ValueError("costs must be >= 0")
         if not 0 <= self.constraint.limit < math.inf:  # NaN fails this too
             raise ValueError("constraint limit must be finite and >= 0")
+        if isinstance(self.constraint, Cardinality) and self.constraint.limit % 1:
+            raise ValueError("unit cap must be a whole number")
 
 
 @dataclass(frozen=True)

@@ -97,15 +97,18 @@ def test_pipeline_reruns_identically(pipeline_dir, tmp_path):
         assert (again / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
-def assert_staged_matches_pipeline(work, args, pipeline=None):
+def assert_staged_matches_pipeline(work, args, pipeline=None, grid_args=(), later_args=()):
     """grid, solve, eval and render run one by one write the files a
-    pipeline with the same args writes, byte for byte, all but its manifest."""
+    pipeline with the same args writes, byte for byte, all but its manifest.
+    The pipeline and grid also take grid_args; solve, eval and render take
+    later_args."""
     if pipeline is None:
         pipeline = work / "pipeline"
-        assert run(["pipeline", *args, "--out", str(pipeline)]) == 0
+        assert run(["pipeline", *args, *grid_args, "--out", str(pipeline)]) == 0
     staged = work / "staged"
-    for stage in ("grid", "solve", "eval", "render"):
-        assert run([stage, *args, "--out", str(staged)]) == 0
+    for stage, extra in [("grid", grid_args), ("solve", later_args), ("eval", later_args),
+                         ("render", later_args)]:
+        assert run([stage, *args, *extra, "--out", str(staged)]) == 0
     names = sorted(p.name for p in pipeline.iterdir() if p.name != "manifest.json")
     assert sorted(p.name for p in staged.iterdir()) == names
     for name in names:
@@ -121,10 +124,14 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
     # fractional ones too, and must get solution.json's objective exactly.
     # It also solves the gain curve and the weighted comparison itself, where
     # a pipeline's eval reuses the solve stage's solutions.
-    assert_staged_matches_pipeline(
-        tmp_path / "weighted",
-        [*FAST, "--weights", "central=0.3,ew=2.7", "--gain-budgets", "1,3"],
-    )
+    weighted = tmp_path / "weighted"
+    args, weights = [*FAST, "--gain-budgets", "1,3"], ["--weights", "central=0.3,ew=2.7"]
+    assert_staged_matches_pipeline(weighted, [*args, *weights])
+    # Solve and eval take the weights, and whether the run is weighted, from
+    # targets.csv alone: --weights is a grid-stage setting.
+    for name, later_args in [("grid-only", []), ("other", ["--weights", "central=10,ew=1"])]:
+        assert_staged_matches_pipeline(weighted / name, args, weighted / "pipeline",
+                                       grid_args=weights, later_args=later_args)
 
 
 def test_stages_evaluate_the_first_method(tmp_path):
@@ -397,24 +404,25 @@ def test_weights_without_priority_skip_comparison(tmp_path, capsys):
     ).read_text()
 
 
-@pytest.mark.parametrize("grid_weights, other_weights", [
-    ([], ["--weights", "central=10"]),
-    (["--weights", "central=10"], []),
-])
-def test_solve_and_eval_refuse_weights_other_than_the_grids(tmp_path, capsys, grid_weights,
-                                                            other_weights):
-    out = tmp_path / "out"
-    assert run(["grid", *FAST, *grid_weights, "--out", str(out)]) == 0
-    for stage in ("solve", "eval"):
-        before = sorted(out.iterdir())
-        capsys.readouterr()
-        assert run([stage, *FAST, *other_weights, "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert "targets.csv: target" in err[0] and "--weights" in err[0]
-        assert sorted(out.iterdir()) == before
-        assert run([stage, *FAST, *grid_weights, "--out", str(out)]) == 0
-    assert run(["render", *FAST, *other_weights, "--out", str(out)]) == 0  # reads no weights
+def test_scene_priority_weights_make_a_weighted_run(tmp_path):
+    scene = json.loads(demo_scene_path().read_text())
+    next(seg for seg in scene["road_segments"] if seg["id"] == "central")["priority_weight"] = 3
+    (tmp_path / "priority.json").write_text(json.dumps(scene))
+    out = tmp_path / "o"
+    assert run(["pipeline", *FAST, "--scene", str(tmp_path / "priority.json"),
+                "--out", str(out)]) == 0
+    assert read_json(out / "solution.json")["weighted"] is True
+    assert read_json(out / "solution_uniform.json")["weighted"] is False
+    assert "weighted_comparison" in read_json(out / "report.json")
+
+
+def test_unit_weight_overrides_make_an_unweighted_run(tmp_path):
+    out = tmp_path / "o"
+    assert run(["pipeline", *FAST, "--weights", "central=1", "--out", str(out)]) == 0
+    assert not (out / "solution_uniform.json").exists()
+    assert read_json(out / "solution.json")["weighted"] is False
+    assert "weighted_comparison" not in read_json(out / "report.json")
+    assert "weighted comparison" not in (out / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("other", ["floor", "scene"])
@@ -750,6 +758,7 @@ def _nan_first_x(text):
     ("solution.json", _extra_covered(1.0), "eval"),
     ("solution.json", _extra_covered(True), "render"),
     ("solution.json", _set_field("constraint", {"kind": "budget", "value": math.inf}), "eval"),
+    ("solution.json", _set_field("constraint", {"kind": "count", "value": 3.5}), "render"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
         "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
@@ -759,7 +768,7 @@ def _nan_first_x(text):
         "candidates-negative-cost", "targets-zero-total", "solution-unverified-eval",
         "solution-unverified-render", "solution-constraint-negative",
         "solution-constraint-kind", "solution-selected-bool", "solution-covered-float",
-        "solution-covered-bool", "solution-constraint-inf"])
+        "solution-covered-bool", "solution-constraint-inf", "solution-constraint-fractional"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"

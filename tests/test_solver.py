@@ -402,6 +402,13 @@ def test_problem_rejects_non_finite_limits(constraint):
         DeploymentProblem(grid, np.ones(3), np.ones(2), constraint)
 
 
+def test_problem_rejects_a_fractional_unit_cap():
+    grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
+    with pytest.raises(ValueError, match="whole number"):
+        DeploymentProblem(grid, np.ones(3), np.ones(2), Cardinality(3.5))
+    DeploymentProblem(grid, np.ones(3), np.ones(2), Cardinality(3.0))  # solution.json's float
+
+
 def test_problem_rejects_nan_weights_and_costs():
     grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
     with pytest.raises(ValueError, match="weights must be >= 0"):
