@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -93,25 +93,89 @@ class CliError(Exception):
         self.code = code
 
 
+def _checked(value, bound: str = "", what: str = ""):
+    """`value` if it is finite (an int: within the float range, as the stages
+    convert it to float) and meets `bound`, one of "", "> 0", ">= 0" and
+    ">= 1"; else ValueError, its message led by `what`."""
+    try:
+        ok = math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if ok and bound:
+        op, limit = bound.split()
+        ok = value > float(limit) if op == ">" else value >= float(limit)
+    if not ok:
+        raise ValueError(f"{what}must be finite{' and ' + bound if bound else ''}, got {value}")
+    return value
+
+
+def _number(convert, bound: str = ""):
+    """The parser of one number: `convert` reads it and `_checked` its range."""
+    return lambda text: _checked(convert(text), bound)
+
+
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _parse_weights(text: str) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for part in _split(text.replace(";", ",")):
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq:
+            raise ValueError(f"bad weight override {part!r}, expected segment=value")
+        out[key] = _checked(float(value), ">= 0", f"{key!r} ")
+    return out
+
+
+def _parse_methods(text: str) -> tuple[str, ...]:
+    methods = tuple(dict.fromkeys(m.strip() for m in text.split(",")))  # first-seen order
+    bad = [m for m in methods if m not in ("auto", "exact", "greedy")]
+    if bad:
+        raise ValueError(f"unknown method {bad[0]!r}, expected auto, exact or greedy")
+    return methods
+
+
+def _option(default, parse, help: str, key: str | None = None):
+    """A RunConfig field that is a run option: `parse` reads its text from a
+    flag or config file, raising ValueError on a bad or out-of-range value;
+    `help` is its --help line; `key` is its config key, and --key its flag,
+    when not the field's name.  A dict default is made afresh per config."""
+    default = {"default_factory": dict} if default == {} else {"default": default}
+    return field(metadata={"parse": parse, "help": help, "key": key}, **default)
+
+
+_POSITIVE = _number(float, "> 0")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    scene: str | None = None  # None selects the bundled demo scene
-    spacing: float = 3.0
-    candidate_spacing: float = 6.0
-    delta: float | None = None  # None means spacing / 2
-    types: tuple[str, ...] = ()  # empty means every catalog type
-    budget: float | None = None
-    count: int | None = None
-    weights: dict[str, float] = field(default_factory=dict)
-    seed: int = 0
-    jobs: int | None = None
-    out: str = "out"
-    exact_limit: int = EXACT_LIMIT_DEFAULT
-    methods: tuple[str, ...] = ("auto",)
-    intensity_min: float | None = None
-    trials: int = 16
-    vehicles: int = 4
-    gain_budgets: tuple[float, ...] = ()
+    """A run's settings, each declared once, as an option with its default."""
+
+    scene: str | None = _option(None, str, "scene JSON path (default: bundled demo scene)")
+    spacing: float = _option(3.0, _POSITIVE, "target lattice spacing, meters")
+    candidate_spacing: float = _option(6.0, _POSITIVE, "mount lattice spacing, meters")
+    delta: float | None = _option(None, _POSITIVE, "visibility radius (default spacing/2)")
+    types: tuple[str, ...] = _option((), _split, "comma-separated sensor type ids (default: all)")
+    budget: float | None = _option(None, _number(float, ">= 0"),
+                                   "cost limit (exclusive with --count)")
+    count: int | None = _option(None, _number(int, ">= 0"), "unit limit (exclusive with --budget)")
+    weights: dict[str, float] = _option({}, _parse_weights,
+                                        "segment weight overrides, e.g. central=10")
+    seed: int = _option(0, _number(int, ">= 0"), "RNG seed for stochastic evaluation")
+    jobs: int | None = _option(None, _number(int, ">= 1"), "kept for compatibility; no effect")
+    out: str = _option("out", str, "output directory (default: out)")
+    exact_limit: int = _option(EXACT_LIMIT_DEFAULT, _number(int, ">= 0"),
+                               "max candidates for the exact solver")
+    methods: tuple[str, ...] = _option(("auto",), _parse_methods, "solver method auto, exact or "
+                                       "greedy; repeatable (default: auto)", key="method")
+    intensity_min: float | None = _option(None, _number(float),
+                                          "minimum sample intensity to count toward visibility")
+    trials: int = _option(16, _number(int, ">= 1"), "occlusion Monte-Carlo trials")
+    vehicles: int = _option(4, _number(int, ">= 0"), "vehicle boxes per trial")
+    gain_budgets: tuple[float, ...] = _option(
+        (), lambda text: tuple(_checked(float(b), ">= 0") for b in _split(text)),
+        "comma-separated budgets for the gain-curve sweep")
 
     @property
     def scene_path(self) -> Path:
@@ -135,52 +199,8 @@ class RunConfig:
                 "value": self.constraint().limit}
 
 
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_weights(text: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for part in _split(text.replace(";", ",")):
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad weight override {part!r}, expected segment=value")
-        out[key.strip()] = float(value)
-    return out
-
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(dict.fromkeys(m.strip() for m in text.split(",")))  # first-seen order
-    bad = [m for m in methods if m not in ("auto", "exact", "greedy")]
-    if bad:
-        raise ValueError(f"unknown method {bad[0]!r}, expected auto, exact or greedy")
-    return methods
-
-
-# Every run option: config key -> (RunConfig field, text parser, help).  The
-# flag is --key with "-" for "_"; the defaults live in RunConfig alone.
-_OPTIONS = {
-    "scene": ("scene", str, "scene JSON path (default: bundled demo scene)"),
-    "spacing": ("spacing", float, "target lattice spacing, meters"),
-    "candidate_spacing": ("candidate_spacing", float, "mount lattice spacing, meters"),
-    "delta": ("delta", float, "visibility radius (default spacing/2)"),
-    "types": ("types", _split, "comma-separated sensor type ids (default: all)"),
-    "budget": ("budget", float, "cost limit (exclusive with --count)"),
-    "count": ("count", int, "unit limit (exclusive with --budget)"),
-    "weights": ("weights", _parse_weights, "segment weight overrides, e.g. central=10"),
-    "seed": ("seed", int, "RNG seed for stochastic evaluation"),
-    "jobs": ("jobs", int, "kept for compatibility; no effect"),
-    "out": ("out", str, "output directory (default: out)"),
-    "exact_limit": ("exact_limit", int, "max candidates for the exact solver"),
-    "method": ("methods", _parse_methods,
-               "solver method auto, exact or greedy; repeatable (default: auto)"),
-    "intensity_min": ("intensity_min", float,
-                      "minimum sample intensity to count toward visibility"),
-    "trials": ("trials", int, "occlusion Monte-Carlo trials"),
-    "vehicles": ("vehicles", int, "vehicle boxes per trial"),
-    "gain_budgets": ("gain_budgets", lambda text: tuple(float(b) for b in _split(text)),
-                     "comma-separated budgets for the gain-curve sweep"),
-}
+# Every run option by config key; its flag is --key with "-" for "_".
+_OPTIONS = {option.metadata["key"] or option.name: option for option in fields(RunConfig)}
 
 
 def _flag(key: str) -> str:
@@ -189,14 +209,14 @@ def _flag(key: str) -> str:
 
 def _parse_option(key: str, text: str, source: str) -> object:
     try:
-        return _OPTIONS[key][1](text)
+        return _OPTIONS[key].metadata["parse"](text)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad value for {source}: {exc}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value config; '#' starts a comment; keys are the flag names
-    with "_" for "-".  Returns the parsed values by key."""
+    with "_" for "-".  Returns the parsed, range-checked values by key."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -231,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for key, (_, _, text) in _OPTIONS.items():
-            p.add_argument(_flag(key), help=text,
+        for key, option in _OPTIONS.items():
+            p.add_argument(_flag(key), help=option.metadata["help"],
                            action="append" if key == "method" else "store")
     return parser
 
@@ -244,43 +264,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if text is not None:
             text = ",".join(text) if isinstance(text, list) else text
             values[key] = _parse_option(key, text, _flag(key))
-    cfg = replace(RunConfig(), **{_OPTIONS[key][0]: v for key, v in values.items()})
+    cfg = replace(RunConfig(), **{_OPTIONS[key].name: v for key, v in values.items()})
+    # each value is in its own range; these rules span options
     if cfg.budget is not None and cfg.count is not None:
         raise CliError(EXIT_INPUT, "--budget and --count are mutually exclusive")
-
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            raise CliError(EXIT_INPUT, message)
-
-    def finite(value) -> bool:
-        """Whether value is a number within the float range.  An int beyond
-        it makes math.isfinite raise, as it would make the stages raise."""
-        try:
-            return math.isfinite(value)
-        except OverflowError:
-            return False
-
-    for name, value in [
-        ("spacing", cfg.spacing), ("candidate-spacing", cfg.candidate_spacing),
-        ("delta", cfg.resolved_delta),
-    ]:
-        check(finite(value) and value > 0, f"--{name} must be finite and > 0, got {value}")
-    non_negative = [("budget", cfg.budget), ("count", cfg.count), ("seed", cfg.seed),
-                    ("vehicles", cfg.vehicles), ("exact-limit", cfg.exact_limit)]
-    non_negative += [(f"weights {seg!r}", w) for seg, w in cfg.weights.items()]
-    non_negative += [("gain-budgets", b) for b in cfg.gain_budgets]
-    for name, value in non_negative:
-        check(value is None or finite(value) and value >= 0,
-              f"--{name} must be finite and >= 0, got {value}")
-    check(cfg.intensity_min is None or finite(cfg.intensity_min),
-          f"--intensity-min must be finite, got {cfg.intensity_min}")
-    for name, value in [("trials", cfg.trials), ("jobs", cfg.jobs)]:
-        check(value is None or finite(value) and value >= 1,
-              f"--{name} must be finite and >= 1, got {value}")
-    check(all(a < b for a, b in zip(cfg.gain_budgets, cfg.gain_budgets[1:])),
-          "--gain-budgets must be strictly increasing")
-    check(cfg.budget is not None or all(b.is_integer() for b in cfg.gain_budgets),
-          "--gain-budgets must be whole numbers under a unit cap (--count)")
+    if not cfg.resolved_delta > 0:
+        raise CliError(EXIT_INPUT, f"--delta must be > 0, got spacing / 2 = {cfg.resolved_delta}")
+    if not all(a < b for a, b in zip(cfg.gain_budgets, cfg.gain_budgets[1:])):
+        raise CliError(EXIT_INPUT, "--gain-budgets must be strictly increasing")
+    if cfg.budget is None and not all(b.is_integer() for b in cfg.gain_budgets):
+        raise CliError(EXIT_INPUT,
+                       "--gain-budgets must be whole numbers under a unit cap (--count)")
     return cfg
 
 

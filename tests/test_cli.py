@@ -620,6 +620,27 @@ def test_config_file_bad_value_exit_2(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [[], ["--spacing", "2"]], ids=["alone", "overridden"])
+def test_config_file_out_of_range_value_exit_2(tmp_path, capsys, override):
+    # each value is range-checked as it is read, so a flag does not hide a bad file value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("spacing = -1\n")
+    code = run(["grid", "--config", str(cfg), *override, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "'spacing' in " in err and "bad.cfg:1" in err and "> 0" in err
+    assert not (tmp_path / "o" / "grid.vgrd").exists()
+
+
+def test_readme_lists_every_option():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI options\n")[1].split("\n## ")[0]
+    # the first line of each option's list item, e.g. "- `--count N` | `--budget C` ..."
+    listed = " ".join(line for line in section.splitlines() if line.startswith("- `--"))
+    assert [_flag(key) for key in _OPTIONS if f"`{_flag(key)}" not in listed] == []
+
+
 # one valid non-default text value per config key; a new key needs one here
 OPTION_SAMPLES = {
     "scene": "road.json", "spacing": "2.5", "candidate_spacing": "5", "delta": "1.25",

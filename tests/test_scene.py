@@ -17,6 +17,7 @@ from lidarplan import (
     scene_bounds,
     validate_scene,
 )
+from lidarplan.cli import main
 from lidarplan.scene import _FORMAT, scene_from_dict
 
 SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
@@ -385,3 +386,24 @@ def test_scene_from_dict_fuzz(demo_scene, splices):
         scene_from_dict(data)
     except (SceneParseError, SceneValidationError) as exc:
         assert "\n" not in str(exc)
+
+
+def test_polygon_orientation_does_not_change_the_grid(tmp_path, demo_scene):
+    """Polygons may be listed in either orientation: reversing every road
+    polygon, obstacle footprint and mount zone leaves the grid artifacts
+    byte-identical."""
+    data = scene_dict(demo_scene)
+    for record, key in [("road_segments", "polygon"), ("obstacles", "footprint"),
+                        ("mount_zones", "geometry")]:
+        for entry in data[record]:
+            entry[key] = entry[key][::-1]
+    assert data != scene_dict(demo_scene)
+    outs = []
+    for name, scene in [("as-given", scene_dict(demo_scene)), ("reversed", data)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scene))
+        outs.append(tmp_path / name)
+        assert main(["grid", "--types", "type-1", "--scene", str(path),
+                     "--out", str(outs[-1])]) == 0
+    for artifact in ("grid.vgrd", "targets.csv", "candidates.csv"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
