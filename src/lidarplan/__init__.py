@@ -8,7 +8,7 @@ numpy starts."""
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
@@ -24,7 +24,7 @@ _EXPORTS = {
         "evaluation",
     ),
     **dict.fromkeys(
-        ["VisibilityGrid", "build_visibility_grid", "generate_beams", "simulate_sensor"],
+        ["VisibilityGrid", "build_visibility_grid", "generate_beams"],
         "raycast",
     ),
     **dict.fromkeys(

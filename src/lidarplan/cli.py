@@ -652,7 +652,7 @@ def stage_eval(run: Run) -> list[Path]:
         lines.append(
             f"priority region ({comparison.n_priority} targets): coverage "
             f"{comparison.vanilla_priority:.4f} with unit weights vs "
-            f"{comparison.weighted_priority:.4f} with overrides"
+            f"{comparison.weighted_priority:.4f} with target weights"
         )
 
     with StageOutputs(run.out_dir) as outputs:

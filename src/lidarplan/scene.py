@@ -1,17 +1,18 @@
 """Static world model: roads, obstacles, mount zones, and the sensor catalog.
 
-Scenes are loaded from UTF-8 JSON files whose format ``_FORMAT`` declares.
-All lengths are meters, angles degrees, costs abstract currency units.  A
-scene is immutable after load and safe to share across workers.
+Scenes are loaded from UTF-8 JSON files.  Each record's dataclass fields
+declare its JSON fields, in the order they are read, with their reader and
+whether a file must give them (see ``_json``).  All lengths are meters,
+angles degrees, costs abstract currency units.  A scene is immutable after
+load and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -46,21 +47,100 @@ class SceneValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
+def _finite(value: int | float, where: str) -> float:
+    """JSON allows NaN, Infinity and integers too large for a float; the
+    model takes none of them."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not abs(number) < float("inf"):  # also true for NaN
+        raise SceneParseError(f"{where}: expected a finite number")
+    return number
+
+
+# JSON types, by the name a wrong-type message gives; a bool is none of them.
+_TYPES = {"str": str, "int": int, "float": (int, float), "list": list}
+
+
+def _is(expected: str, value: Any) -> bool:
+    return isinstance(value, _TYPES[expected]) and not isinstance(value, bool)
+
+
+def _typed(expected: str, value: Any, where: str, key: str) -> Any:
+    if not _is(expected, value):
+        raise SceneParseError(f"{where}: field {key!r} has wrong type (expected {expected})")
+    return value
+
+
+_str = partial(_typed, "str")
+_int = partial(_typed, "int")
+
+
+def _float(value: Any, where: str, key: str) -> float:
+    return _finite(_typed("float", value, where, key), f"{where}: field {key!r}")
+
+
+def _points(value: Any, where: str, key: str) -> tuple[Point, ...]:
+    pts = []
+    for k, item in enumerate(_typed("list", value, where, key)):
+        at = f"{where}.{key}[{k}]"
+        if not (_is("list", item) and len(item) == 2 and all(_is("float", v) for v in item)):
+            raise SceneParseError(f"{at}: expected an [x, y] number pair")
+        pts.append((_finite(item[0], at), _finite(item[1], at)))
+    return tuple(pts)
+
+
+def _numbers(value: Any, where: str, key: str) -> tuple[float, ...]:
+    if not all(_is("float", v) for v in _typed("list", value, where, key)):
+        raise SceneParseError(f"{where}.{key}: expected numbers")
+    return tuple(_finite(v, f"{where}.{key}[{k}]") for k, v in enumerate(value))
+
+
+def _records(cls: type, value: Any, where: str, key: str) -> tuple:
+    # Entries are named from the top level, the only one with record lists.
+    entries = _typed("list", value, where, key)
+    return tuple(_record(cls, raw, f"{key}[{k}]") for k, raw in enumerate(entries))
+
+
+def _record(cls: type, raw: Any, where: str):
+    """Parse a `cls` record field by field in dataclass order; raises the first fault."""
+    if not isinstance(raw, dict):
+        raise SceneParseError(f"{where}: expected a JSON object")
+    values = {}
+    for f in fields(cls):
+        read, presence = f.metadata["read"], f.metadata["presence"]
+        if f.name in raw and (raw[f.name] is not None or presence != "nullable"):
+            values[f.name] = read(raw[f.name], where, f.name)
+        elif presence == "required":
+            raise SceneParseError(f"{where}: missing required field {f.name!r}")
+    return cls(**values)
+
+
+def _json(read, default: Any = MISSING, *, required: bool = False, null: bool = True):
+    """A record field as a scene file gives it: `read(value, where, key)` parses
+    its JSON value.  A file must give the field when it has no default or is
+    `required`; otherwise leaving it out, or (when `null`) giving null, means
+    the default.  Its presence is "required", "nullable" or "optional"."""
+    presence = "required" if required or default is MISSING else "nullable" if null else "optional"
+    return field(default=default, metadata={"read": read, "presence": presence})
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     """One catalog entry describing a spinning LiDAR model."""
 
-    type_id: str
-    channels: int
-    vertical_fov_min: float  # degrees, negative = below horizontal
-    vertical_fov_max: float
-    horizontal_fov: float  # degrees, 360 = full sweep
-    range_m: float
-    unit_cost: float
-    azimuth_step: float = DEFAULT_AZIMUTH_STEP
+    type_id: str = _json(_str)
+    channels: int = _json(_int)
+    vertical_fov_min: float = _json(_float)  # degrees, negative = below horizontal
+    vertical_fov_max: float = _json(_float)
+    horizontal_fov: float = _json(_float)  # degrees, 360 = full sweep
+    range_m: float = _json(_float)
+    unit_cost: float = _json(_float)
+    azimuth_step: float = _json(_float, DEFAULT_AZIMUTH_STEP)
     # Recorded for reporting only; the static coverage model ignores them.
-    capture_frequency_hz: float | None = None
-    accuracy_m: float | None = None
+    capture_frequency_hz: float | None = _json(_float, None)
+    accuracy_m: float | None = _json(_float, None)
 
     @property
     def azimuth_count(self) -> int:
@@ -79,18 +159,18 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class RoadSegment:
-    id: str
-    polygon: tuple[Point, ...]
-    priority_weight: float = 1.0
+    id: str = _json(_str)
+    polygon: tuple[Point, ...] = _json(_points)
+    priority_weight: float = _json(_float, 1.0)
 
 
 @dataclass(frozen=True)
 class Obstacle:
     """Convex prism extruded from the ground plane up to `height`."""
 
-    id: str
-    footprint: tuple[Point, ...]
-    height: float
+    id: str = _json(_str)
+    footprint: tuple[Point, ...] = _json(_points)
+    height: float = _json(_float)
 
 
 @dataclass(frozen=True)
@@ -102,20 +182,21 @@ class MountZone:
     when candidates are enumerated.
     """
 
-    id: str
-    geometry: tuple[Point, ...]
-    allowed_heights: tuple[float, ...]
-    kind: str = "polygon"
-    install_surcharge: float = 0.0
+    id: str = _json(_str)
+    geometry: tuple[Point, ...] = _json(_points)
+    allowed_heights: tuple[float, ...] = _json(_numbers)
+    kind: str = _json(_str, "polygon", null=False)
+    install_surcharge: float = _json(_float, 0.0)
 
 
 @dataclass(frozen=True)
 class Scene:
-    road_segments: tuple[RoadSegment, ...]
-    obstacles: tuple[Obstacle, ...] = ()
-    mount_zones: tuple[MountZone, ...] = ()
-    catalog: tuple[SensorSpec, ...] = ()
-    ground_elevation: float = 0.0
+    road_segments: tuple[RoadSegment, ...] = _json(partial(_records, RoadSegment))
+    obstacles: tuple[Obstacle, ...] = _json(partial(_records, Obstacle), ())
+    # The library default lets a scene be built without zones; a file must list them.
+    mount_zones: tuple[MountZone, ...] = _json(partial(_records, MountZone), (), required=True)
+    catalog: tuple[SensorSpec, ...] = _json(partial(_records, SensorSpec), ())
+    ground_elevation: float = _json(_float, 0.0)
 
     def sensor(self, type_id: str) -> SensorSpec:
         for spec in self.catalog:
@@ -184,119 +265,6 @@ def validate_scene(scene: Scene) -> list[str]:
     return bad
 
 
-def _finite(value: int | float, where: str) -> float:
-    """JSON allows NaN, Infinity and integers too large for a float; the
-    model takes none of them."""
-    try:
-        number = float(value)
-    except OverflowError:
-        number = float("inf")
-    if not abs(number) < float("inf"):  # also true for NaN
-        raise SceneParseError(f"{where}: expected a finite number")
-    return number
-
-
-# JSON types, by the name a wrong-type message gives; a bool is none of them.
-_TYPES = {"str": str, "int": int, "float": (int, float), "list": list}
-
-
-def _is(expected: str, value: Any) -> bool:
-    return isinstance(value, _TYPES[expected]) and not isinstance(value, bool)
-
-
-def _typed(expected: str, value: Any, where: str, key: str) -> Any:
-    if not _is(expected, value):
-        raise SceneParseError(f"{where}: field {key!r} has wrong type (expected {expected})")
-    return value
-
-
-_str = partial(_typed, "str")
-_int = partial(_typed, "int")
-
-
-def _float(value: Any, where: str, key: str) -> float:
-    return _finite(_typed("float", value, where, key), f"{where}: field {key!r}")
-
-
-def _points(value: Any, where: str, key: str) -> tuple[Point, ...]:
-    pts = []
-    for k, item in enumerate(_typed("list", value, where, key)):
-        at = f"{where}.{key}[{k}]"
-        if not (_is("list", item) and len(item) == 2 and all(_is("float", v) for v in item)):
-            raise SceneParseError(f"{at}: expected an [x, y] number pair")
-        pts.append((_finite(item[0], at), _finite(item[1], at)))
-    return tuple(pts)
-
-
-def _numbers(value: Any, where: str, key: str) -> tuple[float, ...]:
-    if not all(_is("float", v) for v in _typed("list", value, where, key)):
-        raise SceneParseError(f"{where}.{key}: expected numbers")
-    return tuple(_finite(v, f"{where}.{key}[{k}]") for k, v in enumerate(value))
-
-
-def _records(cls: type, value: Any, where: str, key: str) -> tuple:
-    # Entries are named from the top level, the only one with record lists.
-    entries = _typed("list", value, where, key)
-    return tuple(_record(cls, raw, f"{key}[{k}]") for k, raw in enumerate(entries))
-
-
-# The scene file format: each record's JSON fields in the order _record reads them
-# (dataclass order), with their reader, read(value, where, key) -> model value, and how
-# a file may omit them for the default (OPTIONAL: absent; NULLABLE: absent or null).
-_REQUIRED, _OPTIONAL, _NULLABLE = "required", "optional", "nullable"
-_FORMAT: dict[type, dict[str, tuple[Any, str]]] = {
-    Scene: {
-        "road_segments": (partial(_records, RoadSegment), _REQUIRED),
-        "obstacles": (partial(_records, Obstacle), _NULLABLE),
-        "mount_zones": (partial(_records, MountZone), _REQUIRED),
-        "catalog": (partial(_records, SensorSpec), _NULLABLE),
-        "ground_elevation": (_float, _NULLABLE),
-    },
-    RoadSegment: {
-        "id": (_str, _REQUIRED),
-        "polygon": (_points, _REQUIRED),
-        "priority_weight": (_float, _NULLABLE),
-    },
-    Obstacle: {
-        "id": (_str, _REQUIRED),
-        "footprint": (_points, _REQUIRED),
-        "height": (_float, _REQUIRED),
-    },
-    MountZone: {
-        "id": (_str, _REQUIRED),
-        "geometry": (_points, _REQUIRED),
-        "allowed_heights": (_numbers, _REQUIRED),
-        "kind": (_str, _OPTIONAL),
-        "install_surcharge": (_float, _NULLABLE),
-    },
-    SensorSpec: {
-        "type_id": (_str, _REQUIRED),
-        "channels": (_int, _REQUIRED),
-        "vertical_fov_min": (_float, _REQUIRED),
-        "vertical_fov_max": (_float, _REQUIRED),
-        "horizontal_fov": (_float, _REQUIRED),
-        "range_m": (_float, _REQUIRED),
-        "unit_cost": (_float, _REQUIRED),
-        "azimuth_step": (_float, _NULLABLE),
-        "capture_frequency_hz": (_float, _NULLABLE),
-        "accuracy_m": (_float, _NULLABLE),
-    },
-}
-
-
-def _record(cls: type, raw: Any, where: str):
-    """Parse a `cls` record field by field in _FORMAT order; raises the first fault."""
-    if not isinstance(raw, dict):
-        raise SceneParseError(f"{where}: expected a JSON object")
-    values = {}
-    for key, (read, presence) in _FORMAT[cls].items():
-        if key in raw and (raw[key] is not None or presence != _NULLABLE):
-            values[key] = read(raw[key], where, key)
-        elif presence == _REQUIRED:
-            raise SceneParseError(f"{where}: missing required field {key!r}")
-    return cls(**values)
-
-
 def scene_from_dict(data: dict) -> Scene:
     """Build and validate a Scene from already-parsed JSON data."""
     scene = _record(Scene, data, "top level")
@@ -335,7 +303,4 @@ def scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
 
 def demo_scene_path() -> Path:
     """Path of the bundled four-segment intersection scene."""
-    with resources.as_file(
-        resources.files("lidarplan.data") / "town05_intersection.scene.json"
-    ) as p:
-        return Path(p)
+    return Path(__file__).parent / "data" / "town05_intersection.scene.json"

@@ -31,13 +31,13 @@ from lidarplan import (
     discretize_roi,
     generate_beams,
     occlusion_monte_carlo,
-    simulate_sensor,
     solve,
     solve_exact,
     solve_greedy,
     VehicleModel,
 )
 from lidarplan.cli import main as cli_main
+from lidarplan.raycast import simulate_sensor
 
 SUITE_SEED = 777
 SUITE_SIZE = 500

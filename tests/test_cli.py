@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -414,6 +415,9 @@ def test_scene_priority_weights_make_a_weighted_run(tmp_path):
     assert read_json(out / "solution.json")["weighted"] is True
     assert read_json(out / "solution_uniform.json")["weighted"] is False
     assert "weighted_comparison" in read_json(out / "report.json")
+    # the weights are the scene's own, not overrides
+    assert re.search(r"^priority region \(\d+ targets\): coverage [\d.]+ with unit weights "
+                     r"vs [\d.]+ with target weights$", (out / "report.txt").read_text(), re.M)
 
 
 def test_unit_weight_overrides_make_an_unweighted_run(tmp_path):

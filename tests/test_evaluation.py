@@ -32,14 +32,13 @@ from lidarplan import (
     gain_curve,
     occlusion_monte_carlo,
     render_coverage_map,
-    simulate_sensor,
     solve,
     solve_exact,
     solve_greedy,
 )
 from lidarplan import evaluation
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, _trial_rng, write_gain_curve_csv
-from lidarplan.raycast import _prisms
+from lidarplan.raycast import _prisms, simulate_sensor
 from test_raycast import culling_case, ground_level_wall
 
 

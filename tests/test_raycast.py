@@ -33,7 +33,6 @@ from lidarplan import (
     enumerate_candidates,
     generate_beams,
     occlusion_monte_carlo,
-    simulate_sensor,
 )
 from lidarplan import raycast
 from lidarplan.evaluation import sample_density
@@ -55,6 +54,7 @@ from lidarplan.raycast import (
     _returns,
     _windows,
     eligible_samples,
+    simulate_sensor,
     visibility_row,
 )
 

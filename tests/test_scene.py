@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from lidarplan import (
     validate_scene,
 )
 from lidarplan.cli import main
-from lidarplan.scene import _FORMAT, scene_from_dict
+from lidarplan.scene import DEFAULT_AZIMUTH_STEP, scene_from_dict
 
 SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 
@@ -265,9 +267,106 @@ def test_unknown_keys_ignored(demo_scene):
     assert scene_from_dict(data) == demo_scene
 
 
+# Each scene-file record and its row in README's "Scene JSON" table.
+RECORDS = {"top level": Scene, "road segment": RoadSegment, "obstacle": Obstacle,
+           "mount zone": MountZone, "sensor": SensorSpec}
+
+
 def test_format_declares_every_field_in_order():
-    for cls, fields in _FORMAT.items():
-        assert list(fields) == [f.name for f in dataclasses.fields(cls)], cls
+    """A record's JSON fields are its dataclass fields, read in their order:
+    each declares its reader and its presence."""
+    for cls in RECORDS.values():
+        for f in dataclasses.fields(cls):
+            assert callable(f.metadata.get("read")), (cls, f.name)
+            assert f.metadata.get("presence") in ("required", "nullable", "optional"), (cls, f.name)
+
+
+def test_readme_scene_table_matches_the_fields():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Scene JSON\n")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[0] in RECORDS:
+            # backticked names only: the defaults in the optional column, like `[]`, are not words
+            rows[cells[0]] = [re.findall(r"`(\w+)`", cell) for cell in cells[1:]]
+    assert list(rows) == list(RECORDS)
+    for row, cls in RECORDS.items():
+        required = [f.name for f in dataclasses.fields(cls) if f.metadata["presence"] == "required"]
+        optional = [f.name for f in dataclasses.fields(cls) if f.metadata["presence"] != "required"]
+        assert rows[row] == [required, optional], row
+
+
+DROP = object()  # an edit that removes the key
+
+
+def _replaced(record, path, value):
+    """`record` with the field or tuple entry at `path` set to `value`."""
+    key, *rest = path
+    old = record[key] if isinstance(key, int) else getattr(record, key)
+    new = _replaced(old, rest, value) if rest else value
+    if isinstance(key, int):
+        return record[:key] + (new,) + record[key + 1:]
+    return dataclasses.replace(record, **{key: new})
+
+
+@pytest.mark.parametrize("edits, expected", [
+    pytest.param([(("mount_zones", 0, "kind"), None)],
+                 "mount_zones[0]: field 'kind' has wrong type (expected str)", id="kind-null"),
+    pytest.param([(("mount_zones", 0, "kind"), DROP)], [], id="kind-absent"),
+    pytest.param([(("mount_zones",), DROP)],
+                 "top level: missing required field 'mount_zones'", id="mount-zones-absent"),
+    pytest.param([(("mount_zones",), None)],
+                 "top level: field 'mount_zones' has wrong type (expected list)",
+                 id="mount-zones-null"),
+    pytest.param([(("road_segments", 1, "id"), None)],
+                 "road_segments[1]: field 'id' has wrong type (expected str)", id="id-null"),
+    pytest.param([(("catalog", 0, "channels"), 16.0)],
+                 "catalog[0]: field 'channels' has wrong type (expected int)",
+                 id="channels-float"),
+    pytest.param([(("catalog", 2, "range_m"), "far"), (("catalog", 2, "channels"), None)],
+                 "catalog[2]: field 'channels' has wrong type (expected int)",
+                 id="two-faults-wrong-types"),
+    pytest.param([(("obstacles", 0, "height"), DROP), (("obstacles", 0, "footprint"), 3)],
+                 "obstacles[0]: field 'footprint' has wrong type (expected list)",
+                 id="two-faults-missing-and-wrong-type"),
+    pytest.param([(("obstacles", 2), [1, 2])], "obstacles[2]: expected a JSON object",
+                 id="non-object-entry"),
+    pytest.param([(("road_segments", 0, "priority_weight"), None)],
+                 [(("road_segments", 0, "priority_weight"), 1.0)], id="priority-weight-null"),
+    pytest.param([(("mount_zones", 3, "install_surcharge"), None)],
+                 [(("mount_zones", 3, "install_surcharge"), 0.0)], id="install-surcharge-null"),
+    pytest.param([(("catalog", 0, "azimuth_step"), None)],
+                 [(("catalog", 0, "azimuth_step"), DEFAULT_AZIMUTH_STEP)], id="azimuth-step-null"),
+    pytest.param([(("catalog", 1, "accuracy_m"), None)],
+                 [(("catalog", 1, "accuracy_m"), None)], id="accuracy-null"),
+    pytest.param([(("ground_elevation",), None)], [(("ground_elevation",), 0.0)],
+                 id="ground-elevation-null"),
+    pytest.param([(("obstacles",), None)], [(("obstacles",), ())], id="obstacles-null"),
+    pytest.param([(("catalog",), None)], [(("catalog",), ())], id="catalog-null"),
+])
+def test_scene_file_presence_and_types(demo_scene, edits, expected):
+    """Each edit of the demo scene's JSON either fails with the message of the
+    first fault in field order, or loads the demo scene with the given fields
+    at these values."""
+    data = scene_dict(demo_scene)
+    for (*parents, last), value in edits:
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    if isinstance(expected, str):
+        with pytest.raises(SceneParseError) as info:
+            scene_from_dict(data)
+        assert str(info.value) == expected
+        return
+    want = demo_scene
+    for path, value in expected:
+        want = _replaced(want, path, value)
+    assert scene_from_dict(data) == want
 
 
 def test_round_trip_preserves_optional_fields(tmp_path):
