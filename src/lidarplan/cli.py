@@ -592,12 +592,7 @@ def stage_eval(run: Run) -> list[Path]:
             "min_coverage": occlusion.min_coverage,
             "static_coverage": occlusion.static_coverage,
             "per_trial": list(occlusion.per_trial),
-            "vehicle": {
-                "length": vehicle.length,
-                "width": vehicle.width,
-                "height": vehicle.height,
-                "count": vehicle.count,
-            },
+            "vehicle": asdict(vehicle),
         },
         "sample_density": {
             "mean_over_covered": float(density_covered.mean()) if len(density_covered) else 0.0,

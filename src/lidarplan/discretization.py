@@ -217,10 +217,8 @@ def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TARGETS_CSV_HEADER)
-        for k in range(len(grid)):
-            writer.writerow(
-                [k, grid.points[k, 0], grid.points[k, 1], grid.weights[k], grid.segment_of[k]]
-            )
+        writer.writerows(zip(range(len(grid)), *grid.points.T.tolist(), grid.weights.tolist(),
+                             grid.segment_of))
 
 
 def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
@@ -282,8 +280,8 @@ def write_candidates_csv(cands: Sequence[Candidate], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANDIDATES_CSV_HEADER)
-        for k, c in enumerate(cands):
-            writer.writerow([k, c.x, c.y, c.height, c.sensor.type_id, c.cost])
+        writer.writerows((k, c.x, c.y, c.height, c.sensor.type_id, c.cost)
+                         for k, c in enumerate(cands))
 
 
 def read_candidates_csv(

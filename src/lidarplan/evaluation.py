@@ -215,17 +215,15 @@ def occlusion_monte_carlo(
     if total_w <= 0:
         raise ValueError("total target weight must be > 0")
     static_cov = coverage_fraction(solution, weights)
-    ground_z = scene.ground_elevation
-    static = _prisms(scene.obstacles, ground_z)
     trial_prisms = [
-        _prisms(_sample_vehicles(scene, vehicle, _trial_rng(seed, t)), ground_z)
+        _prisms(_sample_vehicles(scene, vehicle, _trial_rng(seed, t)), scene.ground_elevation)
         for t in range(trials)
     ]
     covered = np.zeros((trials, len(targets)), dtype=bool)
     density = np.zeros(len(targets), dtype=np.int64)
     static_covered = np.zeros(len(targets), dtype=bool)
     index = TargetIndex(targets.points, delta)
-    for i, sensor in _ground_returns(candidates, solution.selected, scene, static, index):
+    for i, sensor in _ground_returns(candidates, solution.selected, scene, index):
         ray, xy, key = sensor.eligible(intensity_min)
         closed, strict = sample_density(xy, index, key)
         density += closed

@@ -23,11 +23,11 @@ A target counts as visible to a candidate when some sample of the simulated
 cloud lies within planar distance delta of it; see eligible_samples for
 which samples may vouch for a target.  Only ground returns can, so the grid
 and the evaluation proxies cast only the beams of a ground pattern
-(_pattern, with each beam's ground offset from the mount), with a target
-index only those whose ground point lands near a target, in place
-(GroundReturns); the windows of all mounts of a pattern are cut at once.
-An unblocked ray returns its ground point as is.  simulate_sensor gives
-the full cloud.
+(_pattern, with each beam's ground offset from the mount), and of those only
+the ones whose ground point lands near a target of the TargetIndex, in place
+(GroundReturns, all built by _ground_returns, which cuts the windows of all
+mounts of a pattern at once).  An unblocked ray returns its ground point as
+is.  simulate_sensor gives the full cloud.
 
 Sample-to-target pairs are found through a TargetIndex: a uniform bucket
 grid over the target points with cells at least delta wide, so every
@@ -353,8 +353,8 @@ def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
 
 class GroundReturns:
     """The beams of one mounted sensor that can vouch for a target, cast
-    once against a scene: its _pattern, or with a TargetIndex, where `stray`
-    allows, only those whose ground point's bucket has a target in its 3x3
+    once against a scene: of its _pattern, where `stray` allows, only those
+    whose ground point's bucket in the TargetIndex has a target in its 3x3
     block, their samples looked up by those buckets.  That is exact: a
     ground return lies on its ground point, and an eligible obstacle hit at
     t (oz + t*dz rounds to gz = ground_z) from h = oz - gz > HIT_EPS, with
@@ -362,24 +362,23 @@ class GroundReturns:
     plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
     that fits in half the cells' slack over delta (the rest covers the cell
     arithmetic), any target within delta of the hit is in the block.  The
-    rays kept are cast in place: per-ray arrays keep the pattern's numbering."""
+    rays kept are cast in place: per-ray arrays keep the pattern's numbering.
+    Built by _ground_returns."""
 
-    def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays | None = None,
-                 prisms: _PrismSet | None = None, index: "TargetIndex | None" = None,
-                 cuts: tuple[np.ndarray, np.ndarray] | None = None):
-        """pattern (_pattern of the spec and mount z), prisms (the scene's
-        obstacles, _prisms) and cuts (their _windows on pattern.phi from this
-        mount) let a caller casting many sensors make them once."""
+    def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
+                 index: "TargetIndex", cuts: tuple[np.ndarray, np.ndarray]):
+        """pattern: _pattern of the spec and mount z; prisms: the scene's
+        obstacles (_prisms); cuts: their _windows on pattern.phi from this mount."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
         self.index, self.key = index, None
-        self.rays = pattern or _pattern(candidate.sensor, self.origin[2], self.ground_z)
+        self.rays = pattern
         self.live = np.arange(len(self.rays.dirs))  # the rays cast, in beam order
         ox, oy = np.abs(self.origin[:2])
         gz, r, h = abs(self.ground_z), self.max_range, self.origin[2] - self.ground_z
         stray = 2.0**-49 * (r * (gz + h) / h + ox + oy + r) if h > HIT_EPS else np.inf
-        if index is not None and 2.0**-52 * gz <= h and stray <= (index.cell - index.delta) / 2:
+        if 2.0**-52 * gz <= h and stray <= (index.cell - index.delta) / 2:
             # The ground points, rounded as _returns rounds ground returns.
             self.key = index._keys((self.origin[:2, None] + self.rays.offsets).T)
             keep = index.occupied[self.key]
@@ -387,7 +386,6 @@ class GroundReturns:
             keep = keep[self.rays.order]
             rank = np.concatenate(([0], np.cumsum(keep)))
             self.rays = self.rays._replace(order=self.rays.order.compress(keep), rank=rank)
-        prisms = _prisms(scene.obstacles, self.ground_z) if prisms is None else prisms
         self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground, cuts)
 
     def clip(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
@@ -400,9 +398,9 @@ class GroundReturns:
                  rays: np.ndarray | None = None):
         """(rays, xy, key) of the returns of `rays` (default: all cast) that
         eligible_samples keeps, in ray order, with t (default t_static) read
-        at them: their rays, planar xy (N, 2) and index buckets (None without
-        an index).  A return at t_ground is its ray's ground point; only the
-        rays an obstacle stops short are computed, as _returns does."""
+        at them: their rays, planar xy (N, 2) and index buckets.  A return
+        at t_ground is its ray's ground point; only the rays an obstacle
+        stops short are computed, as _returns does."""
         rays = self.live if rays is None else rays
         t = (self.t_static if t is None else t)[rays]
         keep = t <= self.max_range
@@ -414,17 +412,17 @@ class GroundReturns:
         xy = self.origin[:2, None] + self.rays.offsets.take(rays, axis=1)  # the ground points
         xy[:, short] = pos[:2]
         ray, xy = rays.compress(keep), xy.compress(keep, axis=1).T
-        if self.index is None:  # xy as eligible_samples(simulate_sensor(...)) has it
-            return ray, xy, None
         return ray, xy, self.index._keys(xy) if self.key is None else self.key[ray]
 
 
 def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene: Scene,
-                    prisms: _PrismSet, index: "TargetIndex"):
-    """Yield (row, GroundReturns) for the candidates at `rows`, grouped by
-    spec and mount z in order of first use, one pattern alive at a time; the
-    windows from all mounts of a pattern are cut in one pass."""
+                    index: "TargetIndex"):
+    """Yield (row, GroundReturns) for the candidates at `rows` in the static
+    scene, grouped by spec and mount z in order of first use, one pattern
+    alive at a time; the scene's prisms are made once, and the windows from
+    all mounts of a pattern are cut in one pass."""
     ground_z = scene.ground_elevation
+    prisms = _prisms(scene.obstacles, ground_z)
     groups: dict[tuple[SensorSpec, float], list[int]] = {}
     for i in rows:
         groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
@@ -602,9 +600,8 @@ def build_visibility_grid(
     per candidate in one thread (the CLI's --jobs is kept for compatibility
     and has no effect).  TargetIndex rejects a delta that is not > 0."""
     bits = np.zeros((len(candidates), len(targets)), dtype=bool)
-    prisms = _prisms(scene.obstacles, scene.ground_elevation)
     index = TargetIndex(targets.points, delta)
-    for i, returns in _ground_returns(candidates, range(len(candidates)), scene, prisms, index):
+    for i, returns in _ground_returns(candidates, range(len(candidates)), scene, index):
         _, xy, key = returns.eligible(intensity_min)
         bits[i, :] = visibility_row(xy, index, key)
     return VisibilityGrid(bits=bits, delta=delta)

@@ -293,6 +293,25 @@ def test_bad_numeric_flag_exit_2(flag, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_underflowing_spacing_exit_2(tmp_path, capsys):
+    # spacing / 2, the default delta, rounds to 0
+    code = run(["grid", "--spacing", "5e-324", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "--delta must be > 0" in err
+
+
+def test_spacing_past_the_roi_exit_1_without_partials(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run(["grid", "--spacing", "1000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "not smaller than the ROI extent" in err
+    assert not list(out.glob("*.partial"))
+
+
 def test_default_constraint_is_count_3():
     cfg = _merge_config(_build_parser().parse_args(["solve"]))
     assert cfg.constraint() == Cardinality(3)
@@ -302,6 +321,33 @@ def test_solve_without_grid_artifacts_exit_2(tmp_path, capsys):
     code = run(["solve", "--out", str(tmp_path / "empty")])
     assert code == 2
     assert "run the grid stage first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["eval", "render"])
+def test_stage_without_solution_exit_2(pipeline_dir, tmp_path, capsys, stage):
+    out = tmp_path / "no-solution"
+    out.mkdir()
+    for name in ("targets.csv", "candidates.csv", "grid.vgrd"):
+        (out / name).write_bytes((pipeline_dir / name).read_bytes())
+    code = run([stage, *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert str(out / "solution.json") in err and "run the solve stage first" in err
+
+
+def test_candidates_short_of_the_grid_exit_2(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "short"
+    out.mkdir()
+    for name in ("targets.csv", "grid.vgrd"):
+        (out / name).write_bytes((pipeline_dir / name).read_bytes())
+    rows = (pipeline_dir / "candidates.csv").read_text().splitlines(keepends=True)
+    (out / "candidates.csv").write_text("".join(rows[:-1]))
+    code = run(["solve", *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "artifact shape mismatch" in err
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
@@ -784,6 +830,8 @@ def _nan_first_x(text):
     ("solution.json", _extra_covered(True), "render"),
     ("solution.json", _set_field("constraint", {"kind": "budget", "value": math.inf}), "eval"),
     ("solution.json", _set_field("constraint", {"kind": "count", "value": 3.5}), "render"),
+    ("solution.json", lambda text: "{ not json", "eval"),
+    ("solution.json", _set_field("format", 2), "render"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
         "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
@@ -793,7 +841,8 @@ def _nan_first_x(text):
         "candidates-negative-cost", "targets-zero-total", "solution-unverified-eval",
         "solution-unverified-render", "solution-constraint-negative",
         "solution-constraint-kind", "solution-selected-bool", "solution-covered-float",
-        "solution-covered-bool", "solution-constraint-inf", "solution-constraint-fractional"])
+        "solution-covered-bool", "solution-constraint-inf", "solution-constraint-fractional",
+        "solution-not-json", "solution-format-2"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"

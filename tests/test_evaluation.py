@@ -36,7 +36,7 @@ from lidarplan import (
     solve_exact,
     solve_greedy,
 )
-from lidarplan import evaluation
+from lidarplan import evaluation, raycast
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, _trial_rng, write_gain_curve_csv
 from lidarplan.raycast import _prisms, simulate_sensor
 from test_raycast import culling_case, ground_level_wall
@@ -407,8 +407,8 @@ def test_trial_keeps_a_target_seen_at_ground_level_through_a_vehicle(monkeypatch
 
 
 def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):
-    # one prepared prism set for the static scene and one per trial,
-    # however many sensors are selected
+    # one prepared prism set per trial, then one for the static scene as
+    # the sensors are cast, however many sensors are selected
     scene, targets, cands, solution = micro_setup()
     assert len(solution.selected) == 2
     made = []
@@ -418,9 +418,10 @@ def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):
         return _prisms(obstacles, ground_z)
 
     monkeypatch.setattr(evaluation, "_prisms", counting)
+    monkeypatch.setattr(raycast, "_prisms", counting)
     occlusion_monte_carlo(solution, scene, targets, cands,
                           VehicleModel(count=3), trials=4, seed=7, delta=2.5)
-    assert made == [0, 3, 3, 3, 3]
+    assert made == [3, 3, 3, 3, 0]
 
 
 def test_occlusion_validates_inputs():

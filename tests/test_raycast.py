@@ -42,12 +42,13 @@ from lidarplan.raycast import (
     VGRID_MAGIC,
     WINDOW_SLACK_M,
     BUCKETS_PER_TARGET,
-    GroundReturns,
     TargetIndex,
     _cast_all,
     _cast_scene,
+    _ground_returns,
     _ground_t,
     _pairs,
+    _pattern,
     _prism,
     _prisms,
     _rays,
@@ -506,13 +507,13 @@ def test_cast_raises_no_warning(rng):
                 hit, _, _ = _cast_scene(origin, dirs, scene, 45.0)
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
-        returns = GroundReturns(cand, open_scene(*obstacles[2:]))
+        returns = ground_returns(cand, open_scene(*obstacles[2:]))
         assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0))[1])[1]) > 0
         # from mounts at and below the ground some beams never reach it,
         # and the beams at azimuth 0 have dy == 0
         for height in (0.0, -1.0, 0.5):
             cand = make_candidate(0.0, 0.0, height, spec(channels=9, vmin=-40, vmax=20, step=3.0))
-            returns = GroundReturns(cand, open_scene(*obstacles[2:]))
+            returns = ground_returns(cand, open_scene(*obstacles[2:]))
             assert np.isinf(returns.rays.t_ground).any() == (height <= 0.0)
             returns.eligible(None)
 
@@ -523,6 +524,17 @@ def test_cast_raises_no_warning(rng):
 
 def make_candidate(x, y, height, sensor):
     return Candidate(x=x, y=y, height=height, sensor=sensor, cost=sensor.unit_cost)
+
+
+def ground_returns(cand, scene):
+    """The candidate's GroundReturns as the pipeline builds them, with a
+    TargetIndex over its pattern's own ground points, which culls no ray."""
+    ground_z = scene.ground_elevation
+    pattern = _pattern(cand.sensor, ground_z + cand.height, ground_z)
+    index = TargetIndex((np.array([[cand.x], [cand.y]]) + pattern.offsets).T, 1.0)
+    [(_, returns)] = _ground_returns([cand], [0], scene, index)
+    assert len(returns.live) == len(pattern.dirs)
+    return returns
 
 
 def test_simulate_downward_rings_upward_nothing():
@@ -742,7 +754,7 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     for i, cand in enumerate(cands):
         full = simulate_sensor(cand, demo_scene)
         want = eligible_samples(full, demo_scene.ground_elevation, intensity_min)[:, :2]
-        got = GroundReturns(cand, demo_scene).eligible(intensity_min)[1]
+        got = ground_returns(cand, demo_scene).eligible(intensity_min)[1]
         assert np.array_equal(got, want)
         row = visibility_row(want, index)
         assert np.array_equal(grid.bits[i], row)
@@ -757,7 +769,7 @@ def test_ground_returns_from_mounts_at_or_below_ground():
         cand = make_candidate(0.0, 0.0, height, s)
         want = eligible_samples(simulate_sensor(cand, open_scene(box)), 0.0, None)
         assert len(want) > 0
-        assert np.array_equal(GroundReturns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
+        assert np.array_equal(ground_returns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
 
 
 def test_visibility_row_empty_targets():

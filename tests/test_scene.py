@@ -167,6 +167,73 @@ def test_validate_accepts_the_beam_limit():
     assert validate_scene(minimal_scene(catalog=(at_limit,))) == []
 
 
+BOWTIE = ((0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0))
+COLLINEAR = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+
+
+def _road(**fields):
+    return {"road_segments": (RoadSegment(**{"id": "bad", "polygon": SQUARE, **fields}),)}
+
+
+def _obstacle(**fields):
+    return {"obstacles": (Obstacle(**{"id": "bad", "footprint": SQUARE, "height": 1.0, **fields}),)}
+
+
+def _zone(**fields):
+    return {"mount_zones": (MountZone(**{"id": "bad", "geometry": SQUARE,
+                                         "allowed_heights": (5.0,), **fields}),)}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(_road(polygon=SQUARE[:2]), "road segment 'bad': polygon needs >=3 vertices",
+                 id="road-two-vertices"),
+    pytest.param(_road(polygon=COLLINEAR), "road segment 'bad': polygon area must be > 0",
+                 id="road-zero-area"),
+    pytest.param(_road(priority_weight=-1.0),
+                 "road segment 'bad': priority_weight must be >= 0", id="road-negative-weight"),
+    pytest.param(_obstacle(footprint=SQUARE[:2]), "obstacle 'bad': footprint needs >=3 vertices",
+                 id="obstacle-two-vertices"),
+    pytest.param(_obstacle(footprint=BOWTIE), "obstacle 'bad': footprint is self-intersecting",
+                 id="obstacle-bowtie"),
+    pytest.param(_obstacle(footprint=COLLINEAR), "obstacle 'bad': footprint area must be > 0",
+                 id="obstacle-zero-area"),
+    pytest.param(_zone(kind="circle"), "mount zone 'bad': kind must be polygon or polyline",
+                 id="zone-kind"),
+    pytest.param(_zone(geometry=SQUARE[:2]), "mount zone 'bad': needs >=3 vertices",
+                 id="zone-polygon-two-vertices"),
+    pytest.param(_zone(geometry=SQUARE[:1], kind="polyline"),
+                 "mount zone 'bad': needs >=2 vertices", id="zone-polyline-one-vertex"),
+    pytest.param(_zone(geometry=BOWTIE), "mount zone 'bad': polygon is self-intersecting",
+                 id="zone-bowtie"),
+    pytest.param(_zone(allowed_heights=(5.0, 0.0)),
+                 "mount zone 'bad': allowed_heights must all be > 0", id="zone-zero-height"),
+    pytest.param(_zone(allowed_heights=(-1.0,)),
+                 "mount zone 'bad': allowed_heights must all be > 0", id="zone-negative-height"),
+    pytest.param(_zone(install_surcharge=-1.0),
+                 "mount zone 'bad': install_surcharge must be >= 0", id="zone-negative-surcharge"),
+    pytest.param({"catalog": (_spec(type_id="bad", azimuth_step=0.0),)},
+                 "sensor 'bad': azimuth_step must be > 0", id="sensor-zero-step"),
+    pytest.param({"catalog": (_spec(type_id="bad", azimuth_step=-0.5),)},
+                 "sensor 'bad': azimuth_step must be > 0", id="sensor-negative-step"),
+])
+def test_validate_rejects_each_record_fault(overrides, message):
+    """Each fault alone gives exactly its one message, naming its record."""
+    assert "'bad'" in message
+    assert validate_scene(minimal_scene(**overrides)) == [message]
+
+
+def test_pipeline_on_an_invalid_scene_file_exit_2(demo_scene, tmp_path, capsys):
+    data = scene_dict(demo_scene)
+    data["mount_zones"][1]["install_surcharge"] = -1.0
+    path = tmp_path / "bad.scene.json"
+    path.write_text(json.dumps(data))
+    assert main(["pipeline", "--scene", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    zone = demo_scene.mount_zones[1].id
+    assert f"mount zone {zone!r}: install_surcharge must be >= 0" in err
+
+
 def test_parse_missing_field_names_location():
     data = {"road_segments": [{"polygon": [[0, 0], [1, 0], [1, 1]]}], "mount_zones": []}
     with pytest.raises(SceneParseError, match=r"road_segments\[0\].*'id'"):
