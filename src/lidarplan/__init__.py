@@ -8,7 +8,7 @@ numpy starts."""
 
 import importlib
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

@@ -70,6 +70,7 @@ from .solver import (
     EXACT_LIMIT_DEFAULT,
     Budget,
     Cardinality,
+    Constraint,
     DeploymentProblem,
     InstanceTooLargeError,
     Solution,
@@ -185,7 +186,7 @@ class RunConfig:
     def resolved_delta(self) -> float:
         return self.delta if self.delta is not None else self.spacing / 2.0
 
-    def constraint(self, limit: float | None = None):
+    def constraint(self, limit: float | None = None) -> Constraint:
         """The run's constraint, or one of the same kind at `limit` (a gain-curve point)."""
         if self.budget is not None:
             return Budget(self.budget if limit is None else limit)
@@ -193,10 +194,11 @@ class RunConfig:
             limit = self.count if self.count is not None else 3
         return Cardinality(int(limit))
 
-    def constraint_record(self) -> dict:
-        """The constraint as solution.json and manifest.json record it."""
-        return {"kind": "budget" if self.budget is not None else "count",
-                "value": self.constraint().limit}
+
+def _constraint_record(constraint: Constraint) -> dict:
+    """The constraint as solution.json and manifest.json record it."""
+    return {"kind": "budget" if isinstance(constraint, Budget) else "count",
+            "value": constraint.limit}
 
 
 # Every run option by config key; its flag is --key with "-" for "_".
@@ -343,19 +345,19 @@ def _select_types(scene: Scene, cfg: RunConfig):
 
 
 def _solution_payload(
-    cfg: RunConfig, solution: Solution, candidates: Sequence[Candidate],
-    weights: np.ndarray, weighted: bool,
+    problem: DeploymentProblem, solution: Solution, candidates: Sequence[Candidate],
+    weighted: bool,
 ) -> dict:
     return {
         "format": SOLUTION_FORMAT,
         "method": solution.method,
         "weighted": weighted,
-        "constraint": cfg.constraint_record(),
+        "constraint": _constraint_record(problem.constraint),
         "objective": solution.objective,
         "total_cost": solution.total_cost,
-        "coverage_fraction": coverage_fraction(solution, weights),
+        "coverage_fraction": coverage_fraction(solution, problem.weights),
         "optimality_bound": solution.optimality_bound,
-        "n_targets": int(len(weights)),
+        "n_targets": int(len(problem.weights)),
         "covered": sorted(solution.covered),
         "selected": [
             {
@@ -429,11 +431,18 @@ class Run:
         """Whether some target in targets.csv weighs other than 1 (by --weights or the scene)."""
         return bool((self.artifacts[0].weights != 1).any())
 
-    @cached_property
-    def solution(self) -> Solution:
-        """The first --method's solution, which eval and render evaluate; it must
-        pass verify_solution under the constraint it records."""
+    def problem(self, constraint: Constraint, uniform: bool = False) -> DeploymentProblem:
+        """The grid's problem under `constraint`, with unit weights if `uniform`
+        and the targets' weights otherwise."""
         targets, candidates, grid = self.artifacts
+        weights = np.ones_like(targets.weights) if uniform else targets.weights
+        return DeploymentProblem(grid, weights, [c.cost for c in candidates], constraint)
+
+    @cached_property
+    def solution(self) -> tuple[Constraint, Solution]:
+        """(constraint, solution): the first --method's solution, which eval
+        and render evaluate, and the constraint solution.json records, under
+        which it must pass verify_solution."""
         path = self.out_dir / _solution_name(self.cfg.methods[0])
         if not path.exists():
             raise CliError(EXIT_INPUT, f"missing artifact {path}; run the solve stage first")
@@ -452,9 +461,8 @@ class Run:
                 f"(expected {SOLUTION_FORMAT})",
             )
         try:
-            constraint = {"count": Cardinality, "budget": Budget}[payload["constraint"]["kind"]]
-            problem = DeploymentProblem(grid, targets.weights, [c.cost for c in candidates],
-                                        constraint(float(payload["constraint"]["value"])))
+            kind = {"count": Cardinality, "budget": Budget}[payload["constraint"]["kind"]]
+            problem = self.problem(kind(float(payload["constraint"]["value"])))
             solution = Solution(
                 selected=tuple(entry["idx"] for entry in payload["selected"]),
                 covered=tuple(payload["covered"]),  # as a list, so verify_solution sees each entry
@@ -470,7 +478,7 @@ class Run:
         if violations := verify_solution(problem, solution).violations:
             raise CliError(EXIT_INPUT, f"{path}: solution fails verification: "
                            + "; ".join(violations))
-        return replace(solution, covered=frozenset(solution.covered))
+        return problem.constraint, replace(solution, covered=frozenset(solution.covered))
 
     def solved(self, constraint, method: str = "auto", uniform: bool = False) -> Solution:
         """The grid's problem under `constraint`, with unit weights if `uniform`
@@ -478,9 +486,7 @@ class Run:
         and verified."""
         key = constraint, method, uniform
         if key not in self._solutions:
-            targets, candidates, grid = self.artifacts
-            weights = np.ones_like(targets.weights) if uniform else targets.weights
-            problem = DeploymentProblem(grid, weights, [c.cost for c in candidates], constraint)
+            problem = self.problem(constraint, uniform)
             try:
                 solution = solve(problem, method, self.cfg.exact_limit)
             except InstanceTooLargeError as exc:
@@ -502,17 +508,17 @@ class Run:
 def stage_grid(run: Run) -> list[Path]:
     cfg, scene = run.cfg, run.scene
     types = _select_types(scene, cfg)
+    if unknown := set(cfg.weights) - {seg.id for seg in scene.road_segments}:
+        raise CliError(EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}")
+    roads = tuple(replace(seg, priority_weight=cfg.weights.get(seg.id, seg.priority_weight))
+                  for seg in scene.road_segments)
     try:
-        targets = discretize_roi(scene, cfg.spacing)
+        targets = discretize_roi(replace(scene, road_segments=roads), cfg.spacing)
         candidates = enumerate_candidates(scene, cfg.candidate_spacing, types)
     except EmptyGridError as exc:
         raise CliError(EXIT_STAGE, str(exc)) from exc
     except LatticeTooLargeError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    if unknown := set(cfg.weights) - {seg.id for seg in scene.road_segments}:
-        raise CliError(EXIT_INPUT, f"weight overrides for unknown segments: {sorted(unknown)}")
-    if cfg.weights:
-        targets = targets.reweighted(cfg.weights)
     if not targets.weights.sum() > 0:
         raise CliError(EXIT_INPUT, "total target weight must be > 0 (scene and --weights)")
     t0 = time.perf_counter()
@@ -532,25 +538,25 @@ def stage_grid(run: Run) -> list[Path]:
 
 
 def stage_solve(run: Run) -> list[Path]:
-    cfg = run.cfg
-    targets, candidates, _ = run.artifacts
+    cfg, constraint = run.cfg, run.cfg.constraint()
+    _, candidates, _ = run.artifacts
     runs = [(method, _solution_name(method), False) for method in cfg.methods]
     if run.weighted:  # uniform-weight baseline for comparison
         runs.append(("auto", "solution_uniform.json", True))
     payloads = []
     for method, name, uniform in runs:
-        weights = np.ones_like(targets.weights) if uniform else targets.weights
+        problem = run.problem(constraint, uniform)
         t0 = time.perf_counter()
-        solution = run.solved(cfg.constraint(), method, uniform)
+        solution = run.solved(constraint, method, uniform)
         print(
             f"[solve] {name}: {method} -> {solution.method}: objective {solution.objective:g}, "
-            f"coverage {coverage_fraction(solution, weights):.4f}, "
+            f"coverage {coverage_fraction(solution, problem.weights):.4f}, "
             f"cost {solution.total_cost:g}, {len(solution.selected)} sensors "
             f"({time.perf_counter() - t0:.2f}s)"
         )
-        payloads.append((name, _solution_payload(cfg, solution, candidates, weights,
+        payloads.append((name, _solution_payload(problem, solution, candidates,
                                                  run.weighted and not uniform)))
-    run.solution = run.solved(cfg.constraint(), cfg.methods[0])  # which eval and render evaluate
+    run.solution = constraint, run.solved(constraint, cfg.methods[0])  # eval and render read it
     with StageOutputs(run.out_dir) as outputs:
         for name, payload in payloads:
             _write_json(outputs.path_for(name), payload)
@@ -560,7 +566,13 @@ def stage_solve(run: Run) -> list[Path]:
 def stage_eval(run: Run) -> list[Path]:
     cfg, scene = run.cfg, run.scene
     targets, candidates, grid = run.artifacts
-    solution = run.solution
+    solved_under, solution = run.solution
+    if solved_under != cfg.constraint():
+        was, now = ("{kind} {value:g}".format(**_constraint_record(c))
+                    for c in (solved_under, cfg.constraint()))
+        raise CliError(EXIT_INPUT, f"{run.out_dir / _solution_name(cfg.methods[0])}: solved under "
+                       f"{was}, but --budget/--count give {now}; run eval with the solve "
+                       f"stage's --budget or --count")
     vehicle = VehicleModel(count=cfg.vehicles)
     t0 = time.perf_counter()
     occlusion = occlusion_monte_carlo(
@@ -615,7 +627,7 @@ def stage_eval(run: Run) -> list[Path]:
     ]
 
     if cfg.gain_budgets:
-        kind = cfg.constraint_record()["kind"]
+        kind = _constraint_record(cfg.constraint())["kind"]
         curve = gain_curve(
             cfg.gain_budgets, [run.solved(cfg.constraint(b)) for b in cfg.gain_budgets],
             targets.weights,
@@ -661,13 +673,11 @@ def stage_eval(run: Run) -> list[Path]:
 
 
 def stage_render(run: Run) -> list[Path]:
-    solution = run.solution
-    targets, candidates, grid = run.artifacts
+    targets, candidates, _ = run.artifacts  # missing, reported before a missing solution
+    _, solution = run.solution
     with StageOutputs(run.out_dir) as outputs:
-        render_coverage_map(
-            run.scene, targets, grid, solution, candidates,
-            outputs.path_for("coverage.svg"),
-        )
+        render_coverage_map(run.scene, targets, solution, candidates,
+                            outputs.path_for("coverage.svg"))
         print(f"[render] coverage map for {len(solution.selected)} sensors")
         return outputs.commit()
 
@@ -682,7 +692,7 @@ def _manifest_config(cfg: RunConfig) -> dict:
         "scene_name": cfg.scene_path.name,
         "scene_sha256": _sha256(cfg.scene_path),
         "delta": cfg.resolved_delta,
-        "constraint": cfg.constraint_record(),
+        "constraint": _constraint_record(cfg.constraint()),
         "version": __version__,
     }
 

@@ -39,14 +39,13 @@ class LatticeTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class TargetGrid:
-    """Discretized region of interest.
+    """Discretized region of interest, the columns of targets.csv.
 
     points[k] is the k-th lattice point (row-major: y outer, x inner),
     weights[k] its priority weight, segment_of[k] the id of the first road
     segment in file order that contains it.
     """
 
-    spacing: float
     points: np.ndarray  # (N, 2) float64
     weights: np.ndarray  # (N,) float64
     segment_of: tuple[str, ...]
@@ -54,13 +53,13 @@ class TargetGrid:
     def __len__(self) -> int:
         return len(self.points)
 
-    def reweighted(self, segment_weights: dict[str, float]) -> "TargetGrid":
-        """Copy with per-segment weight overrides applied."""
-        new = self.weights.copy()
-        for k, seg in enumerate(self.segment_of):
-            if seg in segment_weights:
-                new[k] = segment_weights[seg]
-        return TargetGrid(self.spacing, self.points, new, self.segment_of)
+    @property
+    def spacing(self) -> float:
+        """The lattice step, read from the points: the smallest positive gap
+        between lattice lines; 1.0 when no axis has two lines."""
+        gaps = [float(np.diff(vals).min()) for vals in map(np.unique, self.points.T)
+                if len(vals) > 1]
+        return min(gaps, default=1.0)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
     seg_ids = tuple(scene.road_segments[k].id for k in owner[keep])
     weight_by_seg = {s.id: s.priority_weight for s in scene.road_segments}
     weights = np.array([weight_by_seg[s] for s in seg_ids], dtype=np.float64)
-    return TargetGrid(spacing=spacing, points=points, weights=weights, segment_of=seg_ids)
+    return TargetGrid(points=points, weights=weights, segment_of=seg_ids)
 
 
 def _zone_contains(zone: MountZone, xs: np.ndarray, ys: np.ndarray,
@@ -257,23 +256,11 @@ def _numbers(row: list[str], cols: Sequence[int], what: str) -> list[float]:
 def read_targets_csv(path: str | Path) -> TargetGrid:
     rows = _read_csv(path, TARGETS_CSV_HEADER, lambda r: (*_numbers(r, (1, 2, 3), "weight"), r[4]))
     xs, ys, ws, segs = zip(*rows) if rows else ((), (), (), ())
-    points = np.column_stack([xs, ys]) if xs else np.zeros((0, 2))
     return TargetGrid(
-        spacing=_infer_spacing(points),
-        points=points,
+        points=np.column_stack([xs, ys]) if xs else np.zeros((0, 2)),
         weights=np.asarray(ws, dtype=np.float64),
         segment_of=tuple(segs),
     )
-
-
-def _infer_spacing(points: np.ndarray) -> float:
-    """Smallest positive gap between lattice lines; 1.0 for degenerate input."""
-    gaps = []
-    for axis in (0, 1):
-        vals = np.unique(points[:, axis]) if len(points) else np.array([])
-        if len(vals) > 1:
-            gaps.append(float(np.diff(vals).min()))
-    return min(gaps) if gaps else 1.0
 
 
 def write_candidates_csv(cands: Sequence[Candidate], path: str | Path) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .discretization import Candidate, TargetGrid
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
-from .raycast import TargetIndex, VisibilityGrid, _ground_returns, _prisms
+from .raycast import TargetIndex, _ground_returns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
 from .solver import Solution, coverage_fraction
 
@@ -229,9 +229,10 @@ def occlusion_monte_carlo(
         density += closed
         static_covered |= strict > 0
         for t, vehicles in enumerate(trial_prisms):
-            blocked, t_best = sensor.clip(vehicles)
-            lost = (t_best < sensor.t_static)[ray]  # the blocked rays' static samples
-            _, new_xy, new_key = sensor.eligible(intensity_min, t_best, blocked)
+            t_best = sensor.clip(vehicles)
+            nearer = t_best < sensor.t_static
+            lost = nearer[ray]  # the blocked rays' static samples
+            _, new_xy, new_key = sensor.eligible(intensity_min, t_best, np.flatnonzero(nearer))
             lost_count = sample_density(xy[lost], index, key[lost])[1]
             covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
@@ -279,14 +280,14 @@ def _fmt(v: float) -> str:
 def render_coverage_map(
     scene: Scene,
     targets: TargetGrid,
-    grid: VisibilityGrid,
     solution: Solution,
     candidates: Sequence[Candidate],
     path: str | Path,
 ) -> None:
     """Write an SVG map: roads, obstacles, target cells (covered ones as
     filled red dots, uncovered hollow), and the selected sensors as green
-    circles labeled type@height.
+    circles labeled type@height.  Cells, dots and labels scale with the
+    lattice step that the target points give (TargetGrid.spacing).
 
     Output is plain text with fixed ordering and 3-decimal coordinates, so
     identical inputs give byte-identical files.
@@ -295,7 +296,8 @@ def render_coverage_map(
     for c in candidates:
         xmin, xmax = min(xmin, c.x), max(xmax, c.x)
         ymin, ymax = min(ymin, c.y), max(ymax, c.y)
-    margin = 2.0 * targets.spacing
+    step = targets.spacing
+    margin = 2.0 * step
     xmin, ymin, xmax, ymax = xmin - margin, ymin - margin, xmax + margin, ymax + margin
     scale = 8.0
     width, height = (xmax - xmin) * scale, (ymax - ymin) * scale
@@ -317,16 +319,16 @@ def render_coverage_map(
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f"<title>coverage {_fmt(100.0 * len(solution.covered) / max(1, grid.cols))}% "
+        f"<title>coverage {_fmt(100.0 * len(solution.covered) / max(1, len(targets)))}% "
         f"({solution.method})</title>",
         f'<rect width="100%" height="100%" fill="{_SVG_COLORS["background"]}"/>',
     ]
     for seg in scene.road_segments:
         lines.append(poly(seg.polygon, _SVG_COLORS["road"], _SVG_COLORS["road_edge"]))
-    half = targets.spacing / 2.0
+    half = step / 2.0
     points = targets.points.tolist()
     cell = (
-        f'width="{_fmt(targets.spacing * scale)}" height="{_fmt(targets.spacing * scale)}" '
+        f'width="{_fmt(step * scale)}" height="{_fmt(step * scale)}" '
         f'fill="none" stroke="{_SVG_COLORS["cell"]}" stroke-width="0.5"/>'
     )
     for x, y in points:
@@ -340,7 +342,7 @@ def render_coverage_map(
                 opacity=0.9,
             )
         )
-    r_dot = _fmt(targets.spacing * 0.15 * scale)
+    r_dot = _fmt(step * 0.15 * scale)
     dot = {  # by whether the target is covered
         True: f'r="{r_dot}" fill="{_SVG_COLORS["covered"]}"/>',
         False: f'r="{r_dot}" fill="#ffffff" '
@@ -350,8 +352,8 @@ def render_coverage_map(
     covered[list(solution.covered)] = True
     for (x, y), hit in zip(points, covered.tolist()):
         lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" {dot[hit]}')
-    r_sensor = _fmt(targets.spacing * 0.3 * scale)
-    font = _fmt(targets.spacing * 0.55 * scale)
+    r_sensor = _fmt(step * 0.3 * scale)
+    font = _fmt(step * 0.55 * scale)
     for i in solution.selected:
         c = candidates[i]
         lines.append(

@@ -388,11 +388,10 @@ class GroundReturns:
             self.rays = self.rays._replace(order=self.rays.order.compress(keep), rank=rank)
         self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground, cuts)
 
-    def clip(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
-        """(rays, t): the rays that the `extra` prisms (_prisms) block
-        nearer than the static cast, and every ray's nearest hit with them."""
-        t = _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
-        return np.flatnonzero(t < self.t_static), t
+    def clip(self, extra: _PrismSet) -> np.ndarray:
+        """Every ray's nearest hit once the `extra` prisms (_prisms) join
+        the static scene: below t_static where they block the ray nearer."""
+        return _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
 
     def eligible(self, intensity_min: float | None, t: np.ndarray | None = None,
                  rays: np.ndarray | None = None):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ def demo_scene():
 @pytest.fixture(scope="session")
 def demo_targets(demo_scene):
     return discretize_roi(demo_scene, spacing=3.0)
+
+
+@pytest.fixture(scope="session")
+def demo_weights_central10(demo_scene):
+    """demo_targets' weights with the central segment's priority weight at
+    10, as the grid stage applies --weights central=10."""
+    roads = tuple(replace(seg, priority_weight=10.0) if seg.id == "central" else seg
+                  for seg in demo_scene.road_segments)
+    return discretize_roi(replace(demo_scene, road_segments=roads), spacing=3.0).weights
 
 
 @pytest.fixture(scope="session")

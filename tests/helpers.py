@@ -351,7 +351,6 @@ def scattered_targets(rng: np.random.Generator, n, lo, hi, duplicates=0) -> Targ
     points = rng.uniform(lo, hi, (n, 2))
     points = np.vstack([points, points[rng.integers(0, n, duplicates)]])
     return TargetGrid(
-        spacing=1.0,
         points=points,
         weights=rng.uniform(0.5, 2.0, len(points)),
         segment_of=("r",) * len(points),

@@ -288,7 +288,7 @@ GOLDEN_CENTRAL_WEIGHTED = 36 / 36
 
 
 def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t3,
-                                   demo_grid_t1, demo_candidates_t1):
+                                   demo_grid_t1, demo_candidates_t1, demo_weights_central10):
     notes = []
     ok = True
 
@@ -313,7 +313,7 @@ def test_criterion_7_demo_scenario(demo_targets, demo_grid_t3, demo_candidates_t
                  f"{'and goldens held' if golden_ok else 'BUT GOLDENS MOVED'}")
 
     # (b) central weight 10: the weighted run covers the center at least as well
-    weights10 = demo_targets.reweighted({"central": 10.0}).weights
+    weights10 = demo_weights_central10
     vanilla, weighted = (
         solve(DeploymentProblem(demo_grid_t1, w, [c.cost for c in demo_candidates_t1],
                                 Cardinality(4)))

@@ -6,7 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +118,19 @@ def assert_staged_matches_pipeline(work, args, pipeline=None, grid_args=(), late
 
 def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
     assert_staged_matches_pipeline(tmp_path / "default", FAST, pipeline_dir)
-    # A stand-alone render infers the spacing from targets.csv, where 0.7
-    # reads back as 0.6999999999999886; the pipeline hands it the exact 0.7.
+    # Render takes the lattice step from the target points, in a pipeline as
+    # in a stand-alone render: at 0.7 the points give 0.6999999999999886,
+    # and at 2.0000625 the flag would draw some dots a thousandth of a pixel
+    # off the points' step.
     assert_staged_matches_pipeline(tmp_path / "spacing", [*FAST, "--spacing", "0.7"])
+    assert_staged_matches_pipeline(tmp_path / "odd-spacing", [*FAST, "--spacing", "2.0000625"])
+    # One target gives no step, so both draw 1 m cells, not the flag's 3 m.
+    scene = json.loads(demo_scene_path().read_text())
+    scene["road_segments"] = [{"id": "central", "polygon": [[-2, -2], [2, -2], [2, 2], [-2, 2]]}]
+    (tmp_path / "one.json").write_text(json.dumps(scene))
+    assert_staged_matches_pipeline(tmp_path / "one-target",
+                                   [*FAST, "--scene", str(tmp_path / "one.json")])
+    assert len((tmp_path / "one-target" / "staged" / "targets.csv").read_text().splitlines()) == 2
     # A stand-alone eval re-sums the covered weights read from targets.csv,
     # fractional ones too, and must get solution.json's objective exactly.
     # It also solves the gain curve and the weighted comparison itself, where
@@ -133,6 +143,50 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path):
     for name, later_args in [("grid-only", []), ("other", ["--weights", "central=10,ew=1"])]:
         assert_staged_matches_pipeline(weighted / name, args, weighted / "pipeline",
                                        grid_args=weights, later_args=later_args)
+
+
+def test_grid_stage_hands_over_what_it_writes(tmp_path):
+    # A pipeline's later stages use the grid stage's artifacts in memory; a
+    # stand-alone stage reads them from --out.  Both must see the same values.
+    args = ["grid", *FAST, "--spacing", "2.0000625", "--weights", "central=0.3,ew=2.7",
+            "--out", str(tmp_path)]
+    cfg = _merge_config(_build_parser().parse_args(args))
+    held = cli.Run(cfg)
+    cli.stage_grid(held)
+    for kept, read in zip(held.artifacts, cli.Run(cfg).artifacts):
+        if isinstance(kept, tuple):  # the candidates
+            assert kept == read
+            continue
+        assert type(kept) is type(read)
+        for f in fields(kept):
+            want, got = getattr(kept, f.name), getattr(read, f.name)
+            if isinstance(want, np.ndarray):
+                assert want.dtype == got.dtype and np.array_equal(want, got), f.name
+            else:
+                assert want == got, f.name
+
+
+def test_eval_refuses_a_constraint_other_than_the_solutions(tmp_path, capsys):
+    # solution.json was solved under --count 1; an eval at the default count
+    # of 3, or under a budget, would compare and sweep other problems.
+    out = tmp_path / "out"
+    assert run(["grid", "--types", "type-1", "--weights", "central=10", "--out", str(out)]) == 0
+    assert run(["solve", "--count", "1", "--out", str(out)]) == 0
+    before = sorted(out.iterdir())
+    for flags, given in [([], "count 3"), (["--budget", "50000"], "budget 50000")]:
+        capsys.readouterr()
+        assert run(["eval", "--seed", "7", "--trials", "2", "--gain-budgets", "1,2", *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(out / "solution.json") in err[0]
+        assert "count 1" in err[0] and given in err[0] and "--count" in err[0]
+        assert sorted(out.iterdir()) == before
+    assert run(["eval", "--seed", "7", "--trials", "2", "--gain-budgets", "1,2", "--count", "1",
+                "--out", str(out)]) == 0
+    assert "0.6111 with unit weights vs 0.6111 with target weights" in (
+        out / "report.txt").read_text()
+    assert run(["render", "--out", str(out)]) == 0  # render ignores the constraint
 
 
 def test_stages_evaluate_the_first_method(tmp_path):
@@ -936,7 +990,7 @@ def test_failed_solve_leaves_no_partial(tmp_path, capsys):
 
 
 def test_failed_render_leaves_no_partial(monkeypatch, tmp_path, pipeline_dir):
-    def half_render(scene, targets, grid, solution, candidates, path):
+    def half_render(scene, targets, solution, candidates, path):
         Path(path).write_text("<svg")
         raise RuntimeError("render failed")
 

@@ -109,7 +109,7 @@ def test_segment_weights_flow_into_targets():
     a = RoadSegment(id="a", polygon=rect(0, 0, 10, 10), priority_weight=2.5)
     grid = discretize_roi(road_scene(a), spacing=2.0)
     assert np.all(grid.weights == 2.5)
-    re = grid.reweighted({"a": 7.0})
+    re = discretize_roi(road_scene(replace(a, priority_weight=7.0)), spacing=2.0)
     assert np.all(re.weights == 7.0)
     assert np.all(grid.weights == 2.5)  # original untouched
 
@@ -305,8 +305,8 @@ def test_targets_csv_round_trip(tmp_path, demo_targets):
     path = tmp_path / "targets.csv"
     write_targets_csv(demo_targets, path)
     back = read_targets_csv(path)
-    assert np.allclose(back.points, demo_targets.points)
-    assert np.allclose(back.weights, demo_targets.weights)
+    assert np.array_equal(back.points, demo_targets.points)
+    assert np.array_equal(back.weights, demo_targets.weights)
     assert back.segment_of == demo_targets.segment_of
     assert back.spacing == demo_targets.spacing
     header = path.read_text().splitlines()[0]

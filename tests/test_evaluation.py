@@ -139,9 +139,9 @@ def compared(grid, weights, costs, constraint):
 
 
 def test_compare_weighted_demo_prioritizes_center(
-    demo_grid_t1, demo_targets, demo_candidates_t1
+    demo_grid_t1, demo_weights_central10, demo_candidates_t1
 ):
-    weights = demo_targets.reweighted({"central": 10.0}).weights
+    weights = demo_weights_central10
     vanilla, weighted, cmp = compared(
         demo_grid_t1, weights, [c.cost for c in demo_candidates_t1], Cardinality(4)
     )
@@ -398,7 +398,7 @@ def test_trial_keeps_a_target_seen_at_ground_level_through_a_vehicle(monkeypatch
     # vouches for the target next to it.
     cand, scene, wall, hit = ground_level_wall(short_range=False)
     delta = 1e-3
-    targets = TargetGrid(spacing=1.0, points=np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]]),
+    targets = TargetGrid(points=np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]]),
                          weights=np.ones(2), segment_of=("r", "r"))
     monkeypatch.setattr(evaluation, "_sample_vehicles", lambda scene, vehicle, rng: [wall])
     assert assert_trials_match_simulated_recast(
@@ -505,7 +505,7 @@ def test_sample_density_counts_a_sample_at_exactly_delta():
     (sx, sy, _, _), = simulate_sensor(cands[0], scene)
     points = np.array([[sx + 1.0, sy], [np.nextafter(sx + 1.0, np.inf), sy]])
     delta = abs(sx - points[0, 0])
-    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
+    targets = TargetGrid(points=points, weights=np.ones(2), segment_of=("r", "r"))
     solution = Solution(selected=(0,), covered=frozenset(), objective=0.0, total_cost=1.0,
                         method="exact", optimality_bound=0.0)
     density = static_density(solution, scene, targets, cands, delta)
@@ -531,9 +531,9 @@ def test_render_byte_identical_across_runs(tmp_path, demo_scene, demo_targets,
     )
     solution = solve_exact(problem)
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_coverage_map(demo_scene, demo_targets, demo_grid_t3, solution,
+    render_coverage_map(demo_scene, demo_targets, solution,
                         demo_candidates_t3, p1)
-    render_coverage_map(demo_scene, demo_targets, demo_grid_t3, solution,
+    render_coverage_map(demo_scene, demo_targets, solution,
                         demo_candidates_t3, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -546,7 +546,7 @@ def test_render_empty_and_full_selection(tmp_path):
         DeploymentProblem(grid, targets.weights, np.full(2, 10.0), Cardinality(0))
     )
     p = tmp_path / "empty.svg"
-    render_coverage_map(scene, targets, grid, empty, cands, p)
+    render_coverage_map(scene, targets, empty, cands, p)
     text = p.read_text()
     assert text.count('fill="#d62728"') == 0  # no covered dots
     assert "<svg" in text and text.rstrip().endswith("</svg>")
@@ -556,7 +556,7 @@ def test_render_empty_and_full_selection(tmp_path):
         DeploymentProblem(full_grid, targets.weights, np.full(2, 10.0), Cardinality(1))
     )
     p2 = tmp_path / "full.svg"
-    render_coverage_map(scene, targets, full_grid, full, cands, p2)
+    render_coverage_map(scene, targets, full, cands, p2)
     assert p2.read_text().count('fill="#d62728"') == len(targets)
 
 
@@ -570,6 +570,6 @@ def test_render_golden_demo(tmp_path, demo_scene, demo_targets, demo_grid_t3,
     )
     solution = solve_exact(problem)
     out = tmp_path / "demo.svg"
-    render_coverage_map(demo_scene, demo_targets, demo_grid_t3, solution,
+    render_coverage_map(demo_scene, demo_targets, solution,
                         demo_candidates_t3, out)
     assert out.read_bytes() == golden.read_bytes()

@@ -508,7 +508,7 @@ def test_cast_raises_no_warning(rng):
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = ground_returns(cand, open_scene(*obstacles[2:]))
-        assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0))[1])[1]) > 0
+        assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0)))[1]) > 0
         # from mounts at and below the ground some beams never reach it,
         # and the beams at azimuth 0 have dy == 0
         for height in (0.0, -1.0, 0.5):
@@ -774,7 +774,6 @@ def test_ground_returns_from_mounts_at_or_below_ground():
 
 def test_visibility_row_empty_targets():
     empty = TargetGrid(
-        spacing=1.0,
         points=np.zeros((0, 2)),
         weights=np.zeros(0),
         segment_of=(),
@@ -840,7 +839,7 @@ def test_index_pairs_at_exactly_delta(rng, unit):
     delta = 5 * unit
     cells = rng.choice(400, 60, replace=False)
     points = 3 * delta * np.column_stack([cells % 20, cells // 20]).astype(float) - 7.0
-    targets = TargetGrid(spacing=1.0, points=np.vstack([points, points[:5]]),
+    targets = TargetGrid(points=np.vstack([points, points[:5]]),
                          weights=np.ones(65), segment_of=("r",) * 65)
     offsets = unit * np.array([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (-4, 3), (-3, -4),
                                (4, -3)], dtype=float)
@@ -950,7 +949,7 @@ def test_rows_and_density_decide_pairs_at_delta_as_hypot(ulp):
     points = xy[::2] - [0.7, 0.0]
     delta = float(np.median(np.abs(xy[::2, 0] - points[:, 0])))
     delta = float(np.nextafter(delta, np.inf if ulp > 0 else 0.0)) if ulp else delta
-    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(len(points)),
+    targets = TargetGrid(points=points, weights=np.ones(len(points)),
                          segment_of=("r",) * len(points))
     index = TargetIndex(points, delta)
     row, closed, strict = np.zeros(len(points), dtype=bool), *np.zeros((2, len(points)), int)
@@ -1005,7 +1004,7 @@ def culling_case(rng):
     n = 8 if len(ground) else 0
     near = ground[rng.integers(0, max(1, len(ground)), n)] + rng.uniform(-0.7, 0.7, (n, 2)) * delta
     points = np.vstack([scattered.points, near])
-    targets = TargetGrid(spacing=1.0, points=points, weights=rng.uniform(0.5, 2.0, len(points)),
+    targets = TargetGrid(points=points, weights=rng.uniform(0.5, 2.0, len(points)),
                          segment_of=("r",) * len(points))
     return scene, targets, cands, delta, [None, 0.3, 0.7][int(rng.integers(3))]
 
@@ -1067,7 +1066,7 @@ def test_obstacle_hit_at_ground_level_vouches_for_a_target(short_range):
     cand, scene, wall, hit = ground_level_wall(short_range)
     delta = 1e-3
     points = np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]])
-    targets = TargetGrid(spacing=1.0, points=points, weights=np.ones(2), segment_of=("r", "r"))
+    targets = TargetGrid(points=points, weights=np.ones(2), segment_of=("r", "r"))
     bits, density = assert_culled_casts_match_oracles(
         replace(scene, obstacles=scene.obstacles + (wall,)), targets, [cand], delta, None
     )
