@@ -337,11 +337,10 @@ def _select_types(scene: Scene, cfg: RunConfig):
         raise CliError(EXIT_INPUT, "scene has no sensor catalog")
     if not cfg.types:
         return list(scene.catalog)
-    by_id = {s.type_id: s for s in scene.catalog}
-    missing = [t for t in cfg.types if t not in by_id]
-    if missing:
+    known = {s.type_id for s in scene.catalog}
+    if missing := [t for t in cfg.types if t not in known]:
         raise CliError(EXIT_INPUT, f"unknown sensor types: {', '.join(missing)}")
-    return [by_id[t] for t in cfg.types]
+    return [scene.sensor(t) for t in cfg.types]
 
 
 def _solution_payload(

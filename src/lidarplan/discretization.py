@@ -222,8 +222,8 @@ def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
 
 def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
     """The rows of a CSV artifact, each converted by parse_row.  Text that is
-    not UTF-8, a wrong header or a malformed row raises ValueError naming the
-    file and line."""
+    not UTF-8, a wrong header, a malformed row or an idx other than the row's
+    0-based position raises ValueError naming the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = []
@@ -234,6 +234,8 @@ def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
             for row in reader:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                if row[0] != str(len(rows)):
+                    raise ValueError(f"idx {row[0]!r}, expected {len(rows)}")
                 rows.append(parse_row(row))
         except UnicodeDecodeError as exc:  # decoding runs ahead of line_num
             raise ValueError(f"{path}: {exc}") from None

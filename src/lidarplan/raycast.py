@@ -8,11 +8,11 @@ hit within range becomes one point sample with a synthetic intensity of
 1 - t/max_range.
 
 A cast handles all its prisms at once, in a fixed number of numpy calls.
-Its rays are kept sorted by azimuth (_Rays).  Each prism's cull box (its
-footprint's bounding box, grown by a margin far above the clipping
-tolerance) spans an azimuth window from the origin, cut by one
-searchsorted (_windows; none for a box out of range), so the work grows
-with the rays that can reach an obstacle, not with rays times obstacles.
+Its rays are kept sorted by azimuth, twice round (_Rays).  Each prism's
+cull box (its footprint's bounding box, grown by a margin far above the
+clipping tolerance) spans an azimuth window from the origin: one span of
+that order, cut by one searchsorted (_windows), so the work grows with
+the rays that can reach an obstacle, not with rays times obstacles.
 On those (ray, prism) pairs an exact test keeps the rays whose planar path
 crosses the box before the ray's starting hit (the ground, or an earlier
 cast) or its max range, and one pass clips every kept pair; each ray takes
@@ -24,7 +24,7 @@ cloud lies within planar distance delta of it; see eligible_samples for
 which samples may vouch for a target.  Only ground returns can, so the grid
 and the evaluation proxies cast only the beams of a ground pattern
 (_pattern, with each beam's ground offset from the mount), and of those only
-the ones whose ground point lands near a target of the TargetIndex, in place
+the ones whose ground point lands near a target of the TargetIndex
 (GroundReturns, all built by _ground_returns, which cuts the windows of all
 mounts of a pattern at once).  An unblocked ray returns its ground point as
 is.  simulate_sensor gives the full cloud.
@@ -134,24 +134,23 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
 
 
 class _Rays(NamedTuple):
-    """Ray directions with their azimuth order: phi[k] is the k-th smallest
-    azimuth np.arctan2(dy, dx), of ray order[k].  Every cast of the same
-    directions shares one.  A _pattern adds t_ground and, as rows (2, N), the
-    ground offsets t_ground * (dx, dy), 0 where t_ground is inf.  A cast of
-    some rays lists only those in order, rank[k] of them at positions < k."""
+    """Ray directions with their azimuth order, twice round: phi[k] is the
+    k-th smallest azimuth np.arctan2(dy, dx), of ray order[k], and then each
+    comes again plus 2 pi.  Every cast of the same directions shares one.  A
+    _pattern adds t_ground and, as rows (2, N), the ground offsets
+    t_ground * (dx, dy), 0 where t_ground is inf."""
 
     dirs: np.ndarray
     order: np.ndarray
     phi: np.ndarray
     t_ground: np.ndarray | None = None
     offsets: np.ndarray | None = None
-    rank: np.ndarray | None = None
 
 
 def _rays(dirs: np.ndarray) -> _Rays:
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    order = np.argsort(phi, kind="stable")
-    return _Rays(dirs=dirs, order=order, phi=phi[order])
+    order = np.tile(np.argsort(phi, kind="stable"), 2)
+    return _Rays(dirs=dirs, order=order, phi=phi[order] + np.repeat([0.0, 2.0 * np.pi], len(phi)))
 
 
 class _PrismSet(NamedTuple):
@@ -191,13 +190,13 @@ def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarr
 
 def _windows(origin: np.ndarray, phi: np.ndarray, prisms: _PrismSet,
              max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """(start, stop), each (..., P, 2) for mounts at origin (..., 3): per
-    prism, two ranges of positions in phi holding every ray that can reach
-    its cull box, those whose azimuth lies in the interval the box, grown by
-    WINDOW_SLACK_M, spans from the origin, widened by WINDOW_SLACK_RAD each
-    side.  A prism without a box, or whose grown box holds the origin, gets
-    every ray; one whose grown box is farther than max_range + WINDOW_SLACK_M
-    gets none."""
+    """(start, stop), each (..., P) for mounts at origin (..., 3): per prism,
+    one span of positions in phi (twice round, _Rays) holding every ray that
+    can reach its cull box, once: those whose azimuth lies in the interval
+    the box, grown by WINDOW_SLACK_M, spans from the origin, widened by
+    WINDOW_SLACK_RAD each side.  A prism without a box, or whose grown box
+    holds the origin, gets [0, n), all n rays; one whose grown box is farther
+    than max_range + WINDOW_SLACK_M gets an empty span."""
     ox, oy = origin[..., 0, None], origin[..., 1, None]
     cx, cy, hx, hy = prisms.boxes.T
     hx, hy = hx + WINDOW_SLACK_M, hy + WINDOW_SLACK_M
@@ -214,24 +213,25 @@ def _windows(origin: np.ndarray, phi: np.ndarray, prisms: _PrismSet,
     centre = np.arctan2(vy[..., 0], vx[..., 0])
     lo = centre + turn.min(axis=-1) - WINDOW_SLACK_RAD
     hi = centre + turn.max(axis=-1) + WINDOW_SLACK_RAD
-    # An interval past -pi or pi wraps: [lo, pi] plus [-pi, hi] on the
-    # other side, which also takes in both azimuths (+pi and -pi) of a
-    # ray pointing along -x.
-    low, high = lo < -np.pi, hi > np.pi
-    first = np.searchsorted(phi, np.where(low, lo + 2.0 * np.pi, lo))
-    last = np.searchsorted(phi, np.where(high, hi - 2.0 * np.pi, hi))
-    wrap = low | high
-    # The second range is empty unless the window wraps.
-    start = np.stack((np.where(every, 0, first), np.zeros_like(first)), axis=-1)
-    stop = np.stack((np.where(every | wrap, len(phi), last), np.where(wrap & ~every, last, 0)), -1)
-    return start, np.where(far[..., None], start, stop)
+    # The interval is narrower than a turn and starts above -2 pi - slack.
+    # Read a turn up when it starts below -pi, it is one span of phi, also
+    # past pi, and holds a ray along -x whether its azimuth reads pi or -pi.
+    up = np.where(lo < -np.pi, 2.0 * np.pi, 0.0)
+    start = np.where(every, 0, np.searchsorted(phi, lo + up))
+    stop = np.where(every, len(phi) // 2, np.searchsorted(phi, hi + up))
+    return start, np.where(far, start, stop)
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions first[i], ..., first[i] + count[i] - 1 of every run, in turn."""
+    pos = np.repeat(first - np.cumsum(count) + count, count)
+    pos += np.arange(len(pos))
+    return pos
 
 
 def _pairs(start: np.ndarray, stop: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ray, prism) pairs of the rays order[start:stop] in each prism's ranges, by prism."""
-    count = (stop - start).ravel()
-    pos = np.repeat(start.ravel() - np.cumsum(count) + count, count) + np.arange(count.sum())
-    return order[pos], np.repeat(np.arange(len(start)), (stop - start).sum(axis=1))
+    """(ray, prism) pairs of the rays order[start:stop] in each prism's span, by prism."""
+    return order[_runs(start, stop - start)], np.repeat(np.arange(len(start)), stop - start)
 
 
 def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float,
@@ -251,8 +251,6 @@ def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: flo
     t_best = t_start.copy()
     ox, oy, oz = origin
     start, stop = _windows(origin, rays.phi, prisms, max_range) if cuts is None else cuts
-    if rays.rank is not None:  # the windows' places among the rays cast
-        start, stop = rays.rank[start], rays.rank[stop]
     ray, prism = _pairs(start, stop, rays.order)
     dx, dy, dz = (d[ray] for d in rays.dirs.T)
     reach = np.minimum(t_start[ray], max_range)
@@ -361,9 +359,9 @@ class GroundReturns:
     u = 2^-53 and u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h,
     plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
     that fits in half the cells' slack over delta (the rest covers the cell
-    arithmetic), any target within delta of the hit is in the block.  The
-    rays kept are cast in place: per-ray arrays keep the pattern's numbering.
-    Built by _ground_returns."""
+    arithmetic), any target within delta of the hit is in the block.  Only
+    the kept rays' order and phi are copied; other per-ray arrays keep the
+    pattern's numbering.  Built by _ground_returns."""
 
     def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
                  index: "TargetIndex", cuts: tuple[np.ndarray, np.ndarray]):
@@ -383,9 +381,10 @@ class GroundReturns:
             self.key = index._keys((self.origin[:2, None] + self.rays.offsets).T)
             keep = index.occupied[self.key]
             self.live = np.flatnonzero(keep)
-            keep = keep[self.rays.order]
-            rank = np.concatenate(([0], np.cumsum(keep)))
-            self.rays = self.rays._replace(order=self.rays.order.compress(keep), rank=rank)
+            keep = keep[self.rays.order]  # twice round, as order and phi
+            rank = np.cumsum(np.concatenate(([0], keep)))  # kept rays before each position
+            cuts = tuple(rank[c] for c in cuts)  # the same spans among the kept rays
+            self.rays = self.rays._replace(order=self.rays.order[keep], phi=self.rays.phi[keep])
         self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground, cuts)
 
     def clip(self, extra: _PrismSet) -> np.ndarray:
@@ -511,18 +510,13 @@ class TargetIndex:
         first = self.start.take(key)
         count = self.start.take(key + 1) - first
         sample = np.flatnonzero(count)
-        count = count.take(sample)
+        first, count = first.take(sample), count.take(sample)
         ends = np.cumsum(count)
-        # A pair's place in the block lists: the first target of its
-        # sample's block plus its running index past the sample's first pair.
-        base = first.take(sample) - ends + count
         i = 0
         while i < len(sample):  # about PAIR_CHUNK pairs at a time, at least one sample
-            done = ends[i] - count[i]
-            j = max(i + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+            j = max(i + 1, int(np.searchsorted(ends, ends[i] - count[i] + PAIR_CHUNK, "right")))
             c = count[i:j]
-            pos = np.repeat(base[i:j], c)
-            pos += np.arange(done, done + len(pos))
+            pos = _runs(first[i:j], c)  # the pairs' places in the block lists
             dx, dy = (np.repeat(v.take(sample[i:j]), c) - u.take(pos)
                       for v, u in ((xy[:, 0], self.xs), (xy[:, 1], self.ys)))
             s = dx * dx + dy * dy

@@ -4,13 +4,14 @@ Scenes are loaded from UTF-8 JSON files.  Each record's dataclass fields
 declare its JSON fields, in the order they are read, with their reader and
 whether a file must give them (see ``_json``).  All lengths are meters,
 angles degrees, costs abstract currency units.  A scene is immutable after
-load and safe to share across workers.
+load.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -262,6 +263,11 @@ def validate_scene(scene: Scene) -> list[str]:
         elif spec.beam_count > MAX_BEAMS:
             bad.append(f"sensor {spec.type_id!r}: {spec.beam_count} beams per revolution "
                        f"exceed the limit of {MAX_BEAMS}")
+    for what, ids in (("road segment", [seg.id for seg in scene.road_segments]),
+                      ("obstacle", [obs.id for obs in scene.obstacles]),
+                      ("mount zone", [zone.id for zone in scene.mount_zones]),
+                      ("sensor", [spec.type_id for spec in scene.catalog])):
+        bad += [f"{what} {i!r}: id is used {n} times" for i, n in Counter(ids).items() if n > 1]
     return bad
 
 

@@ -886,6 +886,8 @@ def _nan_first_x(text):
     ("solution.json", _set_field("constraint", {"kind": "count", "value": 3.5}), "render"),
     ("solution.json", lambda text: "{ not json", "eval"),
     ("solution.json", _set_field("format", 2), "render"),
+    ("candidates.csv", _set_first_column(0, "banana"), "solve"),
+    ("targets.csv", _set_first_column(0, "1"), "eval"),
 ], ids=["targets-short-row", "candidates-short-row", "solution-list", "solution-no-selected",
         "solution-selected-past-end", "solution-selected-negative", "solution-selected-float",
         "solution-covered-past-end", "solution-objective-nan", "solution-objective-inf",
@@ -896,7 +898,7 @@ def _nan_first_x(text):
         "solution-unverified-render", "solution-constraint-negative",
         "solution-constraint-kind", "solution-selected-bool", "solution-covered-float",
         "solution-covered-bool", "solution-constraint-inf", "solution-constraint-fractional",
-        "solution-not-json", "solution-format-2"])
+        "solution-not-json", "solution-format-2", "candidates-idx-text", "targets-idx-repeated"])
 def test_malformed_artifact_exit_2_names_file(pipeline_dir, tmp_path, capsys,
                                               name, damage, stage):
     out = tmp_path / "damaged"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,20 @@ def test_candidates_csv_round_trip(tmp_path, demo_scene, demo_candidates_t3):
         read_candidates_csv(path, catalog=())
     header = path.read_text().splitlines()[0]
     assert header.split(",") == CANDIDATES_CSV_HEADER
+
+
+@pytest.mark.parametrize("idx", ["banana", "2", "-1", "01", " 1", ""])
+def test_csv_rejects_an_idx_off_its_row(tmp_path, demo_targets, demo_candidates_t3, idx):
+    """Column 0 must be each row's 0-based position, as the writers number it."""
+    for write, read, rows in ((write_targets_csv, read_targets_csv, demo_targets),
+                              (write_candidates_csv, read_candidates_csv, demo_candidates_t3)):
+        path = tmp_path / "a.csv"
+        write(rows, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = idx + lines[2][1:]  # the second row, idx 1
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: idx {idx!r}, expected 1")):
+            read(path)
 
 
 def test_targets_csv_rejects_wrong_header(tmp_path):

@@ -19,6 +19,7 @@ from lidarplan import (
     Cardinality,
     DeploymentProblem,
     MountZone,
+    Obstacle,
     RoadSegment,
     Scene,
     SensorSpec,
@@ -39,7 +40,14 @@ from lidarplan import (
 from lidarplan import evaluation, raycast
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, _trial_rng, write_gain_curve_csv
 from lidarplan.raycast import _prisms, simulate_sensor
-from test_raycast import culling_case, ground_level_wall
+from test_raycast import (
+    assert_culled_casts_match_oracles,
+    culling_case,
+    ground_level_wall,
+    make_candidate,
+    open_scene,
+    spec,
+)
 
 
 def rect(x0, y0, x1, y1):
@@ -404,6 +412,34 @@ def test_trial_keeps_a_target_seen_at_ground_level_through_a_vehicle(monkeypatch
     assert assert_trials_match_simulated_recast(
         scene, targets, [cand], delta, None, VehicleModel(count=1), 0
     ) == (0.5,) * 3
+
+
+def test_culled_casts_match_oracles_across_the_seam(monkeypatch):
+    # From a mount at the origin, a low wall across the -x axis, whose
+    # azimuth window runs on past pi, and beyond it a vehicle across the
+    # axis, whose window starts below -pi.  The rays that reach targets
+    # behind either, on both sides of the axis, lie on both sides of the
+    # seam at +-pi, where one turn of azimuths would end the windows.
+    sensor = spec(channels=6, vmin=-40.0, vmax=-8.0, step=3.0, range_m=40.0)
+    cand = make_candidate(0.0, 0.0, 5.0, sensor)
+    wall = Obstacle(id="wall", footprint=rect(-9.0, -1.0, -8.0, 1.5), height=1.0)
+    vehicle = Obstacle(id="vehicle", footprint=rect(-20.0, -1.25, -16.0, 0.75), height=1.6)
+    scene = open_scene(wall)
+    pattern = raycast._pattern(sensor, 5.0, 0.0)
+    _, stop = raycast._windows(np.array([0.0, 0.0, 5.0]), pattern.phi,
+                               _prisms([wall, vehicle], 0.0), sensor.range_m)
+    assert (stop > len(pattern.dirs)).all()  # both windows run into the second turn
+    xs, ys = np.meshgrid(np.arange(-24.0, -3.0), np.arange(-4.0, 5.0))
+    points = np.column_stack([xs.ravel(), ys.ravel()])
+    targets = TargetGrid(points=points, weights=np.ones(len(points)),
+                         segment_of=("r",) * len(points))
+    bits, _ = assert_culled_casts_match_oracles(scene, targets, [cand], 0.8, None)
+    seen = points[bits[0]]
+    assert (seen[:, 0] < -9.0).any() and (seen[:, 1] > 0).any() and (seen[:, 1] < 0).any()
+    monkeypatch.setattr(evaluation, "_sample_vehicles", lambda scene, vehicle_, rng: [vehicle])
+    coverages = assert_trials_match_simulated_recast(
+        scene, targets, [cand], 0.8, None, VehicleModel(count=1), 0)
+    assert coverages[0] < bits[0].mean()  # the vehicle hides targets
 
 
 def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):

@@ -222,6 +222,34 @@ def test_validate_rejects_each_record_fault(overrides, message):
     assert validate_scene(minimal_scene(**overrides)) == [message]
 
 
+OTHER = ((20.0, 0.0), (30.0, 0.0), (30.0, 10.0), (20.0, 10.0))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"road_segments": (RoadSegment(id="a", polygon=SQUARE),
+                                    RoadSegment(id="a", polygon=OTHER, priority_weight=5.0))},
+                 "road segment 'a': id is used 2 times", id="road"),
+    pytest.param({"obstacles": tuple(Obstacle(id="a", footprint=f, height=1.0)
+                                     for f in (SQUARE, OTHER, SQUARE))},
+                 "obstacle 'a': id is used 3 times", id="obstacle"),
+    pytest.param({"mount_zones": (MountZone(id="a", geometry=SQUARE, allowed_heights=(5.0,)),
+                                  MountZone(id="a", geometry=OTHER, allowed_heights=(3.0,)))},
+                 "mount zone 'a': id is used 2 times", id="zone"),
+    pytest.param({"catalog": (_spec(type_id="a"), _spec(type_id="a", range_m=25.0))},
+                 "sensor 'a': id is used 2 times", id="sensor"),
+])
+def test_validate_rejects_repeated_ids(overrides, message):
+    """One message per repeated id, however often it repeats."""
+    assert validate_scene(minimal_scene(**overrides)) == [message]
+
+
+def test_validate_compares_ids_within_a_family_only():
+    """An id that one road segment, one obstacle and one sensor share is no repeat."""
+    scene = minimal_scene(obstacles=(Obstacle(id="r", footprint=OTHER, height=1.0),),
+                          catalog=(_spec(type_id="r"),))
+    assert validate_scene(scene) == []
+
+
 def test_pipeline_on_an_invalid_scene_file_exit_2(demo_scene, tmp_path, capsys):
     data = scene_dict(demo_scene)
     data["mount_zones"][1]["install_surcharge"] = -1.0
