@@ -25,9 +25,9 @@ which samples may vouch for a target.  Only ground returns can, so the grid
 and the evaluation proxies cast only the beams of a ground pattern
 (_pattern, with each beam's ground offset from the mount), and of those only
 the ones whose ground point lands near a target of the TargetIndex
-(GroundReturns, all built by _ground_returns, which cuts the windows of all
-mounts of a pattern at once).  An unblocked ray returns its ground point as
-is.  simulate_sensor gives the full cloud.
+(GroundReturns, all built by _ground_returns, which makes one pattern per
+spec and mount z; each cast takes its own windows).  An unblocked ray returns
+its ground point as is.  simulate_sensor gives the full cloud.
 
 Sample-to-target pairs are found through a TargetIndex: a uniform bucket
 grid over the target points with cells at least delta wide, so every
@@ -190,14 +190,14 @@ def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarr
 
 def _windows(origin: np.ndarray, phi: np.ndarray, prisms: _PrismSet,
              max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """(start, stop), each (..., P) for mounts at origin (..., 3): per prism,
-    one span of positions in phi (twice round, _Rays) holding every ray that
-    can reach its cull box, once: those whose azimuth lies in the interval
-    the box, grown by WINDOW_SLACK_M, spans from the origin, widened by
+    """(start, stop), each (P,) for a mount at origin (3,): per prism, one
+    span of positions in phi (twice round, _Rays) holding every ray that can
+    reach its cull box, once: those whose azimuth lies in the interval the
+    box, grown by WINDOW_SLACK_M, spans from the origin, widened by
     WINDOW_SLACK_RAD each side.  A prism without a box, or whose grown box
     holds the origin, gets [0, n), all n rays; one whose grown box is farther
     than max_range + WINDOW_SLACK_M gets an empty span."""
-    ox, oy = origin[..., 0, None], origin[..., 1, None]
+    ox, oy = origin[:2]
     cx, cy, hx, hy = prisms.boxes.T
     hx, hy = hx + WINDOW_SLACK_M, hy + WINDOW_SLACK_M
     vx, vy = cx - ox, cy - oy
@@ -206,11 +206,11 @@ def _windows(origin: np.ndarray, phi: np.ndarray, prisms: _PrismSet,
     far = ~prisms.boxless & (gap > max_range + WINDOW_SLACK_M)
     # A box clear of the origin lies in an open half-plane through it, so
     # each corner is less than pi from the centre's direction.
-    vx, vy = vx[..., None], vy[..., None]
+    centre = np.arctan2(vy, vx)
+    vx, vy = vx[:, None], vy[:, None]
     ux = vx + hx[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
     uy = vy + hy[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
     turn = np.arctan2(vx * uy - vy * ux, vx * ux + vy * uy)
-    centre = np.arctan2(vy[..., 0], vx[..., 0])
     lo = centre + turn.min(axis=-1) - WINDOW_SLACK_RAD
     hi = centre + turn.max(axis=-1) + WINDOW_SLACK_RAD
     # The interval is narrower than a turn and starts above -2 pi - slack.
@@ -235,10 +235,10 @@ def _pairs(start: np.ndarray, stop: np.ndarray, order: np.ndarray) -> tuple[np.n
 
 
 def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float,
-              t_start: np.ndarray, cuts: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+              t_start: np.ndarray) -> np.ndarray:
     """Nearest hit distance per ray once the prisms are clipped against the
     rays in rays.order, starting from t_start (the ground, or an earlier
-    cast of the same rays).  cuts: the prisms' _windows, if already cut.
+    cast of the same rays).
 
     A prism is clipped only against the rays of its window (_windows) whose
     planar path from the origin to min(t_start, max_range) meets its box.
@@ -250,8 +250,7 @@ def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: flo
     """
     t_best = t_start.copy()
     ox, oy, oz = origin
-    start, stop = _windows(origin, rays.phi, prisms, max_range) if cuts is None else cuts
-    ray, prism = _pairs(start, stop, rays.order)
+    ray, prism = _pairs(*_windows(origin, rays.phi, prisms, max_range), rays.order)
     dx, dy, dz = (d[ray] for d in rays.dirs.T)
     reach = np.minimum(t_start[ray], max_range)
 
@@ -360,13 +359,14 @@ class GroundReturns:
     plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
     that fits in half the cells' slack over delta (the rest covers the cell
     arithmetic), any target within delta of the hit is in the block.  Only
-    the kept rays' order and phi are copied; other per-ray arrays keep the
-    pattern's numbering.  Built by _ground_returns."""
+    the kept rays' order and phi are copied, and the cast takes its windows
+    on them; other per-ray arrays keep the pattern's numbering.  Built by
+    _ground_returns."""
 
     def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
-                 index: "TargetIndex", cuts: tuple[np.ndarray, np.ndarray]):
+                 index: "TargetIndex"):
         """pattern: _pattern of the spec and mount z; prisms: the scene's
-        obstacles (_prisms); cuts: their _windows on pattern.phi from this mount."""
+        obstacles (_prisms)."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
@@ -382,10 +382,8 @@ class GroundReturns:
             keep = index.occupied[self.key]
             self.live = np.flatnonzero(keep)
             keep = keep[self.rays.order]  # twice round, as order and phi
-            rank = np.cumsum(np.concatenate(([0], keep)))  # kept rays before each position
-            cuts = tuple(rank[c] for c in cuts)  # the same spans among the kept rays
             self.rays = self.rays._replace(order=self.rays.order[keep], phi=self.rays.phi[keep])
-        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground, cuts)
+        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground)
 
     def clip(self, extra: _PrismSet) -> np.ndarray:
         """Every ray's nearest hit once the `extra` prisms (_prisms) join
@@ -417,8 +415,7 @@ def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene:
                     index: "TargetIndex"):
     """Yield (row, GroundReturns) for the candidates at `rows` in the static
     scene, grouped by spec and mount z in order of first use, one pattern
-    alive at a time; the scene's prisms are made once, and the windows from
-    all mounts of a pattern are cut in one pass."""
+    alive at a time; the scene's prisms are made once."""
     ground_z = scene.ground_elevation
     prisms = _prisms(scene.obstacles, ground_z)
     groups: dict[tuple[SensorSpec, float], list[int]] = {}
@@ -426,9 +423,8 @@ def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene:
         groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
     for (spec, z), members in groups.items():
         pattern = _pattern(spec, z, ground_z)
-        origins = np.array([_mount(candidates[i], scene) for i in members])
-        for i, *cuts in zip(members, *_windows(origins, pattern.phi, prisms, spec.range_m)):
-            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index, cuts)
+        for i in members:
+            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index)
 
 
 def eligible_samples(

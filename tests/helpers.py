@@ -285,6 +285,26 @@ def reference_cast_all(
     return t_best
 
 
+def reference_cloud(candidate, scene) -> np.ndarray:
+    """simulate_sensor's cloud without the culled cast: every beam against
+    every obstacle through reference_cast_all, then the nearest hits turned
+    into (x, y, z, intensity) rows as the library does, ground hits stamped
+    to the ground elevation, in beam order."""
+    gz, max_range = scene.ground_elevation, candidate.sensor.range_m
+    origin = np.array([candidate.x, candidate.y, gz + candidate.height])
+    dirs = raycast.generate_beams(candidate.sensor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = (gz - origin[2]) / dirs[:, 2]
+    t_ground = np.where((dirs[:, 2] != 0) & (t_ground > HIT_EPS), t_ground, np.inf)
+    prisms = [raycast._prism(o, gz) for o in scene.obstacles]
+    t_best = reference_cast_all(origin, dirs, prisms, max_range, t_ground)
+    hit = np.isfinite(t_best) & (t_best <= max_range)
+    t = t_best[hit]
+    pos = origin + t[:, None] * dirs[hit]
+    pos[t == t_ground[hit], 2] = gz
+    return np.column_stack([pos, 1.0 - t / max_range])
+
+
 def reference_distances(index, xy, key=None):
     """The target index's pair lookup with np.hypot on every pair, which
     TargetIndex.within replaced, kept as its oracle: yield (target ids,

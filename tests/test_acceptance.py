@@ -14,7 +14,13 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import record_acceptance
-from helpers import brute_force_visibility, convex_polygon, exhaustive_best, random_instance
+from helpers import (
+    brute_force_visibility,
+    convex_polygon,
+    exhaustive_best,
+    random_instance,
+    reference_cloud,
+)
 from lidarplan import (
     Budget,
     Candidate,
@@ -155,7 +161,7 @@ def test_criterion_3_visibility_grid_matches_brute_force():
         scene, targets, cands = micro_scene(rng, n_obstacles=int(rng.integers(0, 4)))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene) for c in cands]
+        clouds = [reference_cloud(c, scene) for c in cands]
         want = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )

@@ -11,6 +11,7 @@ from helpers import (
     brute_force_visibility,
     exhaustive_best,
     random_instance,
+    reference_cloud,
     scattered_targets,
 )
 from lidarplan import (
@@ -372,7 +373,7 @@ def test_occlusion_trials_match_full_recast(
 def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity_min,
                                          vehicle, seed):
     """Each trial's coverage with every candidate selected against the
-    quadratic oracle on simulate_sensor's clouds with the trial's vehicles
+    quadratic oracle on reference_cloud's clouds with the trial's vehicles
     added, drawn from the same substreams.  Returns the coverages."""
     xy, w, gz = [tuple(p) for p in targets.points], targets.weights, scene.ground_elevation
     everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
@@ -382,7 +383,7 @@ def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity
     for t, got in enumerate(report.per_trial):
         boxes = evaluation._sample_vehicles(scene, vehicle, evaluation._trial_rng(seed, t))
         trial_scene = replace(scene, obstacles=scene.obstacles + tuple(boxes))
-        clouds = [simulate_sensor(c, trial_scene) for c in cands]
+        clouds = [reference_cloud(c, trial_scene) for c in cands]
         covered = brute_force_visibility(clouds, xy, delta, gz, intensity_min).any(axis=0)
         assert got == float(w[covered].sum()) / float(w.sum())
     return report.per_trial

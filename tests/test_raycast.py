@@ -14,6 +14,7 @@ from helpers import (
     convex_polygon,
     reference_cast_all,
     reference_clip_prism,
+    reference_cloud,
     reference_distances,
     scattered_targets,
 )
@@ -772,6 +773,24 @@ def test_ground_returns_from_mounts_at_or_below_ground():
         assert np.array_equal(ground_returns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
 
 
+def test_each_cast_cuts_only_its_own_windows(monkeypatch):
+    # 50 mounts of one spec and height share a pattern, but the first cast
+    # pulled cuts the windows from its own mount alone, once
+    s = spec(channels=4, vmin=-30.0, vmax=-5.0, step=10.0)
+    cands = [make_candidate(2.0 * k - 50.0, 3.0, 5.0, s) for k in range(50)]
+    scene = open_scene(Obstacle(id="b", footprint=rect(3.0, -2.0, 5.0, 2.0), height=3.0))
+    index = TargetIndex(np.array([[0.0, 0.0], [10.0, 10.0]]), 1.0)
+    windows, shapes = raycast._windows, []
+
+    def recorded(origin, *args):
+        shapes.append(np.shape(origin))
+        return windows(origin, *args)
+
+    monkeypatch.setattr(raycast, "_windows", recorded)
+    next(_ground_returns(cands, range(len(cands)), scene, index))
+    assert shapes == [(3,)]
+
+
 def test_visibility_row_empty_targets():
     empty = TargetGrid(
         points=np.zeros((0, 2)),
@@ -1011,9 +1030,9 @@ def culling_case(rng):
 
 def assert_culled_casts_match_oracles(scene, targets, cands, delta, intensity_min):
     """Grid rows, and the density and coverage the eval stage reports over
-    every candidate, against the quadratic oracles on simulate_sensor."""
+    every candidate, against the quadratic oracles on reference_cloud."""
     gz, xy, w = scene.ground_elevation, [tuple(p) for p in targets.points], targets.weights
-    clouds = [simulate_sensor(c, scene) for c in cands]
+    clouds = [reference_cloud(c, scene) for c in cands]
     grid = build_visibility_grid(tuple(cands), targets, scene, delta, intensity_min)
     bits = brute_force_visibility(clouds, xy, delta, gz, intensity_min)
     assert np.array_equal(grid.bits, bits)
