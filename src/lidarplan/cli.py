@@ -10,8 +10,8 @@ byte-identical artifacts.  `--jobs` is kept for compatibility (old command
 lines and config files) and has no effect: the grid is built in one thread.
 
 Exit codes: 0 success, 1 infeasible stage or solver refusal, 2 input error,
-3 internal error (an invariant breach or any other exception), each with one
-line on stderr.
+3 internal error (any other exception, a bug), each with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -742,9 +742,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"[{getattr(args, 'command', '?')}] error: {exc}", file=sys.stderr)
         return exc.code
-    except AssertionError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a bug, not bad input: one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -146,9 +146,9 @@ def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
             f"no lattice point at spacing {spacing} falls inside any road segment"
         )
     points = np.column_stack([flat_x[keep], flat_y[keep]])
-    seg_ids = tuple(scene.road_segments[k].id for k in owner[keep])
-    weight_by_seg = {s.id: s.priority_weight for s in scene.road_segments}
-    weights = np.array([weight_by_seg[s] for s in seg_ids], dtype=np.float64)
+    owned = owner[keep]
+    seg_ids = tuple(scene.road_segments[k].id for k in owned)
+    weights = np.array([s.priority_weight for s in scene.road_segments], dtype=np.float64)[owned]
     return TargetGrid(points=points, weights=weights, segment_of=seg_ids)
 
 

@@ -6,9 +6,9 @@ caller solved (the CLI's Run.solved, which solves each distinct problem of
 a run once).  The detection-quality proxies are geometric (sample density,
 coverage under random occluders), not object-detection metrics; reports
 label them as proxies.  Both come from one cast of each selected sensor's
-ground rays into the static scene (raycast.GroundReturns): an occlusion
-trial clips only its vehicles against those rays and recounts only the rays
-they block.
+ground rays into the static scene (raycast.GroundReturns), which hands out
+its eligible sample positions: an occlusion trial clips only its vehicles
+against those rays and recounts only the samples of the rays they block.
 """
 
 from __future__ import annotations
@@ -200,11 +200,12 @@ def occlusion_monte_carlo(
     boxes, and the static scene's sample density and covered targets.
 
     Vehicles can only bring a beam's hit nearer, so each selected sensor is
-    cast once against the static scene, whose samples give each target its
-    density and strict count (sample_density).  A trial clips its vehicles
-    against the sensor's rays; the rays they block trade their static
-    sample for their new hit if still eligible, and a target is covered
-    while its strict count is above 0, as in a recast with the vehicles.
+    cast once against the static scene, whose eligible sample positions
+    give each target its density and strict count (sample_density).  A
+    trial hands its vehicles to the cast (GroundReturns.blocked): the
+    samples of the rays they block are lost, those rays' new eligible
+    samples are gained, and a target is covered while its strict count is
+    above 0, as in a recast with the vehicles.
     Prisms are made once.  Each trial draws its vehicles from its own
     Python random.Random stream, seeded by (seed, trial) (_trial_rng).
     """
@@ -223,18 +224,14 @@ def occlusion_monte_carlo(
     density = np.zeros(len(targets), dtype=np.int64)
     static_covered = np.zeros(len(targets), dtype=bool)
     index = TargetIndex(targets.points, delta)
-    for i, sensor in _ground_returns(candidates, solution.selected, scene, index):
-        ray, xy, key = sensor.eligible(intensity_min)
-        closed, strict = sample_density(xy, index, key)
+    for _, sensor in _ground_returns(candidates, solution.selected, scene, index, intensity_min):
+        closed, strict = sample_density(sensor.xy, index)
         density += closed
         static_covered |= strict > 0
         for t, vehicles in enumerate(trial_prisms):
-            t_best = sensor.clip(vehicles)
-            nearer = t_best < sensor.t_static
-            lost = nearer[ray]  # the blocked rays' static samples
-            _, new_xy, new_key = sensor.eligible(intensity_min, t_best, np.flatnonzero(nearer))
-            lost_count = sample_density(xy[lost], index, key[lost])[1]
-            covered[t] |= strict - lost_count + sample_density(new_xy, index, new_key)[1] > 0
+            lost, new_xy = sensor.blocked(vehicles)
+            lost_count = sample_density(sensor.xy[lost], index)[1]
+            covered[t] |= strict - lost_count + sample_density(new_xy, index)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         mean_coverage=float(np.mean(coverages)),
@@ -246,14 +243,13 @@ def occlusion_monte_carlo(
     )
 
 
-def sample_density(xy: np.ndarray, index: TargetIndex,
-                   key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sample_density(xy: np.ndarray, index: TargetIndex) -> tuple[np.ndarray, np.ndarray]:
     """(closed, strict): per indexed target, the samples of xy (eligible
-    returns, GroundReturns.eligible) at np.hypot(dx, dy) <= index.delta, a
-    proxy for how strongly each cell is observed, and those < index.delta,
+    sample positions, GroundReturns.xy) at np.hypot(dx, dy) <= index.delta,
+    a proxy for how strongly each cell is observed, and those < index.delta,
     raycast.visibility_row's strict radius."""
     closed, strict = np.zeros((2, index.size), dtype=np.int64)
-    for ids, near, inside in index.within(xy, key):
+    for ids, near, inside in index.within(xy):
         closed += np.bincount(ids.compress(near), minlength=index.size)
         strict += np.bincount(ids.compress(inside), minlength=index.size)
     return closed, strict

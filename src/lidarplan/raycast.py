@@ -24,18 +24,20 @@ cloud lies within planar distance delta of it; see eligible_samples for
 which samples may vouch for a target.  Only ground returns can, so the grid
 and the evaluation proxies cast only the beams of a ground pattern
 (_pattern, with each beam's ground offset from the mount), and of those only
-the ones whose ground point lands near a target of the TargetIndex
-(GroundReturns, all built by _ground_returns, which makes one pattern per
-spec and mount z; each cast takes its own windows).  An unblocked ray returns
-its ground point as is.  simulate_sensor gives the full cloud.
+the ones whose ground point TargetIndex.near keeps (GroundReturns, all built
+by _ground_returns, which makes one pattern per spec and mount z; each cast
+takes its own windows).  An unblocked ray returns its ground point as is.
+A cast hands out its eligible sample positions, and those of the rays that
+extra obstacles block; simulate_sensor gives the full cloud.
 
-Sample-to-target pairs are found through a TargetIndex: a uniform bucket
-grid over the target points with cells at least delta wide, so every
-target within delta of a sample lies in the 3x3 block of cells around it,
-stored as one list.  Each pair is decided on dx*dx + dy*dy, and by np.hypot
-only within a band around delta^2 that rounding cannot cross, so both
-tests match np.hypot: visibility is the strict one (distance < delta),
-sample density counts the closed one (<= delta).
+Sample-to-target pairs are found through a TargetIndex, which alone maps
+points to buckets: a uniform bucket grid over the target points with cells
+at least delta wide, so every target within delta of a sample lies in the
+3x3 block of cells around the sample's own, stored as one list.  Each pair
+is decided on dx*dx + dy*dy, and by np.hypot only within a band around
+delta^2 that rounding cannot cross, so both tests match np.hypot:
+visibility is the strict one (distance < delta), sample density counts the
+closed one (<= delta).
 """
 
 from __future__ import annotations
@@ -349,70 +351,64 @@ def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
 
 
 class GroundReturns:
-    """The beams of one mounted sensor that can vouch for a target, cast
-    once against a scene: of its _pattern, where `stray` allows, only those
-    whose ground point's bucket in the TargetIndex has a target in its 3x3
-    block, their samples looked up by those buckets.  That is exact: a
-    ground return lies on its ground point, and an eligible obstacle hit at
-    t (oz + t*dz rounds to gz = ground_z) from h = oz - gz > HIT_EPS, with
-    u = 2^-53 and u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h,
-    plus O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray`.  Where
-    that fits in half the cells' slack over delta (the rest covers the cell
-    arithmetic), any target within delta of the hit is in the block.  Only
-    the kept rays' order and phi are copied, and the cast takes its windows
-    on them; other per-ray arrays keep the pattern's numbering.  Built by
-    _ground_returns."""
+    """The eligible samples of one mounted sensor, cast once against a
+    scene: ray (pattern numbering) and xy (N, 2), in ray order.  Of its
+    _pattern, only the beams whose ground point TargetIndex.near keeps are
+    cast.  That loses no sample within delta of a target: a ground return
+    lies on its ground point, and an eligible obstacle hit at t (oz + t*dz
+    rounds to gz = ground_z) from h = oz - gz > HIT_EPS, with u = 2^-53 and
+    u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h, plus
+    O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray` (inf where
+    those bounds fail), the reach near is given.  Only the kept rays' order
+    and phi are copied, and the cast takes its windows on them; other
+    per-ray arrays keep the pattern's numbering.  Built by _ground_returns."""
 
     def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
-                 index: "TargetIndex"):
+                 index: "TargetIndex", intensity_min: float | None):
         """pattern: _pattern of the spec and mount z; prisms: the scene's
-        obstacles (_prisms)."""
+        obstacles (_prisms); intensity_min: eligible_samples' floor."""
         self.origin = _mount(candidate, scene)
         self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
-        self.index, self.key = index, None
-        self.rays = pattern
-        self.live = np.arange(len(self.rays.dirs))  # the rays cast, in beam order
+        self.intensity_min = intensity_min
         ox, oy = np.abs(self.origin[:2])
         gz, r, h = abs(self.ground_z), self.max_range, self.origin[2] - self.ground_z
-        stray = 2.0**-49 * (r * (gz + h) / h + ox + oy + r) if h > HIT_EPS else np.inf
-        if 2.0**-52 * gz <= h and stray <= (index.cell - index.delta) / 2:
-            # The ground points, rounded as _returns rounds ground returns.
-            self.key = index._keys((self.origin[:2, None] + self.rays.offsets).T)
-            keep = index.occupied[self.key]
-            self.live = np.flatnonzero(keep)
-            keep = keep[self.rays.order]  # twice round, as order and phi
-            self.rays = self.rays._replace(order=self.rays.order[keep], phi=self.rays.phi[keep])
-        self.t_static = _cast_all(self.origin, self.rays, prisms, r, self.rays.t_ground)
+        stray = (2.0**-49 * (r * (gz + h) / h + ox + oy + r)
+                 if h > HIT_EPS and 2.0**-52 * gz <= h else np.inf)
+        # The ground points, rounded as _returns rounds ground returns.
+        near = index.near((self.origin[:2, None] + pattern.offsets).T, stray)
+        keep = near[pattern.order]  # twice round, as order and phi
+        self.rays = pattern._replace(order=pattern.order[keep], phi=pattern.phi[keep])
+        self.t_static = _cast_all(self.origin, self.rays, prisms, r, pattern.t_ground)
+        self.ray, self.xy = self._eligible(self.t_static, np.flatnonzero(near))
 
-    def clip(self, extra: _PrismSet) -> np.ndarray:
-        """Every ray's nearest hit once the `extra` prisms (_prisms) join
-        the static scene: below t_static where they block the ray nearer."""
-        return _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
+    def blocked(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
+        """(lost, new_xy) once the `extra` prisms (_prisms) join the static
+        scene: lost masks the samples of xy whose rays they block nearer,
+        and new_xy holds those rays' new eligible samples."""
+        t = _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
+        nearer = t < self.t_static
+        return nearer[self.ray], self._eligible(t, np.flatnonzero(nearer))[1]
 
-    def eligible(self, intensity_min: float | None, t: np.ndarray | None = None,
-                 rays: np.ndarray | None = None):
-        """(rays, xy, key) of the returns of `rays` (default: all cast) that
-        eligible_samples keeps, in ray order, with t (default t_static) read
-        at them: their rays, planar xy (N, 2) and index buckets.  A return
-        at t_ground is its ray's ground point; only the rays an obstacle
-        stops short are computed, as _returns does."""
-        rays = self.live if rays is None else rays
-        t = (self.t_static if t is None else t)[rays]
+    def _eligible(self, t: np.ndarray, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rays, xy) of the returns of `rays`, with t read at them, that
+        eligible_samples keeps, in ray order: their rays and planar xy
+        (N, 2).  A return at t_ground is its ray's ground point; only the
+        rays an obstacle stops short are computed, as _returns does."""
+        t = t[rays]
         keep = t <= self.max_range
-        if intensity_min is not None:
-            keep &= 1.0 - t / self.max_range >= intensity_min
+        if self.intensity_min is not None:
+            keep &= 1.0 - t / self.max_range >= self.intensity_min
         short = np.flatnonzero(keep & (t != self.rays.t_ground[rays]))
         pos = self.origin[:, None] + t[short] * self.rays.dirs.take(rays[short], axis=0).T
         keep[short] = pos[2] == self.ground_z
         xy = self.origin[:2, None] + self.rays.offsets.take(rays, axis=1)  # the ground points
         xy[:, short] = pos[:2]
-        ray, xy = rays.compress(keep), xy.compress(keep, axis=1).T
-        return ray, xy, self.index._keys(xy) if self.key is None else self.key[ray]
+        return rays.compress(keep), xy.compress(keep, axis=1).T
 
 
 def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene: Scene,
-                    index: "TargetIndex"):
+                    index: "TargetIndex", intensity_min: float | None):
     """Yield (row, GroundReturns) for the candidates at `rows` in the static
     scene, grouped by spec and mount z in order of first use, one pattern
     alive at a time; the scene's prisms are made once."""
@@ -424,7 +420,7 @@ def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene:
     for (spec, z), members in groups.items():
         pattern = _pattern(spec, z, ground_z)
         for i in members:
-            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index)
+            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index, intensity_min)
 
 
 def eligible_samples(
@@ -452,7 +448,8 @@ class TargetIndex:
     of a sample lies in the 3x3 block of cells around the sample's cell,
     and doubles while there would be more than BUCKETS_PER_TARGET cells per
     target, so a wide extent with a tiny delta still takes little memory.
-    Each cell's block is stored as one list, so a sample looks up one list.
+    Each cell's block is stored as one list, so a sample looks up one list,
+    its own cell's (within); near tells which points' blocks hold a target.
     Any point set works: a lattice, targets read back from CSV, scattered or
     duplicate points, or none at all.
     """
@@ -497,12 +494,21 @@ class TargetIndex:
         cy = np.fmin(np.fmax(np.floor((xy[:, 1] - self.lo[1]) / self.cell), -2.0), self.ny + 1)
         return ((cy + 2) * self.width + (cx + 2)).astype(np.intp)
 
-    def within(self, xy: np.ndarray, key: np.ndarray | None = None):
+    def near(self, xy: np.ndarray, stray: float) -> np.ndarray:
+        """Whether each point's bucket has a target in its 3x3 block, which
+        holds every target within delta of any point within `stray` of it;
+        all True when stray exceeds half the cells' slack over delta (the
+        rest covers the cell arithmetic)."""
+        if stray > (self.cell - self.delta) / 2:
+            return np.ones(len(xy), dtype=bool)
+        return self.occupied[self._keys(xy)]
+
+    def within(self, xy: np.ndarray):
         """Yield (ids, closed, strict) chunks over every (sample, target)
         pair in a sample's block, so every pair within delta, each once: the
         target ids, and whether np.hypot(dx, dy) <= delta and < delta (read
-        off dx*dx + dy*dy outside the band).  key (_keys(xy)) may be given."""
-        key = self._keys(xy) if key is None else key
+        off dx*dx + dy*dy outside the band)."""
+        key = self._keys(xy)
         first = self.start.take(key)
         count = self.start.take(key + 1) - first
         sample = np.flatnonzero(count)
@@ -524,13 +530,12 @@ class TargetIndex:
             i = j
 
 
-def visibility_row(xy: np.ndarray, index: TargetIndex,
-                   key: np.ndarray | None = None) -> np.ndarray:
+def visibility_row(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
     """Boolean row over the indexed targets: target j is visible iff some
-    eligible sample of xy (GroundReturns.eligible) lies at planar distance
+    eligible sample of xy (GroundReturns.xy) lies at planar distance
     np.hypot(dx, dy) < index.delta from it (a strict radius)."""
     row = np.zeros(index.size, dtype=bool)
-    for ids, _, strict in index.within(xy, key):
+    for ids, _, strict in index.within(xy):
         row[ids.compress(strict)] = True
     return row
 
@@ -590,7 +595,7 @@ def build_visibility_grid(
     and has no effect).  TargetIndex rejects a delta that is not > 0."""
     bits = np.zeros((len(candidates), len(targets)), dtype=bool)
     index = TargetIndex(targets.points, delta)
-    for i, returns in _ground_returns(candidates, range(len(candidates)), scene, index):
-        _, xy, key = returns.eligible(intensity_min)
-        bits[i, :] = visibility_row(xy, index, key)
+    for i, returns in _ground_returns(candidates, range(len(candidates)), scene, index,
+                                      intensity_min):
+        bits[i, :] = visibility_row(returns.xy, index)
     return VisibilityGrid(bits=bits, delta=delta)

@@ -305,13 +305,12 @@ def reference_cloud(candidate, scene) -> np.ndarray:
     return np.column_stack([pos, 1.0 - t / max_range])
 
 
-def reference_distances(index, xy, key=None):
+def reference_distances(index, xy):
     """The target index's pair lookup with np.hypot on every pair, which
     TargetIndex.within replaced, kept as its oracle: yield (target ids,
     distances) chunks over every (sample, target) pair in a sample's block,
-    each once, chunked and ordered as within yields them.  key
-    (index._keys(xy)) may be given."""
-    key = index._keys(xy) if key is None else key
+    each once, chunked and ordered as within yields them."""
+    key = index._keys(xy)
     first = index.start[key]
     count = index.start[key + 1] - first
     sample = np.flatnonzero(count)

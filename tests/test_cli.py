@@ -212,8 +212,8 @@ def test_pipeline_casts_and_filters_once(monkeypatch, tmp_path):
     # The flags of the exact-small benchmark: 24 candidates, 6 selected.
     # The grid stage filters each candidate's returns once, and the eval
     # stage casts each selected sensor into the static scene once, and
-    # filters those static returns once, for both the occlusion trials and
-    # the sample density.
+    # filters its static returns once, for both the occlusion trials and
+    # the sample density, and the blocked rays' returns once per trial.
     calls = {}
     stage = [None]
 
@@ -229,28 +229,20 @@ def test_pipeline_casts_and_filters_once(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         return counting
 
-    def static_counted(fn):
-        def counting(self, intensity_min, t=None, rays=None):
-            if t is None:
-                calls[stage[0], "static eligible"] = calls.get((stage[0], "static eligible"), 0) + 1
-            return fn(self, intensity_min, t, rays)
-        return counting
-
     for name in ("stage_grid", "stage_solve", "stage_eval", "stage_render"):
         monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
     monkeypatch.setattr(raycast.GroundReturns, "__init__",
                         counted("GroundReturns", raycast.GroundReturns.__init__))
-    monkeypatch.setattr(raycast.GroundReturns, "eligible",
-                        static_counted(counted("eligible", raycast.GroundReturns.eligible)))
+    monkeypatch.setattr(raycast.GroundReturns, "_eligible",
+                        counted("eligible", raycast.GroundReturns._eligible))
     assert run(["pipeline", "--types", "type-1", "--spacing", "3", "--candidate-spacing", "6",
                 "--count", "6", "--gain-budgets", "2", "--trials", "4", "--vehicles", "4",
                 "--jobs", "1", "--out", str(tmp_path)]) == 0
     selected = len(read_json(tmp_path / "solution.json")["selected"])
     rows = len((tmp_path / "candidates.csv").read_text().splitlines()) - 1
     assert (selected, rows) == (6, 24)
+    assert calls["stage_grid", "GroundReturns"] == calls["stage_grid", "eligible"] == rows
     assert calls["stage_eval", "GroundReturns"] == selected
-    assert calls["stage_grid", "eligible"] == calls["stage_grid", "static eligible"] == rows
-    assert calls["stage_eval", "static eligible"] == selected
     assert calls["stage_eval", "eligible"] == selected * (1 + 4)  # and one per trial
 
 

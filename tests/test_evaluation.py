@@ -504,7 +504,7 @@ def test_sample_density_matches_closed_radius_oracle_on_demo(
     density = static_density(
         solution, demo_scene, demo_targets, demo_candidates_t1, 1.5, intensity_min
     )
-    clouds = [simulate_sensor(demo_candidates_t1[i], demo_scene) for i in solution.selected]
+    clouds = [reference_cloud(demo_candidates_t1[i], demo_scene) for i in solution.selected]
     want = brute_force_density(clouds, [tuple(p) for p in demo_targets.points], 1.5,
                                demo_scene.ground_elevation, intensity_min)
     assert want.sum() > 0
@@ -514,7 +514,7 @@ def test_sample_density_matches_closed_radius_oracle_on_demo(
 def test_sample_density_matches_closed_radius_oracle_on_scattered_targets(rng):
     scene, _, cands, solution = micro_setup()
     assert len(solution.selected) == 2
-    clouds = [simulate_sensor(cands[i], scene) for i in solution.selected]
+    clouds = [reference_cloud(cands[i], scene) for i in solution.selected]
     counted = 0
     for n, duplicates in [(1, 0), (1, 2), (60, 15)]:
         # the samples reach well past [-25, 25)^2 and the targets beyond them

@@ -413,7 +413,7 @@ def cast_cases(draw):
 @given(case=cast_cases())
 def test_cast_all_equals_per_prism_reference(case):
     # a static cast, then one continued from it with more obstacles (as
-    # GroundReturns.clip adds vehicles), bit for bit, inf included
+    # GroundReturns.blocked adds vehicles), bit for bit, inf included
     origin, dirs, obstacles, split, max_range = case
     rays = _rays(dirs)
     got = want = _ground_t(origin, dirs, 0.0)
@@ -509,14 +509,14 @@ def test_cast_raises_no_warning(rng):
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = ground_returns(cand, open_scene(*obstacles[2:]))
-        assert len(returns.eligible(None, returns.clip(_prisms([NEEDLE], 0.0)))[1]) > 0
+        assert returns.blocked(_prisms([NEEDLE], 0.0))[0].any()
         # from mounts at and below the ground some beams never reach it,
-        # and the beams at azimuth 0 have dy == 0
+        # and the beams at azimuth 0 have dy == 0; building the returns
+        # filters the static ones
         for height in (0.0, -1.0, 0.5):
             cand = make_candidate(0.0, 0.0, height, spec(channels=9, vmin=-40, vmax=20, step=3.0))
             returns = ground_returns(cand, open_scene(*obstacles[2:]))
             assert np.isinf(returns.rays.t_ground).any() == (height <= 0.0)
-            returns.eligible(None)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +527,14 @@ def make_candidate(x, y, height, sensor):
     return Candidate(x=x, y=y, height=height, sensor=sensor, cost=sensor.unit_cost)
 
 
-def ground_returns(cand, scene):
+def ground_returns(cand, scene, intensity_min=None):
     """The candidate's GroundReturns as the pipeline builds them, with a
     TargetIndex over its pattern's own ground points, which culls no ray."""
     ground_z = scene.ground_elevation
     pattern = _pattern(cand.sensor, ground_z + cand.height, ground_z)
     index = TargetIndex((np.array([[cand.x], [cand.y]]) + pattern.offsets).T, 1.0)
-    [(_, returns)] = _ground_returns([cand], [0], scene, index)
-    assert len(returns.live) == len(pattern.dirs)
+    [(_, returns)] = _ground_returns([cand], [0], scene, index, intensity_min)
+    assert np.array_equal(returns.rays.order, pattern.order)
     return returns
 
 
@@ -648,7 +648,7 @@ def test_grid_matches_quadratic_brute_force(rng):
         cands = tuple(micro_candidates(rng, 3))
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
-        clouds = [simulate_sensor(c, scene) for c in cands]
+        clouds = [reference_cloud(c, scene) for c in cands]
         expected = brute_force_visibility(
             clouds, [tuple(p) for p in targets.points], delta, 0.0
         )
@@ -659,7 +659,7 @@ def test_grid_with_intensity_floor_matches_brute_force(rng):
     scene, targets = micro_scene_and_targets(rng)
     cands = tuple(micro_candidates(rng, 3))
     grid = build_visibility_grid(cands, targets, scene, delta=3.0, intensity_min=0.8)
-    clouds = [simulate_sensor(c, scene) for c in cands]
+    clouds = [reference_cloud(c, scene) for c in cands]
     expected = brute_force_visibility(
         clouds, [tuple(p) for p in targets.points], 3.0, 0.0, intensity_min=0.8
     )
@@ -753,9 +753,9 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     grid = build_visibility_grid(cands, demo_targets, demo_scene, 1.5, intensity_min)
     index = TargetIndex(demo_targets.points, 1.5)
     for i, cand in enumerate(cands):
-        full = simulate_sensor(cand, demo_scene)
+        full = reference_cloud(cand, demo_scene)
         want = eligible_samples(full, demo_scene.ground_elevation, intensity_min)[:, :2]
-        got = ground_returns(cand, demo_scene).eligible(intensity_min)[1]
+        got = ground_returns(cand, demo_scene, intensity_min).xy
         assert np.array_equal(got, want)
         row = visibility_row(want, index)
         assert np.array_equal(grid.bits[i], row)
@@ -768,9 +768,9 @@ def test_ground_returns_from_mounts_at_or_below_ground():
     s = spec(channels=5, vmin=-20, vmax=20, step=30.0)
     for height in (0.0, -1.0, 0.5):
         cand = make_candidate(0.0, 0.0, height, s)
-        want = eligible_samples(simulate_sensor(cand, open_scene(box)), 0.0, None)
+        want = eligible_samples(reference_cloud(cand, open_scene(box)), 0.0, None)
         assert len(want) > 0
-        assert np.array_equal(ground_returns(cand, open_scene(box)).eligible(None)[1], want[:, :2])
+        assert np.array_equal(ground_returns(cand, open_scene(box)).xy, want[:, :2])
 
 
 def test_each_cast_cuts_only_its_own_windows(monkeypatch):
@@ -787,7 +787,7 @@ def test_each_cast_cuts_only_its_own_windows(monkeypatch):
         return windows(origin, *args)
 
     monkeypatch.setattr(raycast, "_windows", recorded)
-    next(_ground_returns(cands, range(len(cands)), scene, index))
+    next(_ground_returns(cands, range(len(cands)), scene, index, None))
     assert shapes == [(3,)]
 
 
@@ -817,7 +817,7 @@ def cloud_around(rng, points, n, reach, lo, hi):
 
 
 def eligible_xy(cloud, intensity_min):
-    """The xy that GroundReturns.eligible would give for this cloud (ground at z = 0)."""
+    """The xy that GroundReturns.xy would hold for this cloud (ground at z = 0)."""
     return eligible_samples(cloud, 0.0, intensity_min)[:, :2]
 
 
@@ -883,6 +883,28 @@ def test_index_wide_extent_tiny_delta_caps_buckets(rng):
     assert visibility_row(eligible_xy(cloud, None), index).any()
 
 
+def test_near_keeps_occupied_blocks_unless_stray_passes_half_the_slack(rng):
+    # near keeps a point whose cell is at most one cell from a target's, so
+    # every point within delta of a target; past half the cells' slack over
+    # delta it keeps every point.  A tiny delta makes the cap double the cells
+    targets = scattered_targets(rng, 20, -5.0, 5.0, duplicates=3)
+    delta = 1e-3
+    index = TargetIndex(targets.points, delta)
+    close = targets.points + rng.uniform(-0.7, 0.7, (len(targets), 2)) * delta
+    xy = np.vstack([close, rng.uniform(-8.0, 8.0, (300, 2))])
+    slack = (index.cell - delta) / 2
+    cell = np.floor((xy[:, None, :] - targets.points.min(axis=0)) / index.cell)
+    own = np.floor((targets.points - targets.points.min(axis=0)) / index.cell)
+    want = (np.abs(cell - own[None, :, :]).max(axis=2) <= 1).any(axis=1)
+    for stray in (0.0, slack):
+        got = index.near(xy, stray)
+        assert np.array_equal(got, want)
+    assert want[:len(close)].all() and not want.all()
+    assert index.near(xy, float(np.nextafter(slack, np.inf))).all()
+    assert index.near(xy, np.inf).all()
+    assert TargetIndex(np.zeros((0, 2)), delta).near(xy, 0.0).tolist() == [False] * len(xy)
+
+
 def test_index_rejects_a_smaller_reach(rng):
     targets = scattered_targets(rng, 10, 0.0, 5.0)
     with pytest.raises(ValueError, match="delta"):
@@ -937,23 +959,21 @@ def pairs_around_delta(rng, delta):
 def test_pair_decisions_match_hypot(seed, delta):
     # within's strict and closed decisions on squared distance against
     # np.hypot on every pair (reference_distances), for pairs at delta and
-    # one ulp off, and for NaN and inf coordinates looked up in the
-    # buckets of the first targets; a tiny delta takes np.hypot everywhere
+    # one ulp off; samples at NaN and inf coordinates pair with no target.
+    # A tiny delta takes np.hypot everywhere
     rng = np.random.default_rng(seed)
     targets, xy = pairs_around_delta(rng, delta)
     index = TargetIndex(targets, delta)
     assert np.isinf(index.band).all() == (delta <= 2.0**-400)
     bad = np.array([(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan), (np.inf, np.inf)])
-    key = np.concatenate([index._keys(xy), index._keys(targets[:4])])
-    xy = np.vstack([xy, bad])
-    got, want = list(index.within(xy, key)), list(reference_distances(index, xy, key))
+    assert list(index.within(bad)) == []
+    got, want = list(index.within(np.vstack([xy, bad]))), list(reference_distances(index, xy))
     assert len(got) == len(want) == 1
     (ids, closed, strict), (want_ids, dist) = got[0], want[0]
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(closed, dist <= delta)
     assert np.array_equal(strict, dist < delta)
     assert (dist == delta).any() and (dist < delta).any() and (dist > delta).any()
-    assert np.isnan(dist).any() and np.isinf(dist).any()
 
 
 @pytest.mark.parametrize("ulp", [-1, 0, 1])
