@@ -8,7 +8,7 @@ numpy starts."""
 
 import importlib
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

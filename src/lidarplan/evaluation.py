@@ -7,8 +7,8 @@ a run once).  The detection-quality proxies are geometric (sample density,
 coverage under random occluders), not object-detection metrics; reports
 label them as proxies.  Both come from one cast of each selected sensor's
 ground rays into the static scene (raycast.GroundReturns), which hands out
-its eligible sample positions: an occlusion trial clips only its vehicles
-against those rays and recounts only the samples of the rays they block.
+its sample positions: an occlusion trial clips only its vehicles against
+those rays and takes away the samples of the rays they block.
 """
 
 from __future__ import annotations
@@ -199,13 +199,14 @@ def occlusion_monte_carlo(
     """Coverage of the chosen deployment under randomly placed vehicle
     boxes, and the static scene's sample density and covered targets.
 
-    Vehicles can only bring a beam's hit nearer, so each selected sensor is
-    cast once against the static scene, whose eligible sample positions
-    give each target its density and strict count (sample_density).  A
-    trial hands its vehicles to the cast (GroundReturns.blocked): the
-    samples of the rays they block are lost, those rays' new eligible
-    samples are gained, and a target is covered while its strict count is
-    above 0, as in a recast with the vehicles.
+    Only a ray whose nearest hit is the ground gives a sample, and vehicles
+    can only bring a hit nearer, so they only take samples away.  Each
+    selected sensor is cast once against the static scene, whose sample
+    positions give each target its density and strict count
+    (sample_density).  A trial hands its vehicles to the cast
+    (GroundReturns.blocked), the samples of the rays they block are lost,
+    and a target is covered while its strict count stays above 0, as in a
+    recast with the vehicles.
     Prisms are made once.  Each trial draws its vehicles from its own
     Python random.Random stream, seeded by (seed, trial) (_trial_rng).
     """
@@ -229,9 +230,7 @@ def occlusion_monte_carlo(
         density += closed
         static_covered |= strict > 0
         for t, vehicles in enumerate(trial_prisms):
-            lost, new_xy = sensor.blocked(vehicles)
-            lost_count = sample_density(sensor.xy[lost], index)[1]
-            covered[t] |= strict - lost_count + sample_density(new_xy, index)[1] > 0
+            covered[t] |= strict - sample_density(sensor.xy[sensor.blocked(vehicles)], index)[1] > 0
     coverages = [float(weights[row].sum()) / total_w for row in covered]
     return OcclusionReport(
         mean_coverage=float(np.mean(coverages)),
@@ -244,8 +243,8 @@ def occlusion_monte_carlo(
 
 
 def sample_density(xy: np.ndarray, index: TargetIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(closed, strict): per indexed target, the samples of xy (eligible
-    sample positions, GroundReturns.xy) at np.hypot(dx, dy) <= index.delta,
+    """(closed, strict): per indexed target, the samples of xy (sample
+    positions, GroundReturns.xy) at np.hypot(dx, dy) <= index.delta,
     a proxy for how strongly each cell is observed, and those < index.delta,
     raycast.visibility_row's strict radius."""
     closed, strict = np.zeros((2, index.size), dtype=np.int64)

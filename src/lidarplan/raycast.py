@@ -19,15 +19,17 @@ cast) or its max range, and one pass clips every kept pair; each ray takes
 its nearest hit.  Every other ray would keep its result, so the output is
 the same as clipping every ray against every prism.
 
-A target counts as visible to a candidate when some sample of the simulated
-cloud lies within planar distance delta of it; see eligible_samples for
-which samples may vouch for a target.  Only ground returns can, so the grid
+A target counts as visible to a candidate when some sample lies within
+planar distance delta of it.  Only a ray whose nearest hit is the ground
+gives a sample, at its ground point: a return off an obstacle proves the
+obstacle blocks the view there, not that the road behind it is observed,
+and an obstacle added to a scene can only take samples away.  So the grid
 and the evaluation proxies cast only the beams of a ground pattern
-(_pattern, with each beam's ground offset from the mount), and of those only
-the ones whose ground point TargetIndex.near keeps (GroundReturns, all built
-by _ground_returns, which makes one pattern per spec and mount z; each cast
-takes its own windows).  An unblocked ray returns its ground point as is.
-A cast hands out its eligible sample positions, and those of the rays that
+(_pattern: those that reach the ground within range, with each beam's
+ground offset from the mount), and of those only the ones whose ground
+point TargetIndex.near keeps (GroundReturns, all built by _ground_returns,
+which makes one pattern per spec and mount z; each cast takes its own
+windows).  A cast hands out its sample positions, and tells which of them
 extra obstacles block; simulate_sensor gives the full cloud.
 
 Sample-to-target pairs are found through a TargetIndex, which alone maps
@@ -140,7 +142,7 @@ class _Rays(NamedTuple):
     k-th smallest azimuth np.arctan2(dy, dx), of ray order[k], and then each
     comes again plus 2 pi.  Every cast of the same directions shares one.  A
     _pattern adds t_ground and, as rows (2, N), the ground offsets
-    t_ground * (dx, dy), 0 where t_ground is inf."""
+    t_ground * (dx, dy)."""
 
     dirs: np.ndarray
     order: np.ndarray
@@ -334,77 +336,47 @@ def simulate_sensor(candidate: Candidate, scene: Scene) -> np.ndarray:
 
 
 def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
-    """The beams of one spec at one mount z that can give an eligible sample,
-    in beam order: from above the ground, the downward ones that reach it in
-    range or whose z at full range, oz + range*dz as _returns rounds it, is
-    at most ground_z (an obstacle hit counts where that z equals ground_z,
-    and it never falls as t shrinks); else all."""
+    """The beams of one spec at one mount z that can give a sample, in beam
+    order: those that reach the ground within range."""
     dirs = generate_beams(spec)
     t_ground = _ground_t(np.array([0.0, 0.0, mount_z]), dirs, ground_z)
-    if mount_z > ground_z:
-        r = spec.range_m
-        keep = (dirs[:, 2] < 0) & ((t_ground <= r) | (mount_z + r * dirs[:, 2] <= ground_z))
-        dirs, t_ground = dirs[keep], t_ground[keep]
-    offsets = np.multiply(t_ground, dirs[:, :2].T, out=np.zeros((2, len(dirs))),
-                          where=np.isfinite(t_ground))  # no inf * 0
-    return _rays(dirs)._replace(t_ground=t_ground, offsets=offsets)
+    keep = t_ground <= spec.range_m
+    dirs, t_ground = dirs[keep], t_ground[keep]
+    return _rays(dirs)._replace(t_ground=t_ground, offsets=t_ground * dirs[:, :2].T)
 
 
 class GroundReturns:
-    """The eligible samples of one mounted sensor, cast once against a
-    scene: ray (pattern numbering) and xy (N, 2), in ray order.  Of its
-    _pattern, only the beams whose ground point TargetIndex.near keeps are
-    cast.  That loses no sample within delta of a target: a ground return
-    lies on its ground point, and an eligible obstacle hit at t (oz + t*dz
-    rounds to gz = ground_z) from h = oz - gz > HIT_EPS, with u = 2^-53 and
-    u*|gz| <= h/2, has |t - t_ground| <= 2*u*t*(|gz| + h)/h, plus
-    O(u*(|ox| + |oy| + max_range)) of rounding in xy: `stray` (inf where
-    those bounds fail), the reach near is given.  Only the kept rays' order
-    and phi are copied, and the cast takes its windows on them; other
-    per-ray arrays keep the pattern's numbering.  Built by _ground_returns."""
+    """The samples of one mounted sensor, cast once against a scene: ray
+    (pattern numbering) and xy (N, 2), in ray order.  A sample is the
+    ground point of a ray whose nearest hit is the ground (t_static ==
+    t_ground), at or above the intensity floor.  Of its _pattern, only the
+    beams whose ground point TargetIndex.near keeps are cast; any other
+    ground point has no target within delta.  Only the kept rays' order and
+    phi are copied, and the cast takes its windows on them; other per-ray
+    arrays keep the pattern's numbering.  Built by _ground_returns."""
 
     def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
                  index: "TargetIndex", intensity_min: float | None):
         """pattern: _pattern of the spec and mount z; prisms: the scene's
-        obstacles (_prisms); intensity_min: eligible_samples' floor."""
+        obstacles (_prisms); intensity_min: the floor on 1 - t/max_range."""
         self.origin = _mount(candidate, scene)
-        self.ground_z = scene.ground_elevation
         self.max_range = candidate.sensor.range_m
-        self.intensity_min = intensity_min
-        ox, oy = np.abs(self.origin[:2])
-        gz, r, h = abs(self.ground_z), self.max_range, self.origin[2] - self.ground_z
-        stray = (2.0**-49 * (r * (gz + h) / h + ox + oy + r)
-                 if h > HIT_EPS and 2.0**-52 * gz <= h else np.inf)
-        # The ground points, rounded as _returns rounds ground returns.
-        near = index.near((self.origin[:2, None] + pattern.offsets).T, stray)
+        ground = (self.origin[:2, None] + pattern.offsets).T
+        near = index.near(ground)
         keep = near[pattern.order]  # twice round, as order and phi
         self.rays = pattern._replace(order=pattern.order[keep], phi=pattern.phi[keep])
-        self.t_static = _cast_all(self.origin, self.rays, prisms, r, pattern.t_ground)
-        self.ray, self.xy = self._eligible(self.t_static, np.flatnonzero(near))
+        self.t_static = _cast_all(self.origin, self.rays, prisms, self.max_range, pattern.t_ground)
+        sample = near & (self.t_static == pattern.t_ground)
+        if intensity_min is not None:
+            sample &= 1.0 - pattern.t_ground / self.max_range >= intensity_min
+        self.ray = np.flatnonzero(sample)
+        self.xy = ground[self.ray]
 
-    def blocked(self, extra: _PrismSet) -> tuple[np.ndarray, np.ndarray]:
-        """(lost, new_xy) once the `extra` prisms (_prisms) join the static
-        scene: lost masks the samples of xy whose rays they block nearer,
-        and new_xy holds those rays' new eligible samples."""
+    def blocked(self, extra: _PrismSet) -> np.ndarray:
+        """Which samples of xy the `extra` prisms (_prisms) take away once
+        they join the static scene: those whose rays they stop nearer."""
         t = _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
-        nearer = t < self.t_static
-        return nearer[self.ray], self._eligible(t, np.flatnonzero(nearer))[1]
-
-    def _eligible(self, t: np.ndarray, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rays, xy) of the returns of `rays`, with t read at them, that
-        eligible_samples keeps, in ray order: their rays and planar xy
-        (N, 2).  A return at t_ground is its ray's ground point; only the
-        rays an obstacle stops short are computed, as _returns does."""
-        t = t[rays]
-        keep = t <= self.max_range
-        if self.intensity_min is not None:
-            keep &= 1.0 - t / self.max_range >= self.intensity_min
-        short = np.flatnonzero(keep & (t != self.rays.t_ground[rays]))
-        pos = self.origin[:, None] + t[short] * self.rays.dirs.take(rays[short], axis=0).T
-        keep[short] = pos[2] == self.ground_z
-        xy = self.origin[:2, None] + self.rays.offsets.take(rays, axis=1)  # the ground points
-        xy[:, short] = pos[:2]
-        return rays.compress(keep), xy.compress(keep, axis=1).T
+        return t[self.ray] < self.t_static[self.ray]
 
 
 def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene: Scene,
@@ -426,13 +398,15 @@ def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene:
 def eligible_samples(
     samples: np.ndarray, ground_z: float, intensity_min: float | None
 ) -> np.ndarray:
-    """Samples (rows x, y, z, intensity, ...) allowed to vouch for targets.
+    """Samples (rows x, y, z, intensity, ...) of a full cloud
+    (simulate_sensor) whose z is the ground elevation, at or above an
+    optional intensity floor.
 
-    Only ground-surface returns count: a return off an obstacle face proves
-    the obstacle blocks the view there, not that the road cell behind it is
-    observed.  This also makes occlusion strictly destructive (inserting an
-    obstacle can only clear visibility bits, never set them).  An optional
-    intensity floor models minimum return strength.
+    This reads a ground return from the z that _returns stamps, so it
+    differs from GroundReturns, which takes a ray's hit kind, only where
+    rounding puts an obstacle hit at exactly the ground elevation.  No
+    pipeline code calls it; it stays because the benchmark tracer wraps it
+    by name.
     """
     keep = samples[:, 2] == ground_z
     if intensity_min is not None:
@@ -449,7 +423,9 @@ class TargetIndex:
     and doubles while there would be more than BUCKETS_PER_TARGET cells per
     target, so a wide extent with a tiny delta still takes little memory.
     Each cell's block is stored as one list, so a sample looks up one list,
-    its own cell's (within); near tells which points' blocks hold a target.
+    its own cell's (within); near tells which points' blocks hold a target,
+    and a cast keeps only the rays whose ground points near keeps, which
+    within then looks up in those same buckets.
     Any point set works: a lattice, targets read back from CSV, scattered or
     duplicate points, or none at all.
     """
@@ -494,13 +470,9 @@ class TargetIndex:
         cy = np.fmin(np.fmax(np.floor((xy[:, 1] - self.lo[1]) / self.cell), -2.0), self.ny + 1)
         return ((cy + 2) * self.width + (cx + 2)).astype(np.intp)
 
-    def near(self, xy: np.ndarray, stray: float) -> np.ndarray:
+    def near(self, xy: np.ndarray) -> np.ndarray:
         """Whether each point's bucket has a target in its 3x3 block, which
-        holds every target within delta of any point within `stray` of it;
-        all True when stray exceeds half the cells' slack over delta (the
-        rest covers the cell arithmetic)."""
-        if stray > (self.cell - self.delta) / 2:
-            return np.ones(len(xy), dtype=bool)
+        holds every target within delta of the point."""
         return self.occupied[self._keys(xy)]
 
     def within(self, xy: np.ndarray):
@@ -532,7 +504,7 @@ class TargetIndex:
 
 def visibility_row(xy: np.ndarray, index: TargetIndex) -> np.ndarray:
     """Boolean row over the indexed targets: target j is visible iff some
-    eligible sample of xy (GroundReturns.xy) lies at planar distance
+    sample of xy (GroundReturns.xy) lies at planar distance
     np.hypot(dx, dy) < index.delta from it (a strict radius)."""
     row = np.zeros(index.size, dtype=bool)
     for ids, _, strict in index.within(xy):

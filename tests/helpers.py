@@ -289,7 +289,8 @@ def reference_cloud(candidate, scene) -> np.ndarray:
     """simulate_sensor's cloud without the culled cast: every beam against
     every obstacle through reference_cast_all, then the nearest hits turned
     into (x, y, z, intensity) rows as the library does, ground hits stamped
-    to the ground elevation, in beam order."""
+    to the ground elevation, in beam order.  A fifth column marks the rows
+    whose nearest hit is the ground (1.0) rather than an obstacle (0.0)."""
     gz, max_range = scene.ground_elevation, candidate.sensor.range_m
     origin = np.array([candidate.x, candidate.y, gz + candidate.height])
     dirs = raycast.generate_beams(candidate.sensor)
@@ -301,8 +302,9 @@ def reference_cloud(candidate, scene) -> np.ndarray:
     hit = np.isfinite(t_best) & (t_best <= max_range)
     t = t_best[hit]
     pos = origin + t[:, None] * dirs[hit]
-    pos[t == t_ground[hit], 2] = gz
-    return np.column_stack([pos, 1.0 - t / max_range])
+    ground = t == t_ground[hit]
+    pos[ground, 2] = gz
+    return np.column_stack([pos, 1.0 - t / max_range, ground])
 
 
 def reference_distances(index, xy):
@@ -330,34 +332,33 @@ def reference_distances(index, xy):
         i = j
 
 
-def brute_force_visibility(clouds, targets_xy, delta, ground_z,
-                           intensity_min=None) -> np.ndarray:
-    """Quadratic loop over (sample, target) pairs; ground returns only."""
+def vouching(cloud, intensity_min=None) -> np.ndarray:
+    """The rows of a cloud (x, y, z, intensity, ground) that may vouch for a
+    target: those marked as ground hits, at or above the intensity floor."""
+    keep = cloud[:, 4] == 1.0
+    if intensity_min is not None:
+        keep &= cloud[:, 3] >= intensity_min
+    return cloud[keep]
+
+
+def brute_force_visibility(clouds, targets_xy, delta, intensity_min=None) -> np.ndarray:
+    """Quadratic loop over (sample, target) pairs; vouching samples only."""
     n_s, n_t = len(clouds), len(targets_xy)
     bits = np.zeros((n_s, n_t), dtype=bool)
     for i, cloud in enumerate(clouds):
-        for sample in cloud:
-            if sample[2] != ground_z:
-                continue
-            if intensity_min is not None and sample[3] < intensity_min:
-                continue
+        for sample in vouching(cloud, intensity_min):
             for j, (tx, ty) in enumerate(targets_xy):
                 if math.hypot(sample[0] - tx, sample[1] - ty) < delta:
                     bits[i, j] = True
     return bits
 
 
-def brute_force_density(clouds, targets_xy, delta, ground_z,
-                        intensity_min=None) -> np.ndarray:
-    """Eligible samples at distance <= delta (a closed radius) of each
-    target, summed over the clouds; ground returns only."""
+def brute_force_density(clouds, targets_xy, delta, intensity_min=None) -> np.ndarray:
+    """Vouching samples at distance <= delta (a closed radius) of each
+    target, summed over the clouds."""
     counts = np.zeros(len(targets_xy), dtype=np.int64)
     for cloud in clouds:
-        for sample in cloud:
-            if sample[2] != ground_z:
-                continue
-            if intensity_min is not None and sample[3] < intensity_min:
-                continue
+        for sample in vouching(cloud, intensity_min):
             for j, (tx, ty) in enumerate(targets_xy):
                 if math.hypot(sample[0] - tx, sample[1] - ty) <= delta:
                     counts[j] += 1

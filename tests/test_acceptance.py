@@ -162,9 +162,7 @@ def test_criterion_3_visibility_grid_matches_brute_force():
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
         clouds = [reference_cloud(c, scene) for c in cands]
-        want = brute_force_visibility(
-            clouds, [tuple(p) for p in targets.points], delta, 0.0
-        )
+        want = brute_force_visibility(clouds, [tuple(p) for p in targets.points], delta)
         scenes += 1
         if not np.array_equal(grid.bits, want):
             bad += 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lidarplan import cli, demo_scene_path, discretization, raycast, solver
+from lidarplan import __version__, cli, demo_scene_path, discretization, raycast, solver
 from lidarplan.cli import (
     _OPTIONS, RunConfig, StageOutputs, _build_parser, _flag, _merge_config, main,
 )
@@ -89,6 +89,15 @@ def test_pipeline_manifest_contents(pipeline_dir):
         assert digest == hashlib.sha256((pipeline_dir / name).read_bytes()).hexdigest(), name
     config_text = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
     assert manifest["config_hash"] == hashlib.sha256(config_text.encode()).hexdigest()
+
+
+def test_package_version_matches_pyproject():
+    # the manifest's version and config_hash come from lidarplan.__version__
+    # (read with a regex: tomllib is not in Python 3.10)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyproject.read_text(encoding="utf-8").split("\n[project]\n")[1].split("\n[")[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, flags=re.M)
+    assert version == __version__
 
 
 def test_pipeline_reruns_identically(pipeline_dir, tmp_path):
@@ -210,10 +219,10 @@ def test_pipeline_evaluates_its_own_solution(pipeline_dir, tmp_path):
 
 def test_pipeline_casts_and_filters_once(monkeypatch, tmp_path):
     # The flags of the exact-small benchmark: 24 candidates, 6 selected.
-    # The grid stage filters each candidate's returns once, and the eval
-    # stage casts each selected sensor into the static scene once, and
-    # filters its static returns once, for both the occlusion trials and
-    # the sample density, and the blocked rays' returns once per trial.
+    # The grid stage casts each candidate once, and the eval stage casts
+    # each selected sensor into the static scene once, for both the
+    # occlusion trials and the sample density, and hands it each trial's
+    # vehicles once.
     calls = {}
     stage = [None]
 
@@ -233,17 +242,18 @@ def test_pipeline_casts_and_filters_once(monkeypatch, tmp_path):
         monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
     monkeypatch.setattr(raycast.GroundReturns, "__init__",
                         counted("GroundReturns", raycast.GroundReturns.__init__))
-    monkeypatch.setattr(raycast.GroundReturns, "_eligible",
-                        counted("eligible", raycast.GroundReturns._eligible))
+    monkeypatch.setattr(raycast.GroundReturns, "blocked",
+                        counted("blocked", raycast.GroundReturns.blocked))
     assert run(["pipeline", "--types", "type-1", "--spacing", "3", "--candidate-spacing", "6",
                 "--count", "6", "--gain-budgets", "2", "--trials", "4", "--vehicles", "4",
                 "--jobs", "1", "--out", str(tmp_path)]) == 0
     selected = len(read_json(tmp_path / "solution.json")["selected"])
     rows = len((tmp_path / "candidates.csv").read_text().splitlines()) - 1
     assert (selected, rows) == (6, 24)
-    assert calls["stage_grid", "GroundReturns"] == calls["stage_grid", "eligible"] == rows
+    assert calls["stage_grid", "GroundReturns"] == rows
     assert calls["stage_eval", "GroundReturns"] == selected
-    assert calls["stage_eval", "eligible"] == selected * (1 + 4)  # and one per trial
+    assert calls["stage_eval", "blocked"] == selected * 4
+    assert ("stage_grid", "blocked") not in calls
 
 
 def test_missing_scene_exit_2_names_path(tmp_path, capsys):

@@ -40,7 +40,7 @@ from lidarplan import (
 )
 from lidarplan import evaluation, raycast
 from lidarplan.evaluation import PROXY_NOTE, _sample_vehicles, _trial_rng, write_gain_curve_csv
-from lidarplan.raycast import _prisms, simulate_sensor
+from lidarplan.raycast import _prisms
 from test_raycast import (
     assert_culled_casts_match_oracles,
     culling_case,
@@ -375,7 +375,7 @@ def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity
     """Each trial's coverage with every candidate selected against the
     quadratic oracle on reference_cloud's clouds with the trial's vehicles
     added, drawn from the same substreams.  Returns the coverages."""
-    xy, w, gz = [tuple(p) for p in targets.points], targets.weights, scene.ground_elevation
+    xy, w = [tuple(p) for p in targets.points], targets.weights
     everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
                           total_cost=0.0, method="all", optimality_bound=0.0)
     report = occlusion_monte_carlo(everything, scene, targets, tuple(cands), vehicle,
@@ -384,7 +384,7 @@ def assert_trials_match_simulated_recast(scene, targets, cands, delta, intensity
         boxes = evaluation._sample_vehicles(scene, vehicle, evaluation._trial_rng(seed, t))
         trial_scene = replace(scene, obstacles=scene.obstacles + tuple(boxes))
         clouds = [reference_cloud(c, trial_scene) for c in cands]
-        covered = brute_force_visibility(clouds, xy, delta, gz, intensity_min).any(axis=0)
+        covered = brute_force_visibility(clouds, xy, delta, intensity_min).any(axis=0)
         assert got == float(w[covered].sum()) / float(w.sum())
     return report.per_trial
 
@@ -401,18 +401,20 @@ def test_occlusion_trials_match_simulated_recast(seed):
                                          seed)
 
 
-def test_trial_keeps_a_target_seen_at_ground_level_through_a_vehicle(monkeypatch):
+def test_trial_loses_a_target_behind_a_vehicle_face_at_ground_level(monkeypatch):
     # The vehicle is a wall just short of a beam's ground point: the beam
-    # now ends on the wall at a z that rounds to the ground's, which still
-    # vouches for the target next to it.
+    # now ends on the wall, at a z that rounds to the ground's, and that hit
+    # vouches for no target, so the target next to it is lost.
     cand, scene, wall, hit = ground_level_wall(short_range=False)
     delta = 1e-3
     targets = TargetGrid(points=np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]]),
                          weights=np.ones(2), segment_of=("r", "r"))
+    static = build_visibility_grid((cand,), targets, scene, delta).bits
+    assert static.mean() == 0.5  # the static scene covers the first target
     monkeypatch.setattr(evaluation, "_sample_vehicles", lambda scene, vehicle, rng: [wall])
     assert assert_trials_match_simulated_recast(
         scene, targets, [cand], delta, None, VehicleModel(count=1), 0
-    ) == (0.5,) * 3
+    ) == (0.0,) * 3
 
 
 def test_culled_casts_match_oracles_across_the_seam(monkeypatch):
@@ -506,7 +508,7 @@ def test_sample_density_matches_closed_radius_oracle_on_demo(
     )
     clouds = [reference_cloud(demo_candidates_t1[i], demo_scene) for i in solution.selected]
     want = brute_force_density(clouds, [tuple(p) for p in demo_targets.points], 1.5,
-                               demo_scene.ground_elevation, intensity_min)
+                               intensity_min)
     assert want.sum() > 0
     assert np.array_equal(density, want)
 
@@ -523,7 +525,7 @@ def test_sample_density_matches_closed_radius_oracle_on_scattered_targets(rng):
         for intensity_min in (None, 0.5):
             density = static_density(solution, scene, targets, cands, delta, intensity_min)
             want = brute_force_density(clouds, [tuple(p) for p in targets.points], delta,
-                                       scene.ground_elevation, intensity_min)
+                                       intensity_min)
             assert np.array_equal(density, want)
             counted += int(want.sum())
     assert counted > 0
@@ -539,7 +541,7 @@ def test_sample_density_counts_a_sample_at_exactly_delta():
         mount_zones=(MountZone(id="z", geometry=rect(-1, -1, 1, 1), allowed_heights=(5.0,)),),
     )
     cands = (Candidate(x=0.0, y=0.0, height=5.0, sensor=s, cost=1.0),)
-    (sx, sy, _, _), = simulate_sensor(cands[0], scene)
+    (sx, sy, _, _, _), = reference_cloud(cands[0], scene)
     points = np.array([[sx + 1.0, sy], [np.nextafter(sx + 1.0, np.inf), sy]])
     delta = abs(sx - points[0, 0])
     targets = TargetGrid(points=points, weights=np.ones(2), segment_of=("r", "r"))
@@ -548,7 +550,7 @@ def test_sample_density_counts_a_sample_at_exactly_delta():
     density = static_density(solution, scene, targets, cands, delta)
     assert density.tolist() == [1, 0]
     assert np.array_equal(density, brute_force_density(
-        [simulate_sensor(cands[0], scene)], [tuple(p) for p in points], delta, 0.0))
+        [reference_cloud(cands[0], scene)], [tuple(p) for p in points], delta))
     grid = build_visibility_grid(cands, targets, scene, delta=delta)
     assert not grid.bits.any()  # the strict radius leaves both out
 

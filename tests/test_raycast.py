@@ -17,6 +17,7 @@ from helpers import (
     reference_cloud,
     reference_distances,
     scattered_targets,
+    vouching,
 )
 from lidarplan import (
     Candidate,
@@ -55,7 +56,6 @@ from lidarplan.raycast import (
     _rays,
     _returns,
     _windows,
-    eligible_samples,
     simulate_sensor,
     visibility_row,
 )
@@ -509,14 +509,15 @@ def test_cast_raises_no_warning(rng):
                 assert hit.any()
         cand = make_candidate(10.0, 8.0, 4.0, spec(channels=9, vmin=-40, vmax=20, step=3.0))
         returns = ground_returns(cand, open_scene(*obstacles[2:]))
-        assert returns.blocked(_prisms([NEEDLE], 0.0))[0].any()
+        assert returns.blocked(_prisms([NEEDLE], 0.0)).any()
         # from mounts at and below the ground some beams never reach it,
-        # and the beams at azimuth 0 have dy == 0; building the returns
+        # and the beams at azimuth 0 have dy == 0; the pattern keeps only
+        # the beams that reach it in range, and building the returns
         # filters the static ones
         for height in (0.0, -1.0, 0.5):
             cand = make_candidate(0.0, 0.0, height, spec(channels=9, vmin=-40, vmax=20, step=3.0))
             returns = ground_returns(cand, open_scene(*obstacles[2:]))
-            assert np.isinf(returns.rays.t_ground).any() == (height <= 0.0)
+            assert (returns.rays.t_ground <= cand.sensor.range_m).all()
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +650,7 @@ def test_grid_matches_quadratic_brute_force(rng):
         delta = float(rng.uniform(1.0, 5.0))
         grid = build_visibility_grid(cands, targets, scene, delta=delta)
         clouds = [reference_cloud(c, scene) for c in cands]
-        expected = brute_force_visibility(
-            clouds, [tuple(p) for p in targets.points], delta, 0.0
-        )
+        expected = brute_force_visibility(clouds, [tuple(p) for p in targets.points], delta)
         assert np.array_equal(grid.bits, expected)
 
 
@@ -661,7 +660,7 @@ def test_grid_with_intensity_floor_matches_brute_force(rng):
     grid = build_visibility_grid(cands, targets, scene, delta=3.0, intensity_min=0.8)
     clouds = [reference_cloud(c, scene) for c in cands]
     expected = brute_force_visibility(
-        clouds, [tuple(p) for p in targets.points], 3.0, 0.0, intensity_min=0.8
+        clouds, [tuple(p) for p in targets.points], 3.0, intensity_min=0.8
     )
     assert np.array_equal(grid.bits, expected)
     loose = build_visibility_grid(cands, targets, scene, delta=3.0)
@@ -745,7 +744,7 @@ def test_grid_rejects_bad_delta(rng):
 @pytest.mark.parametrize("intensity_min", [None, 0.5])
 def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, intensity_min):
     # every catalog type at every mount height, downward beams only vs the
-    # eligible samples of the whole simulated cloud
+    # ground hits of the whole reference cloud
     cands = enumerate_candidates(demo_scene, spacing=12.0, types=demo_scene.catalog)
     assert {(c.sensor.type_id, c.height) for c in cands} == {
         (s.type_id, h) for s in demo_scene.catalog for h in (3.5, 5.4, 8.0)
@@ -754,7 +753,7 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     index = TargetIndex(demo_targets.points, 1.5)
     for i, cand in enumerate(cands):
         full = reference_cloud(cand, demo_scene)
-        want = eligible_samples(full, demo_scene.ground_elevation, intensity_min)[:, :2]
+        want = vouching_xy(full, intensity_min)
         got = ground_returns(cand, demo_scene, intensity_min).xy
         assert np.array_equal(got, want)
         row = visibility_row(want, index)
@@ -762,15 +761,32 @@ def test_ground_returns_match_full_cloud_on_demo(demo_scene, demo_targets, inten
     assert grid.bits.any()
 
 
+@pytest.mark.parametrize("intensity_min", [None, 0.5])
+def test_a_cast_hands_out_only_ground_points(demo_scene, intensity_min):
+    # each sample is its ray's ground point, and vehicles can only take
+    # samples away: with none, blocked masks nothing
+    gz = demo_scene.ground_elevation
+    cands = enumerate_candidates(demo_scene, spacing=12.0, types=demo_scene.catalog)
+    counted = 0
+    for cand in cands:
+        returns = ground_returns(cand, demo_scene, intensity_min)
+        offsets = returns.rays.offsets[:, returns.ray].T
+        assert np.array_equal(returns.xy, np.array([cand.x, cand.y]) + offsets)
+        assert not returns.blocked(_prisms([], gz)).any()
+        counted += len(returns.xy)
+    assert counted > 0
+
+
 def test_ground_returns_from_mounts_at_or_below_ground():
-    # no longer only downward beams can end on the ground: every beam is cast
+    # from below the ground the upward beams meet it from beneath; from a
+    # mount on it no beam reaches it, so there is no sample
     box = Obstacle(id="b", footprint=rect(3.0, -2.0, 5.0, 2.0), height=3.0)
     s = spec(channels=5, vmin=-20, vmax=20, step=30.0)
     for height in (0.0, -1.0, 0.5):
         cand = make_candidate(0.0, 0.0, height, s)
-        want = eligible_samples(reference_cloud(cand, open_scene(box)), 0.0, None)
-        assert len(want) > 0
-        assert np.array_equal(ground_returns(cand, open_scene(box)).xy, want[:, :2])
+        want = vouching_xy(reference_cloud(cand, open_scene(box)))
+        assert (len(want) > 0) == (height != 0.0)
+        assert np.array_equal(ground_returns(cand, open_scene(box)).xy, want)
 
 
 def test_each_cast_cuts_only_its_own_windows(monkeypatch):
@@ -798,8 +814,8 @@ def test_visibility_row_empty_targets():
         segment_of=(),
     )
     s = spec()
-    cloud = simulate_sensor(make_candidate(0, 0, 5.0, s), open_scene())
-    row = visibility_row(eligible_xy(cloud, None), TargetIndex(empty.points, 2.0))
+    cloud = reference_cloud(make_candidate(0, 0, 5.0, s), open_scene())
+    row = visibility_row(vouching_xy(cloud), TargetIndex(empty.points, 2.0))
     assert row.shape == (0,)
 
 
@@ -808,24 +824,25 @@ def test_visibility_row_empty_targets():
 
 
 def cloud_around(rng, points, n, reach, lo, hi):
-    """n samples: half within `reach` per axis of random target points, half
-    uniform over [lo, hi)^2; about a quarter off the ground (z = 0)."""
+    """n samples (x, y, z, intensity, ground): half within `reach` per axis
+    of random target points, half uniform over [lo, hi)^2; about a quarter
+    are obstacle hits (z = 1), the rest ground hits (z = 0)."""
     near = points[rng.integers(0, len(points), n // 2)] + rng.uniform(-reach, reach, (n // 2, 2))
     xy = np.vstack([near, rng.uniform(lo, hi, (n - n // 2, 2))])
     z = np.where(rng.random(n) < 0.25, 1.0, 0.0)
-    return np.column_stack([xy, z, rng.random(n)])
+    return np.column_stack([xy, z, rng.random(n), z == 0.0])
 
 
-def eligible_xy(cloud, intensity_min):
-    """The xy that GroundReturns.xy would hold for this cloud (ground at z = 0)."""
-    return eligible_samples(cloud, 0.0, intensity_min)[:, :2]
+def vouching_xy(cloud, intensity_min=None):
+    """The xy that GroundReturns.xy would hold for this cloud (rows x, y, z,
+    intensity, ground)."""
+    return vouching(cloud, intensity_min)[:, :2]
 
 
 def closed_counts(index, cloud):
     """Per-target count of ground samples at distance <= delta, from the index."""
     counts = np.zeros(index.size, dtype=np.int64)
-    ground = cloud[cloud[:, 2] == 0.0]
-    for ids, closed, _ in index.within(ground[:, :2]):
+    for ids, closed, _ in index.within(vouching_xy(cloud)):
         np.add.at(counts, ids[closed], 1)
     return counts
 
@@ -834,10 +851,10 @@ def assert_index_matches_oracles(targets, cloud, delta):
     xy = [tuple(p) for p in targets.points]
     index = TargetIndex(targets.points, delta)
     for intensity_min in (None, 0.5):
-        want = brute_force_visibility([cloud], xy, delta, 0.0, intensity_min)[0]
-        assert np.array_equal(visibility_row(eligible_xy(cloud, intensity_min), index), want)
+        want = brute_force_visibility([cloud], xy, delta, intensity_min)[0]
+        assert np.array_equal(visibility_row(vouching_xy(cloud, intensity_min), index), want)
     assert np.array_equal(closed_counts(index, cloud),
-                          brute_force_density([cloud], xy, delta, 0.0))
+                          brute_force_density([cloud], xy, delta))
 
 
 def test_index_scattered_targets_with_duplicates(rng):
@@ -865,9 +882,9 @@ def test_index_pairs_at_exactly_delta(rng, unit):
     xy = (points[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
     inside = points[::2] + 0.5 * offsets[4]  # half the targets also get a sample within delta
     samples = np.vstack([xy, inside])
-    cloud = np.column_stack([samples, np.zeros(len(samples)), np.ones(len(samples))])
+    cloud = np.column_stack([samples, np.zeros(len(samples)), np.ones((len(samples), 2))])
     assert_index_matches_oracles(targets, cloud, delta)
-    row = visibility_row(eligible_xy(cloud, None), TargetIndex(targets.points, delta))
+    row = visibility_row(vouching_xy(cloud), TargetIndex(targets.points, delta))
     assert np.array_equal(row[:60], np.arange(60) % 2 == 0)
     assert np.all(closed_counts(TargetIndex(targets.points, delta), cloud)[:60] >= 8)
 
@@ -880,29 +897,24 @@ def test_index_wide_extent_tiny_delta_caps_buckets(rng):
     assert index.nx * index.ny <= BUCKETS_PER_TARGET * len(targets)
     cloud = cloud_around(rng, targets.points, 2000, 2 * delta, -2e4, 2e4)
     assert_index_matches_oracles(targets, cloud, delta)
-    assert visibility_row(eligible_xy(cloud, None), index).any()
+    assert visibility_row(vouching_xy(cloud), index).any()
 
 
-def test_near_keeps_occupied_blocks_unless_stray_passes_half_the_slack(rng):
+def test_near_keeps_occupied_blocks(rng):
     # near keeps a point whose cell is at most one cell from a target's, so
-    # every point within delta of a target; past half the cells' slack over
-    # delta it keeps every point.  A tiny delta makes the cap double the cells
+    # every point within delta of a target.  A tiny delta makes the cap
+    # double the cells
     targets = scattered_targets(rng, 20, -5.0, 5.0, duplicates=3)
     delta = 1e-3
     index = TargetIndex(targets.points, delta)
     close = targets.points + rng.uniform(-0.7, 0.7, (len(targets), 2)) * delta
     xy = np.vstack([close, rng.uniform(-8.0, 8.0, (300, 2))])
-    slack = (index.cell - delta) / 2
     cell = np.floor((xy[:, None, :] - targets.points.min(axis=0)) / index.cell)
     own = np.floor((targets.points - targets.points.min(axis=0)) / index.cell)
     want = (np.abs(cell - own[None, :, :]).max(axis=2) <= 1).any(axis=1)
-    for stray in (0.0, slack):
-        got = index.near(xy, stray)
-        assert np.array_equal(got, want)
+    assert np.array_equal(index.near(xy), want)
     assert want[:len(close)].all() and not want.all()
-    assert index.near(xy, float(np.nextafter(slack, np.inf))).all()
-    assert index.near(xy, np.inf).all()
-    assert TargetIndex(np.zeros((0, 2)), delta).near(xy, 0.0).tolist() == [False] * len(xy)
+    assert TargetIndex(np.zeros((0, 2)), delta).near(xy).tolist() == [False] * len(xy)
 
 
 def test_index_rejects_a_smaller_reach(rng):
@@ -984,7 +996,7 @@ def test_rows_and_density_decide_pairs_at_delta_as_hypot(ulp):
     # np.hypot on every pair
     sensor = spec(channels=3, vmin=-30.0, vmax=-10.0, step=20.0)
     cand, scene = make_candidate(0.3, -0.2, 5.0, sensor), open_scene()
-    xy = eligible_xy(simulate_sensor(cand, scene), None)
+    xy = vouching_xy(reference_cloud(cand, scene))
     points = xy[::2] - [0.7, 0.0]
     delta = float(np.median(np.abs(xy[::2, 0] - points[:, 0])))
     delta = float(np.nextafter(delta, np.inf if ulp > 0 else 0.0)) if ulp else delta
@@ -1013,7 +1025,7 @@ def culling_case(rng):
     culled casts: the ground at one of three elevations, obstacles touching
     the ground next to targets, ranges shorter than some beams' ground
     distance, mounts sharing a ground pattern, scattered and duplicate
-    targets, and targets within delta of eligible returns, so that a tiny
+    targets, and targets within delta of ground returns, so that a tiny
     delta still sets bits."""
     gz = float(rng.choice([0.0, 100.0, -7.25]))
     delta = float(rng.choice([1e-3, 0.05, 0.6, 2.5]))
@@ -1037,9 +1049,7 @@ def culling_case(rng):
         for k, (x, y) in enumerate(scattered.points[:int(rng.integers(0, 4))])
     ]
     scene = replace(open_scene(*obstacles), ground_elevation=gz)
-    ground = np.vstack([np.zeros((0, 2))] + [
-        eligible_samples(simulate_sensor(c, scene), gz, None)[:, :2] for c in cands
-    ])
+    ground = np.vstack([np.zeros((0, 2))] + [vouching_xy(reference_cloud(c, scene)) for c in cands])
     n = 8 if len(ground) else 0
     near = ground[rng.integers(0, max(1, len(ground)), n)] + rng.uniform(-0.7, 0.7, (n, 2)) * delta
     points = np.vstack([scattered.points, near])
@@ -1051,10 +1061,10 @@ def culling_case(rng):
 def assert_culled_casts_match_oracles(scene, targets, cands, delta, intensity_min):
     """Grid rows, and the density and coverage the eval stage reports over
     every candidate, against the quadratic oracles on reference_cloud."""
-    gz, xy, w = scene.ground_elevation, [tuple(p) for p in targets.points], targets.weights
+    xy, w = [tuple(p) for p in targets.points], targets.weights
     clouds = [reference_cloud(c, scene) for c in cands]
     grid = build_visibility_grid(tuple(cands), targets, scene, delta, intensity_min)
-    bits = brute_force_visibility(clouds, xy, delta, gz, intensity_min)
+    bits = brute_force_visibility(clouds, xy, delta, intensity_min)
     assert np.array_equal(grid.bits, bits)
     everything = Solution(selected=tuple(range(len(cands))), covered=frozenset(), objective=0.0,
                           total_cost=0.0, method="all", optimality_bound=0.0)
@@ -1062,7 +1072,7 @@ def assert_culled_casts_match_oracles(scene, targets, cands, delta, intensity_mi
         everything, scene, targets, tuple(cands), VehicleModel(count=0),
         trials=1, seed=0, delta=delta, intensity_min=intensity_min,
     )
-    density = brute_force_density(clouds, xy, delta, gz, intensity_min)
+    density = brute_force_density(clouds, xy, delta, intensity_min)
     assert np.array_equal(np.array(report.density), density)
     assert report.per_trial == (float(w[bits.any(axis=0)].sum()) / float(w.sum()),)
     return bits, density
@@ -1078,9 +1088,9 @@ def ground_level_wall(short_range):
     """(candidate, scene, wall, hit): a one-channel sensor 5 m above the
     ground at z = 100, and a wall 3 floats short of where its first beam
     (azimuth 0, 30 degrees down) meets the ground.  The beam hits the wall
-    at a z that rounds to the ground's, at xy `hit`: an obstacle hit that
-    eligible_samples takes as a ground return.  With short_range, the range
-    is the float just below the beam's ground distance, so that hit is the
+    at a z that rounds to the ground's, at xy `hit`: an obstacle hit whose
+    z alone would read as a ground return.  With short_range, the range is
+    the float just below the beam's ground distance, so that hit is the
     beam's only return."""
     origin = np.array([0.0, 0.0, 105.0])
     beam = generate_beams(spec(channels=1, vmin=-30.0, vmax=-30.0, step=90.0))[:1]
@@ -1095,13 +1105,15 @@ def ground_level_wall(short_range):
     scene = replace(open_scene(), ground_elevation=100.0)
     samples = simulate_sensor(cand, replace(scene, obstacles=scene.obstacles + (wall,)))
     (hit,) = samples[np.abs(samples[:, 0] - x_wall) < 1e-9]
-    assert hit[2] == 100.0 and hit[0] < t_ground * beam[0, 0]  # eligible, off the wall
+    assert hit[2] == 100.0 and hit[0] < t_ground * beam[0, 0]  # at ground level, off the wall
     assert (t_ground > range_m) == short_range
     return cand, scene, wall, hit[:2]
 
 
 @pytest.mark.parametrize("short_range", [False, True])
-def test_obstacle_hit_at_ground_level_vouches_for_a_target(short_range):
+def test_obstacle_hit_at_ground_level_never_vouches_for_a_target(short_range):
+    # only a ray whose nearest hit is the ground vouches for a target, and
+    # this beam's is the wall, however its z rounds
     cand, scene, wall, hit = ground_level_wall(short_range)
     delta = 1e-3
     points = np.array([hit + [0.5 * delta, 0.0], [-20.0, -20.0]])
@@ -1109,8 +1121,8 @@ def test_obstacle_hit_at_ground_level_vouches_for_a_target(short_range):
     bits, density = assert_culled_casts_match_oracles(
         replace(scene, obstacles=scene.obstacles + (wall,)), targets, [cand], delta, None
     )
-    assert bits[0].tolist() == [True, False]
-    assert density.tolist() == [1, 0]
+    assert bits[0].tolist() == [False, False]
+    assert density.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
