@@ -7,8 +7,8 @@ a run once).  The detection-quality proxies are geometric (sample density,
 coverage under random occluders), not object-detection metrics; reports
 label them as proxies.  Both come from one cast of each selected sensor's
 ground rays into the static scene (raycast.GroundReturns), which hands out
-its sample positions: an occlusion trial clips only its vehicles against
-those rays and takes away the samples of the rays they block.
+its sample positions: an occlusion trial casts only its vehicles, from the
+ground, against those rays and takes away the samples of the rays they block.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def occlusion_monte_carlo(
     can only bring a hit nearer, so they only take samples away.  Each
     selected sensor is cast once against the static scene, whose sample
     positions give each target its density and strict count
-    (sample_density).  A trial hands its vehicles to the cast
-    (GroundReturns.blocked), the samples of the rays they block are lost,
-    and a target is covered while its strict count stays above 0, as in a
-    recast with the vehicles.
+    (sample_density); its rays hold no beam below intensity_min (_pattern).
+    A trial casts only its vehicles, from the ground, against those rays
+    (GroundReturns.blocked); the samples they stop short are lost, and a
+    target is covered while its strict count stays above 0, as in a recast.
     Prisms are made once.  Each trial draws its vehicles from its own
     Python random.Random stream, seeded by (seed, trial) (_trial_rng).
     """
@@ -351,6 +351,7 @@ def render_coverage_map(
     font = _fmt(step * 0.55 * scale)
     for i in solution.selected:
         c = candidates[i]
+        label = c.sensor.type_id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'<circle cx="{sx(c.x)}" cy="{sy(c.y)}" r="{r_sensor}" '
             f'fill="{_SVG_COLORS["sensor"]}" stroke="#ffffff" stroke-width="1.5"/>'
@@ -358,7 +359,7 @@ def render_coverage_map(
         lines.append(
             f'<text x="{sx(c.x)}" y="{_fmt(float(sy(c.y)) - float(r_sensor) - 4.0)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="{font}" '
-            f'fill="{_SVG_COLORS["label"]}">{c.sensor.type_id}@{c.height:g}m</text>'
+            f'fill="{_SVG_COLORS["label"]}">{label}@{c.height:g}m</text>'
         )
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:  # line by line: no copy of the whole map

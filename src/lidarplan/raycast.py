@@ -14,10 +14,10 @@ clipping tolerance) spans an azimuth window from the origin: one span of
 that order, cut by one searchsorted (_windows), so the work grows with
 the rays that can reach an obstacle, not with rays times obstacles.
 On those (ray, prism) pairs an exact test keeps the rays whose planar path
-crosses the box before the ray's starting hit (the ground, or an earlier
-cast) or its max range, and one pass clips every kept pair; each ray takes
-its nearest hit.  Every other ray would keep its result, so the output is
-the same as clipping every ray against every prism.
+crosses the box before the ray's ground hit or its max range, and one pass
+clips every kept pair; each ray takes its nearest hit.  Every other ray
+would keep its result, so the output is the same as clipping every ray
+against every prism.
 
 A target counts as visible to a candidate when some sample lies within
 planar distance delta of it.  Only a ray whose nearest hit is the ground
@@ -25,12 +25,13 @@ gives a sample, at its ground point: a return off an obstacle proves the
 obstacle blocks the view there, not that the road behind it is observed,
 and an obstacle added to a scene can only take samples away.  So the grid
 and the evaluation proxies cast only the beams of a ground pattern
-(_pattern: those that reach the ground within range, with each beam's
-ground offset from the mount), and of those only the ones whose ground
-point TargetIndex.near keeps (GroundReturns, all built by _ground_returns,
-which makes one pattern per spec and mount z; each cast takes its own
-windows).  A cast hands out its sample positions, and tells which of them
-extra obstacles block; simulate_sensor gives the full cloud.
+(_pattern: those that reach the ground within range, at or above the
+intensity floor, with each beam's ground offset from the mount), and of
+those only the ones whose ground point TargetIndex.near keeps
+(GroundReturns, all built by _ground_returns, which makes one pattern per
+spec and mount z; each cast takes its own windows and starts from the
+ground).  A cast hands out its sample positions, and casts extra obstacles
+alone to tell which of them they block; simulate_sensor gives the full cloud.
 
 Sample-to-target pairs are found through a TargetIndex, which alone maps
 points to buckets: a uniform bucket grid over the target points with cells
@@ -138,23 +139,23 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
 
 
 class _Rays(NamedTuple):
-    """Ray directions with their azimuth order, twice round: phi[k] is the
+    """Ray directions, each ray's ground distance (_ground_t), where every
+    cast of them starts, and their azimuth order, twice round: phi[k] is the
     k-th smallest azimuth np.arctan2(dy, dx), of ray order[k], and then each
-    comes again plus 2 pi.  Every cast of the same directions shares one.  A
-    _pattern adds t_ground and, as rows (2, N), the ground offsets
-    t_ground * (dx, dy)."""
+    comes again plus 2 pi.  Every cast of the same rays shares one.  A
+    _pattern adds, as rows (2, N), the ground offsets t_ground * (dx, dy)."""
 
     dirs: np.ndarray
+    t_ground: np.ndarray
     order: np.ndarray
     phi: np.ndarray
-    t_ground: np.ndarray | None = None
     offsets: np.ndarray | None = None
 
 
-def _rays(dirs: np.ndarray) -> _Rays:
+def _rays(dirs: np.ndarray, t_ground: np.ndarray) -> _Rays:
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
     order = np.tile(np.argsort(phi, kind="stable"), 2)
-    return _Rays(dirs=dirs, order=order, phi=phi[order] + np.repeat([0.0, 2.0 * np.pi], len(phi)))
+    return _Rays(dirs, t_ground, order, phi[order] + np.repeat([0.0, 2.0 * np.pi], len(phi)))
 
 
 class _PrismSet(NamedTuple):
@@ -238,25 +239,23 @@ def _pairs(start: np.ndarray, stop: np.ndarray, order: np.ndarray) -> tuple[np.n
     return order[_runs(start, stop - start)], np.repeat(np.arange(len(start)), stop - start)
 
 
-def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float,
-              t_start: np.ndarray) -> np.ndarray:
+def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float) -> np.ndarray:
     """Nearest hit distance per ray once the prisms are clipped against the
-    rays in rays.order, starting from t_start (the ground, or an earlier
-    cast of the same rays).
+    rays in rays.order, starting from the ground (rays.t_ground).
 
     A prism is clipped only against the rays of its window (_windows) whose
-    planar path from the origin to min(t_start, max_range) meets its box.
-    For any other ray the clip would miss, or hit no nearer than t_start,
-    or hit beyond max_range, where the ray ends without a return either
-    way.  All kept (ray, prism) pairs are clipped in one pass with the
+    planar path from the origin to min(t_ground, max_range) meets its box.
+    For any other ray the clip would miss, or hit no nearer than the
+    ground, or hit beyond max_range, where the ray ends without a return
+    either way.  All kept (ray, prism) pairs are clipped in one pass with the
     elementwise steps of a per-prism clip, and each ray takes the least
     hit, so the result equals clipping every ray against every prism.
     """
-    t_best = t_start.copy()
+    t_best = rays.t_ground.copy()
     ox, oy, oz = origin
     ray, prism = _pairs(*_windows(origin, rays.phi, prisms, max_range), rays.order)
     dx, dy, dz = (d[ray] for d in rays.dirs.T)
-    reach = np.minimum(t_start[ray], max_range)
+    reach = np.minimum(rays.t_ground[ray], max_range)
 
     # Separating axes: the ray's normal, then x and y.  All rays share the
     # origin, so only their ends are tested on x and y.  (np.take leaves
@@ -316,8 +315,7 @@ def _cast_scene(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ground_z = scene.ground_elevation
     t_ground = _ground_t(origin, dirs, ground_z)
-    prisms = _prisms(scene.obstacles, ground_z)
-    t_best = _cast_all(origin, _rays(dirs), prisms, max_range, t_ground)
+    t_best = _cast_all(origin, _rays(dirs, t_ground), _prisms(scene.obstacles, ground_z), max_range)
     return _returns(origin, dirs, t_best, t_ground, ground_z, max_range)
 
 
@@ -335,64 +333,66 @@ def simulate_sensor(candidate: Candidate, scene: Scene) -> np.ndarray:
     return np.column_stack([pos[hit], intensity[hit]])
 
 
-def _pattern(spec: SensorSpec, mount_z: float, ground_z: float) -> _Rays:
+def _pattern(spec: SensorSpec, mount_z: float, ground_z: float,
+             intensity_min: float | None) -> _Rays:
     """The beams of one spec at one mount z that can give a sample, in beam
-    order: those that reach the ground within range."""
+    order: those that reach the ground within range, at an intensity
+    1 - t_ground/range_m at or above the floor intensity_min, if any."""
     dirs = generate_beams(spec)
     t_ground = _ground_t(np.array([0.0, 0.0, mount_z]), dirs, ground_z)
     keep = t_ground <= spec.range_m
+    if intensity_min is not None:
+        keep &= 1.0 - t_ground / spec.range_m >= intensity_min
     dirs, t_ground = dirs[keep], t_ground[keep]
-    return _rays(dirs)._replace(t_ground=t_ground, offsets=t_ground * dirs[:, :2].T)
+    return _rays(dirs, t_ground)._replace(offsets=t_ground * dirs[:, :2].T)
 
 
 class GroundReturns:
     """The samples of one mounted sensor, cast once against a scene: ray
     (pattern numbering) and xy (N, 2), in ray order.  A sample is the
-    ground point of a ray whose nearest hit is the ground (t_static ==
-    t_ground), at or above the intensity floor.  Of its _pattern, only the
-    beams whose ground point TargetIndex.near keeps are cast; any other
-    ground point has no target within delta.  Only the kept rays' order and
-    phi are copied, and the cast takes its windows on them; other per-ray
-    arrays keep the pattern's numbering.  Built by _ground_returns."""
+    ground point of a ray whose nearest hit in the static scene is the
+    ground.  Of its _pattern, only the beams whose ground point
+    TargetIndex.near keeps are cast; any other ground point has no target
+    within delta.  Only the kept rays' order and phi are copied, and the
+    cast takes its windows on them; other per-ray arrays keep the pattern's
+    numbering.  Built by _ground_returns."""
 
     def __init__(self, candidate: Candidate, scene: Scene, pattern: _Rays, prisms: _PrismSet,
-                 index: "TargetIndex", intensity_min: float | None):
+                 index: "TargetIndex"):
         """pattern: _pattern of the spec and mount z; prisms: the scene's
-        obstacles (_prisms); intensity_min: the floor on 1 - t/max_range."""
+        obstacles (_prisms)."""
         self.origin = _mount(candidate, scene)
         self.max_range = candidate.sensor.range_m
         ground = (self.origin[:2, None] + pattern.offsets).T
         near = index.near(ground)
         keep = near[pattern.order]  # twice round, as order and phi
         self.rays = pattern._replace(order=pattern.order[keep], phi=pattern.phi[keep])
-        self.t_static = _cast_all(self.origin, self.rays, prisms, self.max_range, pattern.t_ground)
-        sample = near & (self.t_static == pattern.t_ground)
-        if intensity_min is not None:
-            sample &= 1.0 - pattern.t_ground / self.max_range >= intensity_min
-        self.ray = np.flatnonzero(sample)
+        t = _cast_all(self.origin, self.rays, prisms, self.max_range)
+        self.ray = np.flatnonzero(near & (t == pattern.t_ground))
         self.xy = ground[self.ray]
 
     def blocked(self, extra: _PrismSet) -> np.ndarray:
         """Which samples of xy the `extra` prisms (_prisms) take away once
-        they join the static scene: those whose rays they stop nearer."""
-        t = _cast_all(self.origin, self.rays, extra, self.max_range, self.t_static)
-        return t[self.ray] < self.t_static[self.ray]
+        they join the static scene: cast alone from the ground, the samples
+        whose rays they stop short of it."""
+        t = _cast_all(self.origin, self.rays, extra, self.max_range)
+        return t[self.ray] < self.rays.t_ground[self.ray]
 
 
 def _ground_returns(candidates: Sequence[Candidate], rows: Sequence[int], scene: Scene,
                     index: "TargetIndex", intensity_min: float | None):
     """Yield (row, GroundReturns) for the candidates at `rows` in the static
     scene, grouped by spec and mount z in order of first use, one pattern
-    alive at a time; the scene's prisms are made once."""
+    (floored at intensity_min) alive at a time; prisms are made once."""
     ground_z = scene.ground_elevation
     prisms = _prisms(scene.obstacles, ground_z)
     groups: dict[tuple[SensorSpec, float], list[int]] = {}
     for i in rows:
         groups.setdefault((candidates[i].sensor, ground_z + candidates[i].height), []).append(i)
     for (spec, z), members in groups.items():
-        pattern = _pattern(spec, z, ground_z)
+        pattern = _pattern(spec, z, ground_z, intensity_min)
         for i in members:
-            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index, intensity_min)
+            yield i, GroundReturns(candidates[i], scene, pattern, prisms, index)
 
 
 def eligible_samples(

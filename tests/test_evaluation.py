@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ def test_culled_casts_match_oracles_across_the_seam(monkeypatch):
     wall = Obstacle(id="wall", footprint=rect(-9.0, -1.0, -8.0, 1.5), height=1.0)
     vehicle = Obstacle(id="vehicle", footprint=rect(-20.0, -1.25, -16.0, 0.75), height=1.6)
     scene = open_scene(wall)
-    pattern = raycast._pattern(sensor, 5.0, 0.0)
+    pattern = raycast._pattern(sensor, 5.0, 0.0, None)
     _, stop = raycast._windows(np.array([0.0, 0.0, 5.0]), pattern.phi,
                                _prisms([wall, vehicle], 0.0), sensor.range_m)
     assert (stop > len(pattern.dirs)).all()  # both windows run into the second turn
@@ -597,6 +598,13 @@ def test_render_empty_and_full_selection(tmp_path):
     p2 = tmp_path / "full.svg"
     render_coverage_map(scene, targets, full, cands, p2)
     assert p2.read_text().count('fill="#d62728"') == len(targets)
+
+    # a type id with XML's special characters still gives a well-formed map
+    odd = [replace(c, sensor=replace(c.sensor, type_id="A&B <1>")) for c in cands]
+    p3 = tmp_path / "odd.svg"
+    render_coverage_map(scene, targets, full, odd, p3)
+    labels = [t.text for t in ElementTree.parse(p3).iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["A&B <1>@6m"] * len(full.selected)
 
 
 def test_render_golden_demo(tmp_path, demo_scene, demo_targets, demo_grid_t3,

@@ -412,14 +412,16 @@ def cast_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=cast_cases())
 def test_cast_all_equals_per_prism_reference(case):
-    # a static cast, then one continued from it with more obstacles (as
-    # GroundReturns.blocked adds vehicles), bit for bit, inf included
+    # the first part of the obstacles, the second (as GroundReturns.blocked
+    # casts a trial's vehicles alone) and all of them, each cast from the
+    # ground, bit for bit, inf included
     origin, dirs, obstacles, split, max_range = case
-    rays = _rays(dirs)
-    got = want = _ground_t(origin, dirs, 0.0)
-    for part in (obstacles[:split], obstacles[split:]):
-        got = _cast_all(origin, rays, _prisms(part, 0.0), max_range, got)
-        want = reference_cast_all(origin, dirs, [_prism(o, 0.0) for o in part], max_range, want)
+    t_ground = _ground_t(origin, dirs, 0.0)
+    rays = _rays(dirs, t_ground)
+    for part in (obstacles[:split], obstacles[split:], obstacles):
+        got = _cast_all(origin, rays, _prisms(part, 0.0), max_range)
+        want = reference_cast_all(origin, dirs, [_prism(o, 0.0) for o in part], max_range,
+                                  t_ground)
         assert np.array_equal(got, want)
 
 
@@ -446,7 +448,7 @@ def reaches_box(origin, dirs, box, reach):
 def test_windows_hold_every_ray_that_reaches_a_box(case):
     # at full range, the farthest any cast tests a box at
     origin, dirs, obstacles, _, max_range = case
-    rays = _rays(dirs)
+    rays = _rays(dirs, _ground_t(origin, dirs, 0.0))
     ray, prism = _pairs(*_windows(origin, rays.phi, _prisms(obstacles, 0.0), max_range), rays.order)
     assert np.all(np.diff(prism) >= 0)  # grouped by prism, as _cast_all lays them out
     for j, obstacle in enumerate(obstacles):
@@ -476,12 +478,12 @@ def test_cast_all_skips_prisms_out_of_range():
         Obstacle(id="out", footprint=rect(-4.0, max_range + 3 * g, 4.0, max_range + 1.0),
                  height=3.0),
     ]
-    rays, prisms = _rays(dirs), _prisms(walls, 0.0)
+    t_ground = _ground_t(origin, dirs, 0.0)
+    rays, prisms = _rays(dirs, t_ground), _prisms(walls, 0.0)
     start, stop = _windows(origin, rays.phi, prisms, max_range)
     assert (stop - start).tolist()[2] == 0
     assert min((stop - start).tolist()[:2]) > 0
-    t_ground = _ground_t(origin, dirs, 0.0)
-    got = _cast_all(origin, rays, prisms, max_range, t_ground)
+    got = _cast_all(origin, rays, prisms, max_range)
     want = reference_cast_all(origin, dirs, [_prism(w, 0.0) for w in walls], max_range, t_ground)
     assert np.array_equal(got, want)
     assert got.min() == max_range - g  # the level beam east, the only return in range
@@ -532,7 +534,7 @@ def ground_returns(cand, scene, intensity_min=None):
     """The candidate's GroundReturns as the pipeline builds them, with a
     TargetIndex over its pattern's own ground points, which culls no ray."""
     ground_z = scene.ground_elevation
-    pattern = _pattern(cand.sensor, ground_z + cand.height, ground_z)
+    pattern = _pattern(cand.sensor, ground_z + cand.height, ground_z, intensity_min)
     index = TargetIndex((np.array([[cand.x], [cand.y]]) + pattern.offsets).T, 1.0)
     [(_, returns)] = _ground_returns([cand], [0], scene, index, intensity_min)
     assert np.array_equal(returns.rays.order, pattern.order)
@@ -775,6 +777,34 @@ def test_a_cast_hands_out_only_ground_points(demo_scene, intensity_min):
         assert not returns.blocked(_prisms([], gz)).any()
         counted += len(returns.xy)
     assert counted > 0
+
+
+@pytest.mark.parametrize("floor", [None, 0.5, 0.9])
+def test_pattern_drops_the_beams_below_the_floor(demo_scene, floor):
+    # every demo type at every mount height: the floored pattern holds
+    # exactly the unfloored one's beams with 1 - t_ground/range_m >= floor,
+    # with the same directions, ground distances and offsets, in the same
+    # relative azimuth order
+    gz = demo_scene.ground_elevation
+    heights = sorted({h for zone in demo_scene.mount_zones for h in zone.allowed_heights})
+    dropped = kept = 0
+    for s in demo_scene.catalog:
+        for h in heights:
+            full = _pattern(s, gz + h, gz, None)
+            got = _pattern(s, gz + h, gz, floor)
+            keep = np.ones(len(full.dirs), dtype=bool)
+            if floor is not None:
+                keep = 1.0 - full.t_ground / s.range_m >= floor
+            assert np.array_equal(got.dirs, full.dirs[keep])
+            assert np.array_equal(got.t_ground, full.t_ground[keep])
+            assert np.array_equal(got.offsets, full.offsets[:, keep])
+            renumber = np.cumsum(keep) - 1
+            assert np.array_equal(got.order, renumber[full.order[keep[full.order]]])
+            assert np.array_equal(got.phi, full.phi[keep[full.order]])
+            dropped += int((~keep).sum())
+            kept += len(got.dirs)
+    assert kept > 0
+    assert (dropped > 0) == (floor is not None)
 
 
 def test_ground_returns_from_mounts_at_or_below_ground():
