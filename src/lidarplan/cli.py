@@ -44,10 +44,12 @@ except ImportError:
 
 from . import __version__
 from .discretization import (
+    CANDIDATES_CSV_HEADER,
     Candidate,
     EmptyGridError,
     LatticeTooLargeError,
     TargetGrid,
+    candidate_record,
     discretize_roi,
     enumerate_candidates,
     read_candidates_csv,
@@ -358,17 +360,8 @@ def _solution_payload(
         "optimality_bound": solution.optimality_bound,
         "n_targets": int(len(problem.weights)),
         "covered": sorted(solution.covered),
-        "selected": [
-            {
-                "idx": i,
-                "x": candidates[i].x,
-                "y": candidates[i].y,
-                "height": candidates[i].height,
-                "type": candidates[i].sensor.type_id,
-                "cost": candidates[i].cost,
-            }
-            for i in solution.selected
-        ],
+        "selected": [dict(zip(CANDIDATES_CSV_HEADER, candidate_record(i, candidates[i])))
+                     for i in solution.selected],
     }
 
 

@@ -265,12 +265,17 @@ def read_targets_csv(path: str | Path) -> TargetGrid:
     )
 
 
+def candidate_record(idx: int, c: Candidate) -> tuple:
+    """The candidate at row idx as (idx, x, y, height, type, cost), the
+    fields of CANDIDATES_CSV_HEADER."""
+    return idx, c.x, c.y, c.height, c.sensor.type_id, c.cost
+
+
 def write_candidates_csv(cands: Sequence[Candidate], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANDIDATES_CSV_HEADER)
-        writer.writerows((k, c.x, c.y, c.height, c.sensor.type_id, c.cost)
-                         for k, c in enumerate(cands))
+        writer.writerows(candidate_record(k, c) for k, c in enumerate(cands))
 
 
 def read_candidates_csv(

@@ -13,11 +13,10 @@ cull box (its footprint's bounding box, grown by a margin far above the
 clipping tolerance) spans an azimuth window from the origin: one span of
 that order, cut by one searchsorted (_windows), so the work grows with
 the rays that can reach an obstacle, not with rays times obstacles.
-On those (ray, prism) pairs an exact test keeps the rays whose planar path
-crosses the box before the ray's ground hit or its max range, and one pass
-clips every kept pair; each ray takes its nearest hit.  Every other ray
-would keep its result, so the output is the same as clipping every ray
-against every prism.
+The windows are the only cull: one pass clips every (ray, prism) pair in
+a window, and each ray takes its nearest hit within max range.  Every
+other ray misses the prism or meets it beyond max range, so the output is
+the same as clipping every ray against every prism.
 
 A target counts as visible to a candidate when some sample lies within
 planar distance delta of it.  Only a ray whose nearest hit is the ground
@@ -120,8 +119,10 @@ def _prism(obstacle: Obstacle, ground_z: float) -> _Prism:
 
     # The clip accepts points up to HIT_EPS outside each half-plane, which
     # is up to HIT_EPS / sin(theta / 2) off the footprint near a corner of
-    # interior angle theta; CULL_MARGIN scaled the same way covers that and
-    # any rounding in the cull test.  Repeated vertices make no corner.
+    # interior angle theta; CULL_MARGIN scaled the same way covers that, so
+    # the box holds every point the clip accepts and its azimuth window
+    # (_windows) every ray that can hit the prism.  Repeated vertices make
+    # no corner.
     units = [(ex / n, ey / n) for ex, ey in edges if (n := (ex * ex + ey * ey) ** 0.5) > 0]
     sin_half = min(
         (max(0.0, 0.5 * (1.0 + ux * vx + uy * vy)) ** 0.5
@@ -241,32 +242,19 @@ def _pairs(start: np.ndarray, stop: np.ndarray, order: np.ndarray) -> tuple[np.n
 
 def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: float) -> np.ndarray:
     """Nearest hit distance per ray once the prisms are clipped against the
-    rays in rays.order, starting from the ground (rays.t_ground).
+    rays in rays.order, starting from the ground (rays.t_ground): per ray,
+    the nearest obstacle hit within max_range, else t_ground.
 
-    A prism is clipped only against the rays of its window (_windows) whose
-    planar path from the origin to min(t_ground, max_range) meets its box.
-    For any other ray the clip would miss, or hit no nearer than the
-    ground, or hit beyond max_range, where the ray ends without a return
-    either way.  All kept (ray, prism) pairs are clipped in one pass with the
-    elementwise steps of a per-prism clip, and each ray takes the least
-    hit, so the result equals clipping every ray against every prism.
+    A prism is clipped only against the rays of its window (_windows); any
+    other ray misses it or meets it beyond max_range.  All those (ray,
+    prism) pairs are clipped in one pass with the elementwise steps of a
+    per-prism clip, and each ray takes the least hit within max_range, so
+    the result equals clipping every ray against every prism.
     """
     t_best = rays.t_ground.copy()
     ox, oy, oz = origin
     ray, prism = _pairs(*_windows(origin, rays.phi, prisms, max_range), rays.order)
     dx, dy, dz = (d[ray] for d in rays.dirs.T)
-    reach = np.minimum(rays.t_ground[ray], max_range)
-
-    # Separating axes: the ray's normal, then x and y.  All rays share the
-    # origin, so only their ends are tested on x and y.  (np.take leaves
-    # each gathered row contiguous; indexing boxes[prism] would not.)
-    cx, cy, hx, hy = np.take(prisms.boxes.T, prism, axis=1)
-    near = np.abs(dx * (cy - oy) - dy * (cx - ox)) <= hx * np.abs(dy) + hy * np.abs(dx)
-    end_x, end_y = ox + reach * dx, oy + reach * dy
-    near &= np.where(ox < cx - hx, end_x >= cx - hx, (ox <= cx + hx) | (end_x <= cx + hx))
-    near &= np.where(oy < cy - hy, end_y >= cy - hy, (oy <= cy + hy) | (end_y <= cy + hy))
-    near |= prisms.boxless[prism]
-    ray, prism, dx, dy, dz = (a.compress(near) for a in (ray, prism, dx, dy, dz))
 
     # Slab clipping of every pair against its prism's planes, one plane
     # slot at a time.
@@ -287,7 +275,7 @@ def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: flo
     ok &= t_enter <= t_exit + HIT_EPS
     t_hit = np.where(t_enter > HIT_EPS, t_enter, t_exit)
     ok &= t_hit > HIT_EPS
-    ok &= np.isfinite(t_hit)
+    ok &= t_hit <= max_range
     np.minimum.at(t_best, ray.compress(ok), t_hit.compress(ok))
     return t_best
 
@@ -441,11 +429,11 @@ class TargetIndex:
         # The slack keeps rounding in the cell arithmetic from putting a
         # pair within delta more than one cell apart.
         self.cell = delta * (1.0 + 1e-6)
-        while True:
-            self.nx, self.ny = (int(np.floor(e / self.cell)) + 1 for e in extent)
-            if self.nx * self.ny <= max(1, BUCKETS_PER_TARGET * len(points)):
-                break
-            self.cell *= 2.0
+        limit = max(1, BUCKETS_PER_TARGET * len(points))
+        with np.errstate(over="ignore"):  # a tiny delta counts inf cells until the cell grows
+            while (counts := np.floor(extent / self.cell) + 1).prod() > limit:
+                self.cell *= 2.0
+        self.nx, self.ny = map(int, counts)
         # Buckets are numbered over the grid padded by two empty cells on
         # each side.  A target is listed in the 3x3 block of each cell around
         # its own: bucket b's block holds the targets ids[start[b]:start[b+1]].

@@ -249,20 +249,18 @@ def solve_greedy(problem: DeploymentProblem) -> Solution:
     costs, cap = _as_budget(problem)
     covered = np.zeros(problem.grid.cols, dtype=bool)
     selected: list[int] = []
-    taken = np.zeros(problem.grid.rows, dtype=bool)
     spent = 0.0
     while True:
         # einsum sums each row alone, so equal rows get equal gains and ties
         # really go to the smallest index; a BLAS matvec does not promise that.
         gains = np.einsum("ij,j->i", rows & ~covered[None, :], w)
-        usable = ~taken & (costs <= cap - spent + 1e-12) & (gains > 0)
+        usable = (costs <= cap - spent + 1e-12) & (gains > 0)
         if not usable.any():
             break
         per_cost = np.divide(gains, costs, out=np.zeros_like(gains), where=usable & (costs > 0))
         per_cost[usable & (costs == 0)] = np.inf
         best = int(np.argmax(per_cost))
         selected.append(best)
-        taken[best] = True
         covered |= rows[best]
         spent += float(costs[best])
     obj = float(w[covered].sum())

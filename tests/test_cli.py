@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -356,6 +357,15 @@ def test_underflowing_spacing_exit_2(tmp_path, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "--delta must be > 0" in err
+
+
+def test_tiny_delta_runs(tmp_path, capsys):
+    # delta is finite and > 0, so the grid builds without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["grid", "--delta", "1e-308", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_spacing_past_the_roi_exit_1_without_partials(tmp_path, capsys):

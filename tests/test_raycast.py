@@ -222,14 +222,22 @@ def test_cast_ray_matches_reference_on_random_rays(rng):
 # must give the same floats as clipping every ray against every prism
 
 
+def unculled_cast_all(origin, dirs, prisms, max_range, t_ground):
+    """Every ray clipped against every prism: per ray, the nearest hit
+    within max_range, else t_ground."""
+    t_best = t_ground
+    for prism in prisms:
+        ok, t_hit = reference_clip_prism(origin, dirs, prism.planes)
+        t_best = np.where(ok & (t_hit <= max_range) & (t_hit < t_best), t_hit, t_best)
+    return t_best
+
+
 def cast_unculled(origin, dirs, scene, max_range):
     """(hit, positions, intensities) with every ray clipped against every prism."""
     gz = scene.ground_elevation
     t_ground = _ground_t(origin, dirs, gz)
-    t_best = t_ground
-    for obstacle in scene.obstacles:
-        ok, t_hit = reference_clip_prism(origin, dirs, _prism(obstacle, gz).planes)
-        t_best = np.where(ok & (t_hit < t_best), t_hit, t_best)
+    prisms = [_prism(obstacle, gz) for obstacle in scene.obstacles]
+    t_best = unculled_cast_all(origin, dirs, prisms, max_range, t_ground)
     return _returns(origin, dirs, t_best, t_ground, gz, max_range)
 
 
@@ -414,15 +422,18 @@ def cast_cases(draw):
 def test_cast_all_equals_per_prism_reference(case):
     # the first part of the obstacles, the second (as GroundReturns.blocked
     # casts a trial's vehicles alone) and all of them, each cast from the
-    # ground, bit for bit, inf included
+    # ground, bit for bit, inf included, against the box-culled reference's
+    # hits within max_range (its box test lets some beyond it through, which
+    # no caller reads) and against every ray clipped against every prism
     origin, dirs, obstacles, split, max_range = case
     t_ground = _ground_t(origin, dirs, 0.0)
     rays = _rays(dirs, t_ground)
     for part in (obstacles[:split], obstacles[split:], obstacles):
         got = _cast_all(origin, rays, _prisms(part, 0.0), max_range)
-        want = reference_cast_all(origin, dirs, [_prism(o, 0.0) for o in part], max_range,
-                                  t_ground)
-        assert np.array_equal(got, want)
+        prisms = [_prism(o, 0.0) for o in part]
+        want = reference_cast_all(origin, dirs, prisms, max_range, t_ground)
+        assert np.array_equal(got, np.where(want <= max_range, want, t_ground))
+        assert np.array_equal(got, unculled_cast_all(origin, dirs, prisms, max_range, t_ground))
 
 
 def reaches_box(origin, dirs, box, reach):
@@ -460,6 +471,33 @@ def test_windows_hold_every_ray_that_reaches_a_box(case):
         else:
             reached = np.flatnonzero(reaches_box(origin, dirs, box, max_range))
             assert np.isin(reached, window).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cast_cases())
+def test_windows_hold_the_rays_aimed_at_each_grown_corner(case):
+    # a window is the closed interval its grown box spans, widened so that
+    # rounding in a ray's azimuth or in the window's bounds never drops a
+    # ray aimed at a corner of that box, 1 mm to max_range away (nearer, the
+    # corner's own rounding turns its direction by more than the widening)
+    origin, _, obstacles, _, max_range = case
+    aims = []  # (prism, direction)
+    for j, obstacle in enumerate(obstacles):
+        box = _prism(obstacle, 0.0).box
+        for kx, ky in ((-1, -1), (1, -1), (1, 1), (-1, 1)) if box else ():
+            cx, cy, hx, hy = box
+            ax = cx + kx * (hx + WINDOW_SLACK_M) - origin[0]
+            ay = cy + ky * (hy + WINDOW_SLACK_M) - origin[1]
+            if 1e-3 <= math.hypot(ax, ay) <= max_range:
+                aims += [(j, unit(ax, ay, -1.0)), (j, unit(ax, ay, 0.0))]
+    if aims:
+        prism_of, dirs = zip(*aims)
+        dirs = np.array(dirs)
+        rays = _rays(dirs, _ground_t(origin, dirs, 0.0))
+        ray, prism = _pairs(*_windows(origin, rays.phi, _prisms(obstacles, 0.0), max_range),
+                            rays.order)
+        held = set(zip(ray.tolist(), prism.tolist()))
+        assert all((i, j) in held for i, j in enumerate(prism_of))
 
 
 def test_cast_all_skips_prisms_out_of_range():
@@ -928,6 +966,18 @@ def test_index_wide_extent_tiny_delta_caps_buckets(rng):
     cloud = cloud_around(rng, targets.points, 2000, 2 * delta, -2e4, 2e4)
     assert_index_matches_oracles(targets, cloud, delta)
     assert visibility_row(vouching_xy(cloud), index).any()
+
+
+@pytest.mark.parametrize("delta", [1e-308, 5e-324])
+def test_index_builds_at_a_tiny_delta(demo_targets, delta):
+    # the extent over the first cell side overflows to inf cells, which the
+    # cap doubles away like any other count over it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = TargetIndex(demo_targets.points, delta)
+        assert visibility_row(demo_targets.points, index).all()
+        # one ulp off every coordinate is far more than delta
+        assert not visibility_row(np.nextafter(demo_targets.points, np.inf), index).any()
 
 
 def test_near_keeps_occupied_blocks(rng):
