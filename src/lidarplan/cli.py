@@ -83,6 +83,8 @@ from .solver import (
 
 SOLUTION_FORMAT = 1
 MANIFEST_FORMAT = 1
+# What the grid stage writes under --out, in the order of Run.artifacts.
+_GRID_ARTIFACTS = ("targets.csv", "candidates.csv", "grid.vgrd")
 
 EXIT_OK = 0
 EXIT_STAGE = 1
@@ -334,6 +336,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _check_totals(targets: TargetGrid, candidates: Sequence[Candidate], sources) -> None:
+    """CliError (exit 2) unless the target weights total > 0 and finite and the
+    candidate costs total finite; sources names where each came from."""
+    with np.errstate(over="ignore"):
+        weight, cost = targets.weights.sum(), np.sum([c.cost for c in candidates])
+    if not 0 < weight < math.inf:
+        raise CliError(EXIT_INPUT, f"{sources[0]}: total target weight must be > 0 and finite")
+    if not cost < math.inf:
+        raise CliError(EXIT_INPUT, f"{sources[1]}: total candidate cost must be finite")
+
+
 def _select_types(scene: Scene, cfg: RunConfig):
     if not scene.catalog:
         raise CliError(EXIT_INPUT, "scene has no sensor catalog")
@@ -398,7 +411,7 @@ class Run:
     def artifacts(self) -> tuple[TargetGrid, tuple[Candidate, ...], VisibilityGrid]:
         """(targets, candidates, grid) as the grid stage writes them."""
         catalog = self.scene.catalog  # a bad --scene is reported before a missing artifact
-        paths = [self.out_dir / name for name in ("targets.csv", "candidates.csv", "grid.vgrd")]
+        paths = [self.out_dir / name for name in _GRID_ARTIFACTS]
         for path in paths:
             if not path.exists():
                 raise CliError(EXIT_INPUT, f"missing artifact {path}; run the grid stage first")
@@ -414,8 +427,7 @@ class Run:
                 f"artifact shape mismatch: grid is {grid.rows}x{grid.cols} but there are "
                 f"{len(candidates)} candidates and {len(targets)} targets",
             )
-        if not targets.weights.sum() > 0:
-            raise CliError(EXIT_INPUT, f"{paths[0]}: total target weight must be > 0")
+        _check_totals(targets, candidates, paths)
         return targets, candidates, grid
 
     @property
@@ -511,8 +523,7 @@ def stage_grid(run: Run) -> list[Path]:
         raise CliError(EXIT_STAGE, str(exc)) from exc
     except LatticeTooLargeError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    if not targets.weights.sum() > 0:
-        raise CliError(EXIT_INPUT, "total target weight must be > 0 (scene and --weights)")
+    _check_totals(targets, candidates, ("scene and --weights", "scene unit costs and surcharges"))
     t0 = time.perf_counter()
     grid = build_visibility_grid(
         candidates, targets, scene, cfg.resolved_delta, intensity_min=cfg.intensity_min
@@ -522,9 +533,10 @@ def stage_grid(run: Run) -> list[Path]:
         f"{grid.bits.sum()} visibility bits ({time.perf_counter() - t0:.1f}s)"
     )
     with StageOutputs(run.out_dir) as outputs:
-        write_targets_csv(targets, outputs.path_for("targets.csv"))
-        write_candidates_csv(candidates, outputs.path_for("candidates.csv"))
-        grid.save(outputs.path_for("grid.vgrd"))
+        targets_path, candidates_path, grid_path = map(outputs.path_for, _GRID_ARTIFACTS)
+        write_targets_csv(targets, targets_path)
+        write_candidates_csv(candidates, candidates_path)
+        grid.save(grid_path)
         run.artifacts = targets, candidates, grid
         return outputs.commit()
 
@@ -575,9 +587,10 @@ def stage_eval(run: Run) -> list[Path]:
     if differ := len(occlusion.static_covered ^ solution.covered):
         raise CliError(
             EXIT_INPUT,
-            f"{run.out_dir / 'grid.vgrd'}: recast into this --scene with this --intensity-min, "
-            f"the selected sensors' coverage differs from the grid's on {differ} of "
-            f"{len(targets)} targets; run eval with the grid stage's --scene and --intensity-min",
+            f"{run.out_dir / _GRID_ARTIFACTS[2]}: recast into this --scene with this "
+            f"--intensity-min, the selected sensors' coverage differs from the grid's on "
+            f"{differ} of {len(targets)} targets; run eval with the grid stage's --scene and "
+            f"--intensity-min",
         )
     density_covered = occlusion.density[sorted(solution.covered)]
     print(

@@ -4,7 +4,9 @@ Turns continuous road polygons into a finite set of target points and the
 mount zones into a finite set of sensor placement candidates.  Both lattices
 use the same rule: uniformly spaced coordinates strictly inside the
 bounding box of the relevant geometry (the first lattice line sits one
-spacing step past the minimum, the last strictly before the maximum).
+spacing step past the minimum, the last strictly before the maximum), each
+owned by the first region in file order (road segment or mount zone) that
+holds it, a region being tested only inside its grown bounding box (_claim).
 Points exactly on a polygon edge count as inside, with tolerance 1e-9 m.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -85,71 +88,66 @@ def lattice_coords(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(1, n + 1, dtype=np.float64)
 
 
-def _lattice(bounds, spacing: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the lattice strictly inside bounds, flattened row-major (y
-    outer, x inner).  Raises LatticeTooLargeError, before allocating, when
-    it would hold more than MAX_LATTICE_POINTS points.  An empty axis counts
-    as one line, so the other axis is bounded on its own; an extent that
-    overflows to inf makes the count inf or NaN, refused too."""
+def _claim(bounds, spacing: float, what: tuple[str, str],
+           regions) -> tuple[np.ndarray, np.ndarray]:
+    """(points (N, 2), owner (N,)): the lattice points strictly inside bounds,
+    row-major (y outer, x inner), that a region holds, each with the index of
+    the first region that does.  regions yields (vertices, pad, contains):
+    contains(xs, ys) is asked only about unclaimed points within pad of the
+    vertices' bounding box.  what (lattice, region) names them in the errors:
+    LatticeTooLargeError, before allocating more than MAX_LATTICE_POINTS points
+    (an empty axis counts as one line, an extent overflowing to inf is refused
+    too), and EmptyGridError when no region holds a point."""
+    if spacing <= 0:
+        raise ValueError("spacing must be > 0")
     xmin, ymin, xmax, ymax = bounds
     nx, ny = (max(np.floor((hi - lo) / spacing - EDGE_EPS), 0.0)
               for lo, hi in ((xmin, xmax), (ymin, ymax)))
     points = max(nx, 1.0) * max(ny, 1.0)
     if not points <= MAX_LATTICE_POINTS:
         raise LatticeTooLargeError(
-            f"{what} lattice at spacing {spacing} would hold {points:.4g} points, "
+            f"{what[0]} lattice at spacing {spacing} would hold {points:.4g} points, "
             f"more than {MAX_LATTICE_POINTS}"
         )
     gx, gy = np.meshgrid(lattice_coords(xmin, xmax, spacing),
                          lattice_coords(ymin, ymax, spacing))
-    return gx.ravel(), gy.ravel()
+    xs, ys = gx.ravel(), gy.ravel()
+    owner = np.full(xs.shape, -1, dtype=np.int64)
+    for k, (vertices, pad, contains) in enumerate(regions):
+        x0, y0, x1, y1 = polygon_bounds(vertices)
+        near = np.flatnonzero((owner == -1) & (xs >= x0 - pad) & (xs <= x1 + pad)
+                              & (ys >= y0 - pad) & (ys <= y1 + pad))
+        owner[near[contains(xs[near], ys[near])]] = k
+    keep = np.flatnonzero(owner >= 0)
+    if not len(keep):
+        raise EmptyGridError(f"no lattice point at spacing {spacing} falls inside any {what[1]}")
+    return np.column_stack([xs[keep], ys[keep]]), owner[keep]
 
 
 def discretize_roi(scene: Scene, spacing: float) -> TargetGrid:
     """Lattice points strictly inside the ROI bounding box that fall inside
-    at least one road segment, in row-major (y outer, x inner) order.
+    at least one road segment, in row-major (y outer, x inner) order.  A
+    segment holds no point more than EDGE_EPS outside its bounding box.
 
     Raises EmptyGridError when the spacing is too coarse to produce any
     point inside a segment, LatticeTooLargeError when it is so fine that
     the lattice would exceed MAX_LATTICE_POINTS.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be > 0")
     xmin, ymin, xmax, ymax = scene_bounds(scene)
     if spacing >= xmax - xmin or spacing >= ymax - ymin:
         raise EmptyGridError(
             f"spacing {spacing} is not smaller than the ROI extent "
             f"({xmax - xmin} x {ymax - ymin})"
         )
-    flat_x, flat_y = _lattice((xmin, ymin, xmax, ymax), spacing, "target")
-
-    # Assign each lattice point the first containing segment in file order.
-    owner = np.full(flat_x.shape, -1, dtype=np.int64)
-    for k, seg in enumerate(scene.road_segments):
-        bx0, by0, bx1, by1 = polygon_bounds(seg.polygon)
-        near = (
-            (flat_x >= bx0 - EDGE_EPS)
-            & (flat_x <= bx1 + EDGE_EPS)
-            & (flat_y >= by0 - EDGE_EPS)
-            & (flat_y <= by1 + EDGE_EPS)
-            & (owner == -1)
-        )
-        if not near.any():
-            continue
-        inside = points_in_polygon(flat_x[near], flat_y[near], seg.polygon)
-        hits = np.flatnonzero(near)[inside]
-        owner[hits] = k
-
-    keep = owner >= 0
-    if not keep.any():
-        raise EmptyGridError(
-            f"no lattice point at spacing {spacing} falls inside any road segment"
-        )
-    points = np.column_stack([flat_x[keep], flat_y[keep]])
-    owned = owner[keep]
-    seg_ids = tuple(scene.road_segments[k].id for k in owned)
-    weights = np.array([s.priority_weight for s in scene.road_segments], dtype=np.float64)[owned]
-    return TargetGrid(points=points, weights=weights, segment_of=seg_ids)
+    segments = scene.road_segments
+    points, owner = _claim(
+        (xmin, ymin, xmax, ymax), spacing, ("target", "road segment"),
+        ((seg.polygon, EDGE_EPS, partial(points_in_polygon, vertices=seg.polygon))
+         for seg in segments),
+    )
+    weights = np.array([seg.priority_weight for seg in segments], dtype=np.float64)[owner]
+    return TargetGrid(points=points, weights=weights,
+                      segment_of=tuple(segments[k].id for k in owner))
 
 
 def _zone_contains(zone: MountZone, xs: np.ndarray, ys: np.ndarray,
@@ -175,49 +173,40 @@ def enumerate_candidates(
     the zone's height list, then the given types: catalog entries in catalog
     order, any other spec after them in the given order, duplicates once.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be > 0")
     if not types:
         raise ValueError("types must be non-empty")
     rank = {spec: k for k, spec in enumerate(scene.catalog)}
     specs = sorted(dict.fromkeys(types), key=lambda spec: rank.get(spec, len(rank)))
+    zones = scene.mount_zones
+    # Past its test's reach, a zone's box grows by 2 * EDGE_EPS, more than the
+    # sqrt(2) * EDGE_EPS that points_in_polygon accepts past a corner.
+    points, owner = _claim(
+        polygon_bounds(p for zone in zones for p in zone.geometry), spacing,
+        ("mount", "mount zone"),
+        ((zone.geometry,
+          (0.0 if zone.kind == "polygon" else spacing / 2.0 + EDGE_EPS) + 2 * EDGE_EPS,
+          partial(_zone_contains, zone, spacing=spacing)) for zone in zones),
+    )
+    return tuple(
+        Candidate(x=x, y=y, height=float(h), sensor=spec,
+                  cost=spec.unit_cost + zones[k].install_surcharge)
+        for (x, y), k in zip(points.tolist(), owner.tolist())
+        for h in zones[k].allowed_heights
+        for spec in specs
+    )
 
-    all_pts = [p for z in scene.mount_zones for p in z.geometry]
-    flat_x, flat_y = _lattice(polygon_bounds(all_pts), spacing, "mount")
 
-    # Assign each lattice position the first containing zone in file order.
-    owner = np.full(flat_x.shape, -1, dtype=np.int64)
-    for k, zone in enumerate(scene.mount_zones):
-        free = np.flatnonzero(owner == -1)
-        owner[free[_zone_contains(zone, flat_x[free], flat_y[free], spacing)]] = k
-
-    out: list[Candidate] = []
-    for p in np.flatnonzero(owner >= 0):
-        zone = scene.mount_zones[owner[p]]
-        for h in zone.allowed_heights:
-            for spec in specs:
-                out.append(
-                    Candidate(
-                        x=float(flat_x[p]),
-                        y=float(flat_y[p]),
-                        height=float(h),
-                        sensor=spec,
-                        cost=spec.unit_cost + zone.install_surcharge,
-                    )
-                )
-    if not out:
-        raise EmptyGridError(
-            f"no lattice point at spacing {spacing} falls inside any mount zone"
-        )
-    return tuple(out)
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """A CSV artifact: the header line, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_targets_csv(grid: TargetGrid, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TARGETS_CSV_HEADER)
-        writer.writerows(zip(range(len(grid)), *grid.points.T.tolist(), grid.weights.tolist(),
-                             grid.segment_of))
+    _write_csv(path, TARGETS_CSV_HEADER, zip(range(len(grid)), *grid.points.T.tolist(),
+                                             grid.weights.tolist(), grid.segment_of))
 
 
 def _read_csv(path: str | Path, header: list[str], parse_row) -> list:
@@ -272,10 +261,7 @@ def candidate_record(idx: int, c: Candidate) -> tuple:
 
 
 def write_candidates_csv(cands: Sequence[Candidate], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANDIDATES_CSV_HEADER)
-        writer.writerows(candidate_record(k, c) for k, c in enumerate(cands))
+    _write_csv(path, CANDIDATES_CSV_HEADER, map(candidate_record, range(len(cands)), cands))
 
 
 def read_candidates_csv(

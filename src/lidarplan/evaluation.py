@@ -14,7 +14,6 @@ ground, against those rays and takes away the samples of the rays they block.
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 import random
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretization import Candidate, TargetGrid
+from .discretization import Candidate, TargetGrid, _write_csv
 from .geometry import points_in_polygon, polygon_area, polygon_bounds
 from .raycast import TargetIndex, _ground_returns, _prisms
 from .scene import Obstacle, Scene, scene_bounds
@@ -65,10 +64,8 @@ def gain_curve(budgets: Sequence[float], solutions: Sequence[Solution],
 
 
 def write_gain_curve_csv(curve: GainCurve, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "objective", "coverage", "method"])
-        writer.writerows(zip(curve.budgets, curve.objectives, curve.coverages, curve.methods))
+    _write_csv(path, ["budget", "objective", "coverage", "method"],
+               zip(curve.budgets, curve.objectives, curve.coverages, curve.methods))
 
 
 @dataclass(frozen=True)

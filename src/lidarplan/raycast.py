@@ -189,7 +189,7 @@ def _prisms(obstacles: Sequence[Obstacle], ground_z: float) -> _PrismSet:
 
 def _ground_t(origin: np.ndarray, dirs: np.ndarray, ground_z: float) -> np.ndarray:
     """Distance along each ray to the ground plane, inf where it never gets there."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_ground = (ground_z - origin[2]) / dirs[:, 2]
     return np.where((dirs[:, 2] != 0) & (t_ground > HIT_EPS), t_ground, np.inf)
 
@@ -263,7 +263,7 @@ def _cast_all(origin: np.ndarray, rays: _Rays, prisms: _PrismSet, max_range: flo
     t_enter = np.zeros(len(ray))
     t_exit = np.full(len(ray), np.inf)
     ok = np.ones(len(ray), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for nx, ny, nz, f0 in (c.take(prism, axis=1) for c in coef):
             slope = nx * dx
             slope += ny * dy

@@ -69,10 +69,11 @@ class DeploymentProblem:
             raise ValueError(
                 f"dimension mismatch: {len(costs)} costs for {self.grid.rows} candidates"
             )
-        if not (weights >= 0).all():  # NaN fails this too
-            raise ValueError("weights must be >= 0")
-        if not (costs >= 0).all():
-            raise ValueError("costs must be >= 0")
+        for name, values in (("weights", weights), ("costs", costs)):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from inf - inf
+                total = values.sum()
+            if not ((values >= 0).all() and total < math.inf):  # NaN fails this too
+                raise ValueError(f"{name} must be >= 0 and total a finite number")
         if not 0 <= self.constraint.limit < math.inf:  # NaN fails this too
             raise ValueError("constraint limit must be finite and >= 0")
         if isinstance(self.constraint, Cardinality) and self.constraint.limit % 1:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -668,6 +669,60 @@ def test_zero_total_weight_exit_2_before_the_grid(monkeypatch, tmp_path, capsys)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "total target weight must be > 0" in err
+
+
+@pytest.mark.parametrize("command", ["grid", "pipeline"])
+def test_weights_totalling_inf_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    code = run([command, "--types", "type-1", "--count", "2", "--trials", "1",
+                "--weights", "central=1e308", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "total target weight must be > 0 and finite" in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command, unit_cost, surcharge", [
+    ("pipeline", None, 1e308),  # each cost finite, their total not
+    ("grid", 1.7e308, 1.7e308),  # each cost inf
+])
+def test_costs_totalling_inf_exit_2(tmp_path, capsys, command, unit_cost, surcharge):
+    scene = json.loads(demo_scene_path().read_text())
+    for zone in scene["mount_zones"]:
+        zone["install_surcharge"] = surcharge
+    for spec in scene["catalog"] if unit_cost else ():
+        spec["unit_cost"] = unit_cost
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "o"
+    code = run([command, "--scene", str(path), "--types", "type-1", "--count", "2",
+                "--trials", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "total candidate cost must be finite" in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("name, column, message", [
+    ("targets.csv", "weight", "total target weight must be > 0 and finite"),
+    ("candidates.csv", "cost", "total candidate cost must be finite"),
+])
+def test_solve_refuses_totals_of_inf_read_back(tmp_path, capsys, name, column, message):
+    out = tmp_path / "o"
+    assert run(["grid", "--types", "type-1", "--out", str(out)]) == 0
+    path = out / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:  # each finite, their total not
+        row[rows[0].index(column)] = "1e308"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = run(["solve", "--types", "type-1", "--count", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == f"[solve] error: {path}: {message}"
 
 
 def test_fractional_gain_budgets_under_a_budget(tmp_path):

@@ -1,10 +1,11 @@
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import _seg_dist, point_in_polygon_ref
+from helpers import _seg_dist, convex_polygon, point_in_polygon_ref
 from lidarplan import (
     EmptyGridError,
     MountZone,
@@ -23,6 +24,7 @@ from lidarplan.discretization import (
     write_candidates_csv,
     write_targets_csv,
 )
+from lidarplan.geometry import EDGE_EPS
 
 
 def rect(x0, y0, x1, y1):
@@ -300,6 +302,128 @@ def test_polyline_zone_corridor():
         for x in np.arange(2.0, 19.0, 2.0):
             if dist((x, y)) <= 1.0 - 1e-9:
                 assert (x, y) in got
+
+
+# ---------------------------------------------------------------------------
+# first-region oracle: every lattice point, by plain loops, goes to the first
+# region in file order that holds it
+
+
+def holds_polygon(point, vertices):
+    """The closed polygon test as documented: inside by winding number
+    (point_in_polygon_ref), or within EDGE_EPS of an edge's line with the
+    foot at most EDGE_EPS past either end, which reaches sqrt(2) * EDGE_EPS
+    past a corner (point_in_polygon_ref alone stops at EDGE_EPS)."""
+    if point_in_polygon_ref(point, vertices):
+        return True
+    px, py = point
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        length = math.hypot(bx - ax, by - ay)
+        ux, uy = (bx - ax) / length, (by - ay) / length
+        along = (px - ax) * ux + (py - ay) * uy
+        across = (px - ax) * uy - (py - ay) * ux
+        if abs(across) <= EDGE_EPS and -EDGE_EPS <= along <= length + EDGE_EPS:
+            return True
+    return False
+
+
+def in_box(point, vertices, pad):
+    xs, ys = zip(*vertices)
+    return (min(xs) - pad <= point[0] <= max(xs) + pad
+            and min(ys) - pad <= point[1] <= max(ys) + pad)
+
+
+def first_region(vertices, spacing, holds):
+    """[(x, y, k)]: each lattice point strictly inside the bounding box of
+    vertices, row-major, that some holds[k](point) accepts, with the first
+    such k."""
+    xs, ys = zip(*vertices)
+    out = []
+    for y in lattice_coords(min(ys), max(ys), spacing):
+        for x in lattice_coords(min(xs), max(xs), spacing):
+            k = next((k for k, h in enumerate(holds) if h((x, y))), None)
+            if k is not None:
+                out.append((x, y, k))
+    return out
+
+
+def zone_holds(zone, spacing):
+    if zone.kind == "polygon":
+        return lambda p: holds_polygon(p, zone.geometry)
+    return lambda p: any(_seg_dist(*p, *a, *b) <= spacing / 2 + EDGE_EPS
+                         for a, b in zip(zone.geometry[:-1], zone.geometry[1:]))
+
+
+# The corner (3, 5 + 1.3e-9) of this triangle is 1.3e-9 above the lattice
+# point (3, 5) at spacing 1: within sqrt(2) * EDGE_EPS of the point, more
+# than EDGE_EPS away on y, and its edge test accepts the point.
+TIP = ((3.0, 5.0 + 1.3e-9), (4.0, 6.0 + 1.3e-9), (5.0, 5.0 + 1.3e-9))
+SQUARE = rect(0, 0, 20, 20)
+# overlapping bounding boxes: a diamond, a concave L through it, a triangle
+# across both
+DIAMOND = ((10.0, 6.0), (14.0, 10.0), (10.0, 14.0), (6.0, 10.0))
+ELL = ((8.0, 8.0), (17.0, 8.0), (17.0, 11.0), (11.0, 11.0), (11.0, 17.0), (8.0, 17.0))
+WEDGE = ((7.0, 15.5), (16.5, 6.5), (16.5, 16.5))
+
+
+def oracle_scene(rng=None):
+    """Roads and mount zones over one shape list; with rng, random convex
+    polygons and polylines on overlapping boxes instead."""
+    if rng is None:
+        polygons = [TIP, DIAMOND, ELL, WEDGE]
+        # lattice lines y = 12 and 13 lie exactly spacing/2 from the first
+        # corridor, y = 15 and 16 within spacing/2 + EDGE_EPS of the second
+        lines = [((2.0, 12.5), (8.0, 12.5)), ((1.0, 15.5 + 5e-10), (6.0, 15.5 + 5e-10)),
+                 ((2.0, 2.0), (9.0, 4.5), (12.0, 9.0))]
+    else:
+        polygons = [convex_polygon(rng, *rng.uniform(4, 16, 2), 1, 6) for _ in range(5)]
+        lines = [tuple(map(tuple, rng.uniform(1, 19, (int(rng.integers(2, 5)), 2))))
+                 for _ in range(3)]
+    roads = [RoadSegment(id=f"r{k}", polygon=p, priority_weight=k + 1.0)
+             for k, p in enumerate(polygons + [SQUARE])]
+    shapes = [(p, "polygon") for p in polygons] + [(g, "polyline") for g in lines]
+    order = rng.permutation(len(shapes)) if rng is not None else [0, 4, 1, 5, 2, 6, 3]
+    zones = [MountZone(id=f"z{k}", geometry=shapes[j][0], kind=shapes[j][1],
+                       allowed_heights=(k + 1.0, k + 1.5)[: 1 + k % 2],
+                       install_surcharge=10.0 * k)
+             for k, j in enumerate(order)]
+    zones.append(MountZone(id="all", geometry=SQUARE, allowed_heights=(9.0,),
+                           install_surcharge=0.5))
+    return Scene(road_segments=tuple(roads), mount_zones=tuple(zones))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+def test_both_lattices_match_the_first_region_oracle(seed):
+    scene = oracle_scene(None if seed is None else np.random.default_rng(seed))
+    roads = scene.road_segments
+    for spacing in (1.0, 0.5, 1.7):
+        # a road segment holds only points within EDGE_EPS of its box
+        want = first_region([p for seg in roads for p in seg.polygon], spacing, [
+            lambda p, v=seg.polygon: in_box(p, v, EDGE_EPS) and holds_polygon(p, v)
+            for seg in roads])
+        grid = discretize_roi(scene, spacing)
+        assert grid.points.tolist() == [[x, y] for x, y, _ in want]
+        assert grid.segment_of == tuple(roads[k].id for _, _, k in want)
+        assert grid.weights.tolist() == [roads[k].priority_weight for _, _, k in want]
+
+        specs = [TINY_SPEC, replace(TINY_SPEC, type_id="big", unit_cost=300.0)]
+        want = [(x, y, h, spec.type_id, spec.unit_cost + zone.install_surcharge)
+                for x, y, k in first_region([p for z in scene.mount_zones for p in z.geometry],
+                                            spacing, [zone_holds(z, spacing)
+                                                      for z in scene.mount_zones])
+                for zone in [scene.mount_zones[k]]
+                for h in zone.allowed_heights for spec in specs]
+        got = enumerate_candidates(scene, spacing, specs)
+        assert [(c.x, c.y, c.height, c.sensor.type_id, c.cost) for c in got] == want
+    if seed is None:  # the fixed scene's edge cases take the owners the rule gives
+        grid = discretize_roi(scene, 1.0)
+        owner = dict(zip(map(tuple, grid.points.tolist()), grid.segment_of))
+        assert owner[3.0, 5.0] == "r4"  # the square: (3, 5) is outside TIP's box
+        # the cost names the zone: TINY_SPEC's 100 plus 10 per zone index
+        cost = {(c.x, c.y): c.cost for c in enumerate_candidates(scene, 1.0, [TINY_SPEC])}
+        assert cost[3.0, 5.0] == 100.0  # TIP, the first zone
+        assert cost[4.0, 12.0] == cost[4.0, 13.0] == 110.0  # the first corridor
+        assert cost[3.0, 15.0] == cost[3.0, 16.0] == 130.0  # the second corridor
 
 
 def test_targets_csv_round_trip(tmp_path, demo_targets):

@@ -558,6 +558,14 @@ def test_cast_raises_no_warning(rng):
             cand = make_candidate(0.0, 0.0, height, spec(channels=9, vmin=-40, vmax=20, step=3.0))
             returns = ground_returns(cand, open_scene(*obstacles[2:]))
             assert (returns.rays.t_ground <= cand.sensor.range_m).all()
+        # a huge mount height overflows the distance to the ground, and a
+        # huge obstacle height the distance to its roof: both are inf, which
+        # reads as never (no ground in range, no crossing of that plane)
+        cand = make_candidate(0.0, 0.0, 1e308, spec(channels=9, vmin=-40, vmax=20, step=3.0))
+        assert not len(ground_returns(cand, open_scene()).rays.t_ground)
+        tower = Obstacle(id="t", footprint=rect(5.0, -1.0, 7.0, 1.0), height=1e308)
+        hit, _, _ = _cast_scene(np.array([0.0, 0.0, 5.0]), dirs, open_scene(tower), 45.0)
+        assert hit.any()
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,16 @@ def test_problem_rejects_nan_weights_and_costs():
         DeploymentProblem(grid, np.ones(3), [math.nan, 1.0], Budget(1.0))
 
 
+def test_problem_rejects_weights_and_costs_totalling_inf():
+    grid = VisibilityGrid(bits=np.ones((2, 3), dtype=bool), delta=1.0)
+    with pytest.raises(ValueError, match="weights must be >= 0 and total a finite number"):
+        DeploymentProblem(grid, [1e308, 1e308, 1.0], np.ones(2), Cardinality(1))
+    with pytest.raises(ValueError, match="weights must be >= 0 and total a finite number"):
+        DeploymentProblem(grid, [math.inf, 1.0, 1.0], np.ones(2), Cardinality(1))
+    with pytest.raises(ValueError, match="costs must be >= 0 and total a finite number"):
+        DeploymentProblem(grid, np.ones(3), [1.7e308, 1.7e308], Budget(1.0))
+
+
 def test_verify_passes_on_solver_outputs(rng):
     for _ in range(40):
         rows, weights, costs, budget, count = random_instance(rng, 10, 25)
