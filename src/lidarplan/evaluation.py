@@ -8,8 +8,8 @@ coverage under random occluders), not object-detection metrics; reports
 label them as proxies.  Both come from one cast of each selected sensor's
 ground rays into the static scene (raycast.GroundReturns), which hands out
 its sample positions: an occlusion trial casts only its vehicles, from the
-ground, against those rays and takes away the samples of the rays they block.
-"""
+ground, against those rays, and one count over the samples they block,
+from every sensor at once, says which targets the trial loses."""
 
 from __future__ import annotations
 
@@ -132,7 +132,7 @@ class OcclusionReport:
     static_coverage: float
     per_trial: tuple[float, ...]
     density: np.ndarray  # int64 sample_density per target, static scene, summed over sensors
-    static_covered: frozenset[int]  # the targets that some sensor's strict count reaches
+    static_covered: frozenset[int]  # the targets whose strict count, summed over sensors, is > 0
 
 
 def _trial_rng(seed: int, t: int) -> random.Random:
@@ -198,14 +198,14 @@ def occlusion_monte_carlo(
 
     Only a ray whose nearest hit is the ground gives a sample, and vehicles
     can only bring a hit nearer, so they only take samples away.  Each
-    selected sensor is cast once against the static scene, whose sample
-    positions give each target its density and strict count
-    (sample_density); its rays hold no beam below intensity_min (_pattern).
-    A trial casts only its vehicles, from the ground, against those rays
-    (GroundReturns.blocked); the samples they stop short are lost, and a
-    target is covered while its strict count stays above 0, as in a recast.
-    Prisms are made once.  Each trial draws its vehicles from its own
-    Python random.Random stream, seeded by (seed, trial) (_trial_rng).
+    selected sensor is cast once against the static scene; its samples add
+    to each target's density and strict count (sample_density), and its
+    rays hold no beam below intensity_min (_pattern).  A trial casts only
+    its vehicles, from the ground, against those rays (GroundReturns.blocked).
+    One count over what they block of every sensor is the trial's lost
+    count, and a target is covered while strict > lost, as in a recast.
+    Prisms are made once; each trial's vehicles come from its own Python
+    random.Random stream, seeded by (seed, trial) (_trial_rng).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -218,24 +218,23 @@ def occlusion_monte_carlo(
         _prisms(_sample_vehicles(scene, vehicle, _trial_rng(seed, t)), scene.ground_elevation)
         for t in range(trials)
     ]
-    covered = np.zeros((trials, len(targets)), dtype=bool)
-    density = np.zeros(len(targets), dtype=np.int64)
-    static_covered = np.zeros(len(targets), dtype=bool)
+    counts = np.zeros((2, len(targets)), dtype=np.int64)  # closed and strict, over sensors
+    lost = [[np.empty((0, 2))] for _ in trial_prisms]  # each trial's lost samples
     index = TargetIndex(targets.points, delta)
     for _, sensor in _ground_returns(candidates, solution.selected, scene, index, intensity_min):
-        closed, strict = sample_density(sensor.xy, index)
-        density += closed
-        static_covered |= strict > 0
-        for t, vehicles in enumerate(trial_prisms):
-            covered[t] |= strict - sample_density(sensor.xy[sensor.blocked(vehicles)], index)[1] > 0
-    coverages = [float(weights[row].sum()) / total_w for row in covered]
+        counts += sample_density(sensor.xy, index)
+        for xy, vehicles in zip(lost, trial_prisms):
+            xy.append(sensor.xy[sensor.blocked(vehicles)])
+    density, strict = counts
+    coverages = [float(weights[strict > sample_density(np.concatenate(xy), index)[1]].sum())
+                 / total_w for xy in lost]
     return OcclusionReport(
         mean_coverage=float(np.mean(coverages)),
         min_coverage=float(np.min(coverages)),
         static_coverage=static_cov,
         per_trial=tuple(coverages),
         density=density,
-        static_covered=frozenset(np.flatnonzero(static_covered).tolist()),
+        static_covered=frozenset(np.flatnonzero(strict).tolist()),
     )
 
 

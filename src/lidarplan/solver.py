@@ -112,13 +112,14 @@ def _make_solution(problem: DeploymentProblem, selected, method: str,
     )
 
 
-def _as_budget(problem: DeploymentProblem) -> tuple[np.ndarray, float]:
-    """Costs and limit of the constraint: a unit cap is a budget over unit
-    costs.  With an integer cap the solvers' test
-    `cost <= limit - spent + 1e-12` is then exactly `n_used < limit`."""
-    if isinstance(problem.constraint, Cardinality):
-        return np.ones(problem.grid.rows), float(problem.constraint.limit)
-    return problem.costs, float(problem.constraint.limit)
+def _as_budget(problem: DeploymentProblem) -> tuple[np.ndarray, float, float]:
+    """Costs, limit and slack scale of the constraint: a unit cap is a budget
+    over unit costs, and the scale min(1, limit) makes the solvers' 1e-12 and
+    the verifier's 1e-9 slack relative below a limit of 1.  With an integer
+    cap the solvers' `cost <= limit - spent + 1e-12 * scale` is `n_used < limit`."""
+    limit = float(problem.constraint.limit)
+    costs = problem.costs if isinstance(problem.constraint, Budget) else np.ones(problem.grid.rows)
+    return costs, limit, min(1.0, limit)
 
 
 def _pack(bits: np.ndarray) -> int:
@@ -142,7 +143,7 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
             "use solve_greedy or raise the limit"
         )
     w, m = problem.weights, problem.grid.cols
-    costs, cap = _as_budget(problem)
+    costs, cap, unit = _as_budget(problem)
     costs = costs.tolist()
     # A set of targets is an int, target j at bit j.  Its value is the sum
     # over the distinct positive weights v of v times its popcount within
@@ -212,7 +213,7 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
     # earlier value strictly is the lexicographically smallest optimum.
     def dfs(start: int, sel: list[int], covered: int, spent: float) -> None:
         nonlocal best, best_sel
-        room = cap - spent + 1e-12
+        room = cap - spent + 1e-12 * unit
         if min_cost[start] > room:  # the bound is covered's own value, never above best
             return
         reach = suffix
@@ -247,18 +248,22 @@ def solve_greedy(problem: DeploymentProblem) -> Solution:
     always go to the smallest candidate index.
     """
     rows, w = problem.grid.bits, problem.weights
-    costs, cap = _as_budget(problem)
+    costs, cap, unit = _as_budget(problem)
     covered = np.zeros(problem.grid.cols, dtype=bool)
     selected: list[int] = []
     spent = 0.0
+    # Ratios rank on costs times 2**-e, cap = f * 2**e, e <= 0: exact, so in order.
+    with np.errstate(over="ignore"):  # an unaffordable cost may scale to inf
+        norm = np.ldexp(costs, -min(0, math.frexp(cap)[1]))
     while True:
         # einsum sums each row alone, so equal rows get equal gains and ties
         # really go to the smallest index; a BLAS matvec does not promise that.
         gains = np.einsum("ij,j->i", rows & ~covered[None, :], w)
-        usable = (costs <= cap - spent + 1e-12) & (gains > 0)
+        usable = (costs <= cap - spent + 1e-12 * unit) & (gains > 0)
         if not usable.any():
             break
-        per_cost = np.divide(gains, costs, out=np.zeros_like(gains), where=usable & (costs > 0))
+        with np.errstate(over="ignore"):  # past the float range a ratio is inf: free
+            per_cost = np.divide(gains, norm, out=np.zeros_like(gains), where=usable & (costs > 0))
         per_cost[usable & (costs == 0)] = np.inf
         best = int(np.argmax(per_cost))
         selected.append(best)
@@ -266,7 +271,7 @@ def solve_greedy(problem: DeploymentProblem) -> Solution:
         spent += float(costs[best])
     obj = float(w[covered].sum())
 
-    afford = costs <= cap + 1e-12
+    afford = costs <= cap + 1e-12 * unit
     if isinstance(problem.constraint, Cardinality):
         ratio = GREEDY_RATIO_CARDINALITY
     else:
@@ -308,11 +313,12 @@ def verify_solution(problem: DeploymentProblem, solution: Solution) -> Verificat
     `selected` and `covered` hold distinct plain ints (a bool is not one)
     within the candidates and the targets; `covered` is exactly what the
     selected rows see; `total_cost` is their cost (within 1e-9), which keeps
-    to the budget (plus 1e-9), or their number to the unit cap; `objective`,
-    `total_cost` and `optimality_bound` are finite; `objective` is exactly
-    float(weights[covered mask].sum()), as every solver reports it, and at
-    most `optimality_bound` plus 1e-9.  `covered` may be any collection,
-    such as a solution file's list, where true and 1 are two entries."""
+    to the budget (plus 1e-9, times the limit below 1), or their number to
+    the unit cap; `objective`, `total_cost` and `optimality_bound` are
+    finite; `objective` is exactly float(weights[covered mask].sum()), as
+    every solver reports it, and at most `optimality_bound` plus 1e-9.
+    `covered` may be any collection, such as a solution file's list, where
+    true and 1 are two entries."""
     bad: list[str] = []
     valid = {}
     for key, entries, size in [("selected", solution.selected, problem.grid.rows),
@@ -337,8 +343,8 @@ def verify_solution(problem: DeploymentProblem, solution: Solution) -> Verificat
     true_cost = float(problem.costs[sel].sum()) if sel else 0.0
     if not abs(true_cost - solution.total_cost) <= 1e-9:
         bad.append(f"total_cost {solution.total_cost} != recomputed {true_cost}")
-    limit = problem.constraint.limit
-    if isinstance(problem.constraint, Budget) and true_cost > limit + 1e-9:
+    limit, unit = problem.constraint.limit, _as_budget(problem)[2]
+    if isinstance(problem.constraint, Budget) and true_cost > limit + 1e-9 * unit:
         bad.append(f"budget exceeded: cost {true_cost} > limit {limit}")
     if isinstance(problem.constraint, Cardinality) and len(sel) > limit:
         bad.append(f"cardinality exceeded: {len(sel)} selected > limit {limit}")

@@ -59,7 +59,8 @@ def point_in_polygon_ref(point, vertices) -> bool:
 
 def exhaustive_best(rows: np.ndarray, weights: np.ndarray, costs: np.ndarray,
                     constraint) -> float:
-    """Optimal objective over all 2^n subsets (n small)."""
+    """Optimal objective over all 2^n subsets (n small), under the solvers'
+    budget slack, 1e-12 times the limit below 1."""
     rows = np.asarray(rows, dtype=bool)
     union = np.zeros((1, rows.shape[1]), dtype=bool)
     total_cost = np.zeros(1)
@@ -70,7 +71,7 @@ def exhaustive_best(rows: np.ndarray, weights: np.ndarray, costs: np.ndarray,
         size = np.concatenate([size, size + 1])
     objectives = union @ np.asarray(weights, dtype=np.float64)
     if isinstance(constraint, Budget):
-        feasible = total_cost <= constraint.limit + 1e-12
+        feasible = total_cost <= constraint.limit + 1e-12 * min(1.0, constraint.limit)
     else:
         feasible = size <= constraint.limit
     return float(objectives[feasible].max())
@@ -92,7 +93,7 @@ def reference_exact(problem):
     def dfs(start: int, sel: list[int], covered: np.ndarray, spent: float) -> None:
         nonlocal best, best_sel
         for i in range(start, n):
-            afford = costs[i:] <= cap - spent + 1e-12
+            afford = costs[i:] <= cap - spent + 1e-12 * min(1.0, cap)
             if float(w[covered | rows[i:][afford].any(axis=0)].sum()) <= best:
                 return
             if afford[0]:

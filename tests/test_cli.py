@@ -705,6 +705,28 @@ def test_costs_totalling_inf_exit_2(tmp_path, capsys, command, unit_cost, surcha
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("method", ["auto", "greedy"])
+def test_tiny_budget_buys_one_sensor(tmp_path, capsys, method):
+    # every candidate costs 1e-320, as much as the whole budget: one fits
+    scene = json.loads(demo_scene_path().read_text())
+    for zone in scene["mount_zones"]:
+        zone["install_surcharge"] = 0
+    for spec in scene["catalog"]:
+        spec["unit_cost"] = 1e-320
+    path = tmp_path / "cheap.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["pipeline", "--scene", str(path), "--types", "type-1",
+                    "--budget", "1e-320", "--method", method, "--trials", "1",
+                    "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    sol = read_json(out / ("solution.json" if method == "auto" else "solution_greedy.json"))
+    assert len(sol["selected"]) == 1
+    assert sol["total_cost"] == 1e-320
+
+
 @pytest.mark.parametrize("name, column, message", [
     ("targets.csv", "weight", "total target weight must be > 0 and finite"),
     ("candidates.csv", "cost", "total candidate cost must be finite"),

@@ -464,6 +464,37 @@ def test_occlusion_prepares_each_trials_vehicles_once(monkeypatch):
     assert made == [3, 3, 3, 3, 0]
 
 
+def test_occlusion_counts_each_sensor_once_and_each_trial_once(monkeypatch):
+    # a sensor's static samples, then one count per trial over the samples
+    # that every selected sensor lost in it: S + T counts, not S * (1 + T)
+    scene, targets, cands, solution = micro_setup()
+    assert len(solution.selected) == 2
+    counted, count = [], evaluation.sample_density
+
+    def counting(xy, index):
+        counted.append(len(xy))
+        return count(xy, index)
+
+    monkeypatch.setattr(evaluation, "sample_density", counting)
+    occlusion_monte_carlo(solution, scene, targets, cands,
+                          VehicleModel(count=3), trials=4, seed=7, delta=2.5)
+    assert len(counted) == 6
+
+
+def test_occlusion_of_an_empty_selection():
+    scene, targets, cands, _ = micro_setup()
+    grid = build_visibility_grid(cands, targets, scene, delta=2.5)
+    none = solve_exact(DeploymentProblem(grid, targets.weights, np.full(2, 10.0), Cardinality(0)))
+    assert none.selected == ()
+    report = occlusion_monte_carlo(none, scene, targets, cands,
+                                   VehicleModel(count=3), trials=3, seed=7, delta=2.5)
+    assert report.per_trial == (0.0,) * 3
+    assert report.mean_coverage == report.min_coverage == report.static_coverage == 0.0
+    assert report.density.shape == (len(targets),)
+    assert not report.density.any()
+    assert report.static_covered == frozenset()
+
+
 def test_occlusion_validates_inputs():
     scene, targets, cands, solution = micro_setup()
     with pytest.raises(ValueError, match="trials"):

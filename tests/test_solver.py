@@ -480,6 +480,50 @@ def test_verify_flags_overspend_and_overcount():
     assert any("cardinality exceeded" in v for v in report2.violations)
 
 
+# rows covering 1, 3 and 1 of 4 unit-weight targets, each costing as much
+# as the whole budget: only one row fits, and row 1 gains the most
+TINY = [[1, 0, 0, 0], [0, 1, 1, 1], [1, 0, 0, 0]]
+
+
+def tiny_budget_problem():
+    return problem(TINY, costs=[1e-320] * 3, constraint=Budget(1e-320))
+
+
+@pytest.mark.parametrize("solver", [solve_exact, solve_greedy])
+def test_tiny_budget_selects_one_row(solver):
+    # The budget slack scales with a limit below 1, so 1e-320 buys one row,
+    # not all three; and the greedy's ratios, which overflow on costs this
+    # small, rank row 1 first without a warning.
+    prob = tiny_budget_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solver(prob)
+    assert sol.selected == (1,)
+    assert sol.objective == 3.0
+    assert verify_solution(prob, sol).ok
+    assert reference_exact(prob)[0] == (1,)
+    assert exhaustive_best(TINY, prob.weights, prob.costs, prob.constraint) == 3.0
+
+
+def test_verify_flags_tiny_budget_overspend():
+    prob = tiny_budget_problem()
+    every = Solution(selected=(0, 1, 2), covered=frozenset(range(4)), objective=4.0,
+                     total_cost=3e-320, method="forged", optimality_bound=4.0)
+    report = verify_solution(prob, every)
+    assert [v for v in report.violations if "budget exceeded" in v]
+
+
+def test_greedy_ratio_past_float_range_ranks_as_free():
+    # a budget of 1 leaves the costs unscaled, and 1e10 / 1e-300 overflows:
+    # both rows rank as free, so the tie goes to row 0, silently
+    prob = problem([[1, 0], [0, 1]], weights=[1e10, 2e10], costs=[1e-300, 1e-300],
+                   constraint=Budget(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_greedy(prob)
+    assert sol.selected == (0, 1)
+
+
 def test_verify_flags_bad_bookkeeping():
     prob = problem(THREE, constraint=Cardinality(1))
     sol = solve_exact(prob)
