@@ -494,7 +494,8 @@ class Run:
             try:
                 solution = solve(problem, method, self.cfg.exact_limit)
             except InstanceTooLargeError as exc:
-                raise CliError(EXIT_STAGE, str(exc)) from exc
+                raise CliError(EXIT_STAGE, f"{exc}: use --method greedy or a larger "
+                               "--exact-limit") from exc
             report = verify_solution(problem, solution)
             if not report.ok:
                 raise CliError(

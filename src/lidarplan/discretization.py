@@ -96,12 +96,13 @@ def _claim(bounds, spacing: float, what: tuple[str, str],
     contains(xs, ys) is asked only about unclaimed points within pad of the
     vertices' bounding box.  what (lattice, region) names them in the errors:
     LatticeTooLargeError, before allocating more than MAX_LATTICE_POINTS points
-    (an empty axis counts as one line, an extent overflowing to inf is refused
-    too), and EmptyGridError when no region holds a point."""
+    (an empty axis counts as one line; counted in Python floats, a size past
+    the float range is a silent inf, refused too), and EmptyGridError when no
+    region holds a point."""
     if spacing <= 0:
         raise ValueError("spacing must be > 0")
     xmin, ymin, xmax, ymax = bounds
-    nx, ny = (max(np.floor((hi - lo) / spacing - EDGE_EPS), 0.0)
+    nx, ny = (max(float(np.floor((hi - lo) / spacing - EDGE_EPS)), 0.0)
               for lo, hi in ((xmin, xmax), (ymin, ymax)))
     points = max(nx, 1.0) * max(ny, 1.0)
     if not points <= MAX_LATTICE_POINTS:

@@ -8,8 +8,8 @@ search loop for both.  With unit weights this is plain maximum coverage;
 general weights express region priorities.  solve_exact is one
 branch-and-bound pass over index sets in lexicographic order, on rows
 packed into Python ints, globally optimal but limited to small candidate
-counts; solve_greedy scales to any
-size with the classic 1 - 1/e marginal-gain guarantee in unit-cap mode.
+counts; solve_greedy (Greedy+Max) scales to any size, with the classic
+1 - 1/e guarantee under a unit cap and 1/2 under a budget.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .raycast import VisibilityGrid
 EXACT_LIMIT_DEFAULT = 25
 
 GREEDY_RATIO_CARDINALITY = 1.0 - 1.0 / math.e
-GREEDY_RATIO_BUDGET = (1.0 - 1.0 / math.e) / 2.0
+GREEDY_RATIO_BUDGET = 0.5
 
 
 class InstanceTooLargeError(ValueError):
-    """Candidate count exceeds the exact-solver limit; use solve_greedy."""
+    """Candidate count exceeds the exact-solver limit; the greedy has none."""
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
     if n > limit:
         raise InstanceTooLargeError(
             f"{n} candidates exceeds the exact-solver limit of {limit}; "
-            "use solve_greedy or raise the limit"
-        )
+            "the greedy solver has none")
     w, m = problem.weights, problem.grid.cols
     costs, cap, unit = _as_budget(problem)
     costs = costs.tolist()
@@ -239,53 +238,47 @@ def solve_exact(problem: DeploymentProblem, limit: int = EXACT_LIMIT_DEFAULT) ->
 
 
 def solve_greedy(problem: DeploymentProblem) -> Solution:
-    """Polynomial-time approximate solution.
+    """Polynomial-time approximate solution (Greedy+Max).
 
     Repeatedly takes the affordable candidate with the largest marginal
-    covered weight per unit cost; under a unit cap every cost is 1, so this
-    is the classic 1 - 1/e marginal-gain greedy.  Budget mode also falls
-    back to the best affordable singleton if that scores higher.  Ties
-    always go to the smallest candidate index.
+    covered weight per unit cost: the classic 1 - 1/e greedy under a unit
+    cap.  Each round also scores the selection plus the affordable candidate
+    of largest gain, if that is not the pick; the first such set to beat the
+    final selection replaces it, 1/2-optimal under a budget (Yaroslavtsev,
+    Zhou and Avdiukhin, AISTATS 2020).  Ties go to the smallest index.
     """
     rows, w = problem.grid.bits, problem.weights
     costs, cap, unit = _as_budget(problem)
     covered = np.zeros(problem.grid.cols, dtype=bool)
     selected: list[int] = []
-    spent = 0.0
+    spent, best, best_sel = 0.0, -1.0, []
     # Ratios rank on costs times 2**-e, cap = f * 2**e, e <= 0: exact, so in order.
     with np.errstate(over="ignore"):  # an unaffordable cost may scale to inf
         norm = np.ldexp(costs, -min(0, math.frexp(cap)[1]))
     while True:
         # einsum sums each row alone, so equal rows get equal gains and ties
         # really go to the smallest index; a BLAS matvec does not promise that.
-        gains = np.einsum("ij,j->i", rows & ~covered[None, :], w)
+        gains = np.einsum("ij,j->i", rows, w * ~covered)
         usable = (costs <= cap - spent + 1e-12 * unit) & (gains > 0)
         if not usable.any():
             break
         with np.errstate(over="ignore"):  # past the float range a ratio is inf: free
             per_cost = np.divide(gains, norm, out=np.zeros_like(gains), where=usable & (costs > 0))
         per_cost[usable & (costs == 0)] = np.inf
-        best = int(np.argmax(per_cost))
-        selected.append(best)
-        covered |= rows[best]
-        spent += float(costs[best])
+        pick, top = int(np.argmax(per_cost)), int(np.argmax(gains * usable))
+        if top != pick and (value := float(w[covered | rows[top]].sum())) > best:
+            best, best_sel = value, [*selected, top]
+        selected.append(pick)
+        covered |= rows[pick]
+        spent += float(costs[pick])
     obj = float(w[covered].sum())
+    if best > obj:
+        selected, obj = best_sel, best
 
     afford = costs <= cap + 1e-12 * unit
-    if isinstance(problem.constraint, Cardinality):
-        ratio = GREEDY_RATIO_CARDINALITY
-    else:
-        ratio = GREEDY_RATIO_BUDGET
-        # Safeguard: plain ratio greedy alone has an unbounded gap; taking
-        # the better of it and the best affordable single candidate
-        # restores the (1 - 1/e)/2 guarantee.  A unit cap needs none: its
-        # first pick already is that singleton, and the two sums could only
-        # differ there in the last bit, which would move the bound.
-        single_gains = np.where(afford, (rows * w[None, :]).sum(axis=1), -1.0)
-        if afford.any() and single_gains.max() > obj:
-            selected = [int(np.argmax(single_gains))]
-            obj = float(single_gains[selected[0]])
-    reachable = float(w[rows[afford].any(axis=0)].sum())
+    reachable = float(w[np.any(rows, axis=0, where=afford[:, None])].sum())
+    ratio = (GREEDY_RATIO_CARDINALITY if isinstance(problem.constraint, Cardinality)
+             else GREEDY_RATIO_BUDGET)
     bound = 0.0 if obj <= 0 else min(reachable, obj / ratio)
     return _make_solution(problem, selected, "greedy", optimality_bound=bound)
 

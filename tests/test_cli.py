@@ -457,6 +457,17 @@ def test_oversized_exact_request_exit_1(tmp_path, capsys):
     assert "exact-solver limit" in capsys.readouterr().err
 
 
+def test_oversized_exact_request_names_the_cli_remedy(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert run(["grid", "--count", "3", "--out", str(out)]) == 0
+    assert run(["solve", "--count", "3", "--method", "exact", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "72 candidates exceeds the exact-solver limit of 25" in err
+    assert "use --method greedy or a larger --exact-limit" in err
+    assert "solve_greedy" not in err
+
+
 def test_repeated_method_solves_once(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "repeat"
     out.mkdir()
@@ -658,6 +669,33 @@ def test_huge_lattice_exit_2(monkeypatch, tmp_path, capsys, edit, flags):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "lattice at spacing" in err and "points, more than 4194304" in err
+
+
+def _far_road(scene):
+    """Scene edit: one road polygon reaching +-1e200 on both axes."""
+    scene["road_segments"][1]["polygon"][0] = [-1e200, -1e200]
+    scene["road_segments"][1]["polygon"][2] = [1e200, 1e200]
+
+
+@pytest.mark.parametrize("edit,flags", [
+    (lambda scene: None, ["--spacing", "1e-300"]),
+    (lambda scene: None, ["--candidate-spacing", "1e-300"]),
+    (_far_road, []),
+])
+def test_lattice_size_overflow_exit_2_without_warning(tmp_path, capsys, edit, flags):
+    # the lattice's point count overflows the float range: one line, no warning
+    scene = json.loads(demo_scene_path().read_text())
+    edit(scene)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(scene))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["pipeline", "--scene", str(path), "--types", "type-1", "--trials", "1",
+                    *flags, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "lattice at spacing" in err
 
 
 def test_zero_total_weight_exit_2_before_the_grid(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_best, random_instance, reference_exact
+from helpers import exhaustive_best, random_instance, reference_exact, reference_greedy
 from lidarplan import (
     Budget,
     Cardinality,
@@ -380,6 +381,54 @@ def test_greedy_bound_is_valid_upper_bound(rng):
             opt = exhaustive_best(rows, weights, costs, constraint)
             assert sol.objective <= opt + 1e-9
             assert opt <= sol.optimality_bound + 1e-9
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(prob=instances())
+def test_greedy_against_reference_greedy(prob):
+    # integer, fractional and zero weights, duplicate rows and zero costs
+    sol, ref = solve_greedy(prob), reference_greedy(prob)
+    assert verify_solution(prob, sol).ok
+    if isinstance(prob.constraint, Cardinality):
+        assert ((sol.selected, sol.objective, sol.optimality_bound)
+                == (ref.selected, ref.objective, ref.optimality_bound))
+        return
+    opt = solve_exact(prob).objective
+    assert sol.objective >= ref.objective
+    assert sol.objective >= 0.5 * opt
+    assert sol.optimality_bound >= opt
+    assert sol.optimality_bound >= sol.objective
+
+
+def test_greedy_max_beats_the_best_singleton():
+    # ratio picks 0 then 1 (cover 2 for cost 2); row 2 alone covers 3, and
+    # the selection so far plus row 2 after the first pick covers 4
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 1]]
+    prob = problem(rows, costs=[1.0, 1.0, 3.0], constraint=Budget(4.0))
+    assert reference_greedy(prob).objective == 3.0
+    sol = solve_greedy(prob)
+    assert (sol.selected, sol.objective, sol.optimality_bound) == ((0, 2), 4.0, 4.0)
+
+
+def test_solvers_never_copy_the_visibility_matrix():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 100, (400, 20_000), dtype=np.uint8) == 0
+    grid = VisibilityGrid(bits=bits, delta=1.0)
+    weights, costs = rng.uniform(0.0, 10.0, grid.cols), rng.uniform(1.0, 20.0, grid.rows)
+    for constraint in (Cardinality(16), Budget(25.0)):
+        prob = DeploymentProblem(grid, weights, costs, constraint)
+        tracemalloc.start()
+        try:
+            sol = solve_greedy(prob)
+            greedy_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = verify_solution(prob, sol)
+            verify_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(sol.selected) > 1
+        assert greedy_peak < grid.bits.nbytes / 4, constraint
+        assert verify_peak < grid.bits.nbytes / 4, constraint
 
 
 def test_problem_validates_dimensions():
